@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -224,11 +223,6 @@ def cmd_zeros(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _claims_for_one(payload):
-    zero, plan = payload
-    return convergence._claims_for_zero(zero, plan)
-
-
 def cmd_verify(args, cfg: RunConfig) -> int:
     zeros_path = Path(args.zeros)
     if not zeros_path.exists():
@@ -244,13 +238,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         )
         return EXIT_USAGE
     plan = convergence.SweepPlan(n0=n0, doublings=doublings, cfg=cfg.em)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs > 1 and len(records) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_claims_for_one, [(z, plan) for z in records])
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = convergence.verify_claims(records, plan)
+    rows = convergence.verify_claims(records, plan)
     report = {
         "schema": REPORT_SCHEMA,
         "run": {
@@ -328,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n0", type=int)
     p_verify.add_argument("--doublings", type=int)
     p_verify.add_argument("--out", default="report.json")
-    p_verify.add_argument("--jobs", type=int, default=0, help="0 = all cores")
 
     p_report = sub.add_parser("report", help="pretty-print a JSON report")
     p_report.add_argument("--in", default="report.json")

@@ -1,14 +1,16 @@
 """Dyadic-n sweeps, power-law slope fits, ratio-limit extrapolation, and the
 claim-verification report.
 
-Each sweep evaluates one named quantity at n = n0, 2 n0, ..., n0 2^d using a
-single compensated pass per argument point, then the fitting/extrapolation
-helpers quantify the convergence order or limit. verify_claims aggregates
-the nine per-zero checks into one report record.
+Each sweep evaluates one named quantity at n = n0, 2 n0, ..., n0 2^d from a
+table of partial sums built by one compensated pass per argument point, then
+the fitting/extrapolation helpers quantify the convergence order or limit.
+verify_claims aggregates the nine per-zero checks into one report record;
+all nine read one table per zero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from .euler_maclaurin import (
     remainder_with_bound,
 )
 from .functional_eq import h_hat_exact
-from .series import RawSums, raw_sums_at
+from .series import N_CAP, RawSums, raw_sums_at
 from .special import complex_pow_base_real
 from .zeros import ZeroRecord
 
@@ -112,6 +114,83 @@ def _hat_prime(sums: RawSums, z: complex, n: int) -> complex:
     return sums.zeta_prime + ln_n * p / (1.0 - z) - p / (1.0 - z) ** 2
 
 
+def _window_n0(rho: complex, n0: int, cfg: EulerMaclaurinConfig) -> int:
+    """Smallest n0 * 2^j that meets the validity window at rho, with one
+    warning when j > 0.
+
+    Raises DomainError if n0 is not a positive integer or no such n stays
+    within N_CAP (as for a NaN or infinite Im rho).
+    """
+    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
+        raise DomainError(f"n0 must be a positive integer, got {n0!r}")
+    window = ValidityWindow(cfg.window_C)
+    n = n0
+    while not check_window(rho, n, window):
+        n *= 2
+        if n > N_CAP:
+            raise DomainError(
+                f"no n0 * 2^j <= {N_CAP} meets the validity window for Im z={rho.imag}"
+            )
+    if n != n0:
+        warnings.warn(
+            f"n0={n0} violates the validity window for Im z={rho.imag}; "
+            f"shifted to n0={n}",
+            stacklevel=3,
+        )
+    return n
+
+
+def _dyadic_ns(n0: int, doublings: int) -> list[int]:
+    if doublings < 4:
+        raise DomainError(f"a sweep needs at least 4 doublings, got {doublings}")
+    return [n0 * 2**k for k in range(doublings + 1)]
+
+
+def _value(
+    quantity: Quantity,
+    rho: complex,
+    n: int,
+    at_rho: dict[int, RawSums],
+    at_mirror: dict[int, RawSums] | None,
+) -> complex:
+    """``quantity`` at n, read from sums tables at rho and at 1 - rho."""
+    if quantity is Quantity.ZETA_HAT_AT_RHO:
+        return _hat(at_rho[n], rho, n)
+    if quantity is Quantity.ZETA_HAT_AT_ONE_MINUS_RHO:
+        return _hat(at_mirror[n], 1.0 - rho, n)
+    if quantity is Quantity.H_HAT_N:
+        return _hat(at_rho[n], rho, n) / _hat(at_mirror[n], 1.0 - rho, n)
+    if quantity is Quantity.H_N:
+        return at_rho[n].zeta / at_mirror[n].zeta
+    if quantity is Quantity.SMALL_H_2N:
+        return at_rho[2 * n].xi + _hat(at_rho[2 * n], rho, 2 * n)
+    if quantity is Quantity.SMALL_G_2N:
+        return at_rho[2 * n].xi + 0.5 * complex_pow_base_real(2 * n, rho)
+    if quantity is Quantity.DERIV_RATIO:
+        return _hat_prime(at_rho[n], rho, n) / _hat_prime(at_mirror[n], 1.0 - rho, n)
+    if quantity is Quantity.H_HAT_DOUBLING_RATIO:
+        h = lambda m: _hat(at_rho[m], rho, m) / _hat(at_mirror[m], 1.0 - rho, m)
+        return h(2 * n) / h(n)
+    if quantity is Quantity.H_DOUBLING_RATIO:
+        h = lambda m: at_rho[m].zeta / at_mirror[m].zeta
+        return h(2 * n) / h(n)
+    raise DomainError(f"unknown quantity {quantity}")
+
+
+def _series_from_table(
+    quantity: Quantity,
+    rho: complex,
+    ns: Sequence[int],
+    at_rho: dict[int, RawSums],
+    at_mirror: dict[int, RawSums] | None,
+) -> ConvergenceSeries:
+    return ConvergenceSeries(
+        quantity=quantity,
+        rho=rho,
+        points=tuple((n, _value(quantity, rho, n, at_rho, at_mirror)) for n in ns),
+    )
+
+
 def sweep(
     quantity: Quantity,
     rho: complex,
@@ -120,17 +199,8 @@ def sweep(
     cfg: EulerMaclaurinConfig | None = None,
 ) -> ConvergenceSeries:
     """Evaluate ``quantity`` at n = n0 * 2^k for k = 0..doublings."""
-    if doublings < 4:
-        raise DomainError(f"a sweep needs at least 4 doublings, got {doublings}")
     rho = complex(rho)
-    window = ValidityWindow((cfg or EulerMaclaurinConfig()).window_C)
-    while not check_window(rho, n0, window):
-        warnings.warn(
-            f"n0={n0} violates the validity window for Im z={rho.imag}; doubling",
-            stacklevel=2,
-        )
-        n0 *= 2
-    ns = [n0 * 2**k for k in range(doublings + 1)]
+    ns = _dyadic_ns(_window_n0(rho, n0, cfg or EulerMaclaurinConfig()), doublings)
 
     needs_double = quantity in (
         Quantity.SMALL_H_2N,
@@ -154,37 +224,7 @@ def sweep(
         if needs_mirror
         else None
     )
-
-    def value_at(n: int) -> complex:
-        if quantity is Quantity.ZETA_HAT_AT_RHO:
-            return _hat(at_rho[n], rho, n)
-        if quantity is Quantity.ZETA_HAT_AT_ONE_MINUS_RHO:
-            return _hat(at_mirror[n], 1.0 - rho, n)
-        if quantity is Quantity.H_HAT_N:
-            return _hat(at_rho[n], rho, n) / _hat(at_mirror[n], 1.0 - rho, n)
-        if quantity is Quantity.H_N:
-            return at_rho[n].zeta / at_mirror[n].zeta
-        if quantity is Quantity.SMALL_H_2N:
-            return at_rho[2 * n].xi + _hat(at_rho[2 * n], rho, 2 * n)
-        if quantity is Quantity.SMALL_G_2N:
-            return at_rho[2 * n].xi + 0.5 * complex_pow_base_real(2 * n, rho)
-        if quantity is Quantity.DERIV_RATIO:
-            return _hat_prime(at_rho[n], rho, n) / _hat_prime(
-                at_mirror[n], 1.0 - rho, n
-            )
-        if quantity is Quantity.H_HAT_DOUBLING_RATIO:
-            h = lambda m: _hat(at_rho[m], rho, m) / _hat(at_mirror[m], 1.0 - rho, m)
-            return h(2 * n) / h(n)
-        if quantity is Quantity.H_DOUBLING_RATIO:
-            h = lambda m: at_rho[m].zeta / at_mirror[m].zeta
-            return h(2 * n) / h(n)
-        raise DomainError(f"unknown quantity {quantity}")
-
-    return ConvergenceSeries(
-        quantity=quantity,
-        rho=rho,
-        points=tuple((n, value_at(n)) for n in ns),
-    )
+    return _series_from_table(quantity, rho, ns, at_rho, at_mirror)
 
 
 def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
@@ -324,9 +364,44 @@ def verify_claims(
     return results
 
 
+def _zero_table(
+    rho: complex, plan: SweepPlan
+) -> tuple[int, dict[int, RawSums], dict[int, RawSums]]:
+    """The window-shifted n0 and every partial sum the claims read at one zero.
+
+    One pass at rho reaches n0 * 2^(d+1) (the 2n of h_2n, g_2n and the
+    doubling ratios, and of the identity checks) and one at 1 - rho reaches
+    n0 * 2^d, both with the derivative.
+    """
+    n0 = _window_n0(rho, plan.n0, plan.cfg)
+    ns = [n0 * 2**k for k in range(plan.doublings + 1)]
+    at_rho = raw_sums_at(
+        rho, {*ns, 2 * ns[-1], *(2 * n for n in plan.identity_ns)}, True
+    )
+    at_mirror = raw_sums_at(1.0 - rho, ns, True)
+    return n0, at_rho, at_mirror
+
+
 def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
     rho = zr.rho
     rows: list[ClaimResult] = []
+    try:
+        n0, at_rho, at_mirror = _zero_table(rho, plan)
+        table_error = None
+    except Exception as exc:  # every claim that reads the table reports it
+        table_error = exc
+
+    @functools.cache  # C4 and C5 share one H_n series
+    def series(quantity: Quantity, doublings: int) -> ConvergenceSeries:
+        if table_error is not None:
+            raise table_error
+        ns = _dyadic_ns(n0, doublings)
+        return _series_from_table(quantity, rho, ns, at_rho, at_mirror)
+
+    def value(quantity: Quantity, n: int) -> complex:
+        if table_error is not None:
+            raise table_error
+        return _value(quantity, rho, n, at_rho, at_mirror)
 
     def run(claim: str, fn) -> None:
         try:
@@ -345,7 +420,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
             )
 
     def c1() -> ClaimResult:
-        full = sweep(Quantity.SMALL_H_2N, rho, plan.n0, plan.doublings, plan.cfg)
+        full = series(Quantity.SMALL_H_2N, plan.doublings)
         pts = tuple(p for p in full.points if p[0] <= C1_FIT_MAX_N)
         fit = fit_power_law(
             ConvergenceSeries(quantity=full.quantity, rho=rho, points=pts)
@@ -362,9 +437,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         )
 
     def c2() -> ClaimResult:
-        ratios = sweep(
-            Quantity.H_HAT_DOUBLING_RATIO, rho, plan.n0, plan.doublings - 1, plan.cfg
-        )
+        ratios = series(Quantity.H_HAT_DOUBLING_RATIO, plan.doublings - 1)
         n_last, v_last = ratios.points[-1]
         dev = abs(abs(v_last) - 1.0)
         return ClaimResult(
@@ -378,7 +451,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         )
 
     def c3() -> ClaimResult:
-        ser = sweep(Quantity.H_HAT_N, rho, plan.n0, plan.doublings, plan.cfg)
+        ser = series(Quantity.H_HAT_N, plan.doublings)
         devs = [
             abs(v / _pow_1_minus_2rho(n, rho) - 1.0) for n, v in ser.points
         ]
@@ -398,7 +471,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         )
 
     def c4() -> ClaimResult:
-        ser = sweep(Quantity.H_N, rho, plan.n0, plan.doublings, plan.cfg)
+        ser = series(Quantity.H_N, plan.doublings)
         lim = ratio_limit(ser, Normalizer.N_POW_1_MINUS_2RHO)
         target = rho / (1.0 - rho)
         dev = abs(lim.limit - target)
@@ -413,7 +486,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         )
 
     def c5() -> ClaimResult:
-        ser = sweep(Quantity.H_N, rho, plan.n0, plan.doublings, plan.cfg)
+        ser = series(Quantity.H_N, plan.doublings)
         n_last, v_last = ser.points[-1]  # n_last plays the role of 2n
         target = rho / (1.0 - rho) * _pow_1_minus_2rho(n_last, rho)
         dev = abs(v_last - target)
@@ -428,7 +501,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         )
 
     def c6() -> ClaimResult:
-        lim = derivative_ratio_limit(rho, plan.n0, plan.doublings, plan.cfg)
+        lim = ratio_limit(series(Quantity.DERIV_RATIO, plan.doublings))
         target = -h_hat_exact(rho)
         dev = abs(lim.limit - target)
         return ClaimResult(
@@ -469,22 +542,18 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         )
 
     def c7() -> ClaimResult:
-        from .functional_eq import small_g_2n
-
         two_pow = complex_pow_base_real(2.0, rho - 1.0)  # 2^(1-rho)
         return _identity_claim(
             "C7",
-            lambda n: small_g_2n(rho, n),
+            lambda n: value(Quantity.SMALL_G_2N, n),
             lambda r_n, r_2n: -r_2n + two_pow * r_n,
         )
 
     def c8() -> ClaimResult:
-        from .functional_eq import small_h_2n
-
         two_pow = complex_pow_base_real(2.0, rho - 1.0)
         return _identity_claim(
             "C8",
-            lambda n: small_h_2n(rho, n),
+            lambda n: value(Quantity.SMALL_H_2N, n),
             lambda r_n, r_2n: -2.0 * r_2n + two_pow * r_n,
         )
 

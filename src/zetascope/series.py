@@ -1,17 +1,26 @@
 """Finite-n zeta sums: plain, alternating, regularized, and their z-derivatives.
 
-All sums run over ascending k with compensated (Kahan) accumulation so that
-rounding drift stays bounded even at 10^6 terms. Everything is a pure
-function of (z, n) and safe to call concurrently.
+Terms k**(-z) are evaluated with numpy on a fixed grid of chunks of at most
+2^12 terms, [j C + 1, (j + 1) C], the last one cut short at the largest
+checkpoint. Each chunk sums its six real components (zeta, xi and zeta',
+real and imaginary) with Sum2 of Ogita, Rump and Oishi, "Accurate sum and
+dot product" (SIAM J. Sci. Comput. 26(6), 2005): a running float sum plus
+the running sum of its error-free TwoSum corrections, which is as accurate
+as summing in twice the working precision. A snapshot at a checkpoint joins
+the completed chunks and the current chunk's prefix with ``math.fsum``,
+which is correctly rounded, so the value at n does not depend on which other
+checkpoints share the pass. Memory is a few chunk-sized arrays at any n.
+Everything is a pure function of (z, n) and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, PoleError
 from .special import complex_pow_base_real
@@ -38,22 +47,6 @@ class SeriesEvaluation:
     value: complex
 
 
-class _Kahan:
-    """Compensated accumulator for one float."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-
 class RawSums(NamedTuple):
     """Plain, alternating, and derivative sums sharing one pass over k."""
 
@@ -62,11 +55,67 @@ class RawSums(NamedTuple):
     zeta_prime: complex | None
 
 
+#: terms per summation chunk; bounds the kernel's memory at any n
+_CHUNK = 2**12
+
+
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if n > N_CAP:
         raise DomainError(f"n={n} exceeds the configured cap {N_CAP}")
+
+
+def _chunk_prefix_sums(
+    z: complex, lo: int, hi: int, include_derivative: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum2 prefix sums of the terms k = lo+1..hi, one row per real component.
+
+    Rows are Re/Im of zeta, xi and (optionally) zeta'. Column i of the
+    running sum ``p`` and of the running TwoSum error ``e`` together hold
+    the row's sum through k = lo+1+i. ``lo`` is a multiple of _CHUNK, so the
+    odd columns are the even k that xi subtracts.
+    """
+    lk = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+    mag = np.exp(-z.real * lk)
+    phase = -z.imag * lk
+    x = np.empty((6 if include_derivative else 4, hi - lo))
+    np.multiply(mag, np.cos(phase), out=x[0])
+    np.multiply(mag, np.sin(phase), out=x[1])
+    x[2:4] = x[0:2]
+    x[2:4, 1::2] *= -1.0
+    if include_derivative:
+        np.multiply(-lk, x[0:2], out=x[4:6])
+    p = np.cumsum(x, axis=1)
+    # TwoSum of (p[i-1], x[i]) -> p[i], in place: x becomes each add's exact error
+    s, a, b = p[:, 1:], p[:, :-1], x[:, 1:]
+    b_virtual = s - a
+    a_virtual = s - b_virtual
+    np.subtract(a, a_virtual, out=a_virtual)
+    b -= b_virtual
+    b += a_virtual
+    x[:, 0] = 0.0
+    return p, np.cumsum(x, axis=1)
+
+
+def _snapshot(
+    z: complex, done: list[list[float]], p: np.ndarray, e: np.ndarray
+) -> RawSums:
+    """Correctly rounded join of the completed chunks and one prefix column."""
+    try:
+        v = [
+            math.fsum([*row, pi, ei])
+            for row, pi, ei in zip(done, p.tolist(), e.tolist())
+        ]
+    except (OverflowError, ValueError):  # intermediate overflow or inf - inf
+        v = [math.inf]
+    if not all(map(math.isfinite, v)):
+        raise OverflowError(f"partial sum overflowed at z={z}")
+    return RawSums(
+        zeta=complex(v[0], v[1]),
+        xi=complex(v[2], v[3]),
+        zeta_prime=complex(v[4], v[5]) if len(v) == 6 else None,
+    )
 
 
 def raw_sums_at(
@@ -75,44 +124,29 @@ def raw_sums_at(
     """One ascending compensated pass, snapshotting the sums at each checkpoint.
 
     ``checkpoints`` must be positive integers; they are deduplicated and
-    visited in increasing order.
+    visited in increasing order. Raises OverflowError if a sum leaves the
+    finite floats.
     """
     z = complex(z)
     ns = sorted(set(checkpoints))
+    if not ns:
+        raise DomainError("raw_sums_at needs at least one checkpoint")
     for n in ns:
         _check_n(n)
-    zr, zi = _Kahan(), _Kahan()
-    xr, xi_ = _Kahan(), _Kahan()
-    dr, di = (_Kahan(), _Kahan()) if include_derivative else (None, None)
     out: dict[int, RawSums] = {}
+    done: list[list[float]] = [[] for _ in range(6 if include_derivative else 4)]
     pending = iter(ns)
     next_cp = next(pending)
-    for k in range(1, ns[-1] + 1):
-        lk = math.log(k)
-        term = cmath.exp(-z * lk)
-        zr.add(term.real)
-        zi.add(term.imag)
-        if k % 2 == 1:
-            xr.add(term.real)
-            xi_.add(term.imag)
-        else:
-            xr.add(-term.real)
-            xi_.add(-term.imag)
-        if include_derivative:
-            dr.add(-lk * term.real)
-            di.add(-lk * term.imag)
-        if k == next_cp:
-            out[k] = RawSums(
-                zeta=complex(zr.total, zi.total),
-                xi=complex(xr.total, xi_.total),
-                zeta_prime=complex(dr.total, di.total) if include_derivative else None,
-            )
-            next_cp = next(pending, None)
-            if next_cp is None:
-                break
-    for sums in out.values():
-        if not (cmath.isfinite(sums.zeta) and cmath.isfinite(sums.xi)):
-            raise OverflowError(f"partial sum overflowed at z={z}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, ns[-1], _CHUNK):
+            hi = min(lo + _CHUNK, ns[-1])
+            p, e = _chunk_prefix_sums(z, lo, hi, include_derivative)
+            while next_cp is not None and next_cp <= hi:
+                i = next_cp - lo - 1
+                out[next_cp] = _snapshot(z, done, p[:, i], e[:, i])
+                next_cp = next(pending, None)
+            for row, pj, ej in zip(done, p[:, -1].tolist(), e[:, -1].tolist()):
+                row += (pj, ej)
     return out
 
 

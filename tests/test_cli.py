@@ -155,8 +155,7 @@ class TestVerifyAndReport:
     def test_full_cycle_on_first_zero(self, first_zero_csv, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = main(
-            ["verify", "--zeros", str(first_zero_csv), "--out", str(report_path),
-             "--jobs", "1"]
+            ["verify", "--zeros", str(first_zero_csv), "--out", str(report_path)]
         )
         capsys.readouterr()
         # the derivative-ratio claim is out of reach at this depth, so the
@@ -178,8 +177,7 @@ class TestVerifyAndReport:
     def test_report_deterministic(self, first_zero_csv, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
-            main(["verify", "--zeros", str(first_zero_csv), "--out", str(path),
-                  "--jobs", "1"])
+            main(["verify", "--zeros", str(first_zero_csv), "--out", str(path)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -15,10 +16,16 @@ from zetascope.convergence import (
     ratio_limit,
     sweep,
     verify_claims,
+    _claims_for_zero,
+    _dyadic_ns,
+    _series_from_table,
+    _value,
+    _zero_table,
 )
 from zetascope.errors import DegenerateSeriesError, DomainError
-from zetascope.functional_eq import h_hat_exact, small_h_2n
+from zetascope.functional_eq import h_hat_exact, small_g_2n, small_h_2n
 from zetascope.series import zeta_hat_partial
+from zetascope.zeros import ZeroRecord
 
 from conftest import RHO_1
 
@@ -54,6 +61,23 @@ class TestSweep:
             ser = sweep(Quantity.ZETA_HAT_AT_RHO, complex(0.5, 40.0), n0=2, doublings=4)
         # 2 pi n / C >= 40 with C = 2 first holds at n = 16
         assert ser.ns()[0] == 16
+
+    def test_window_shift_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(Quantity.ZETA_HAT_AT_RHO, complex(0.5, 40.0), n0=2, doublings=4)
+        assert len(caught) == 1
+        assert "shifted to n0=16" in str(caught[0].message)
+
+    @pytest.mark.parametrize("im", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ordinate_stops_at_cap(self, im):
+        with pytest.raises(DomainError, match="validity window"):
+            sweep(Quantity.ZETA_HAT_AT_RHO, complex(0.5, im), n0=64, doublings=4)
+
+    @pytest.mark.parametrize("n0", [0, -4, True])
+    def test_bad_n0_rejected(self, n0):
+        with pytest.raises(DomainError):
+            sweep(Quantity.ZETA_HAT_AT_RHO, RHO_1, n0=n0, doublings=4)
 
 
 class TestFitting:
@@ -169,3 +193,47 @@ class TestVerifyClaims:
         rows = verify_claims(records[:1], bad_plan)
         assert len(rows) == 9
         assert all(isinstance(r, ClaimResult) for r in rows)
+
+
+def _zero(t: float, index: int = 1) -> ZeroRecord:
+    return ZeroRecord(index=index, t=t, rho=complex(0.5, t), bracket=(t, t), residual=0.0)
+
+
+class TestSharedTable:
+    def test_table_series_equal_standalone_sweeps(self):
+        plan = SweepPlan()
+        n0, at_rho, at_mirror = _zero_table(RHO_1, plan)
+        ratios = (Quantity.H_HAT_DOUBLING_RATIO, Quantity.H_DOUBLING_RATIO)
+        for quantity in Quantity:
+            # the table holds 2n at 1 - rho only below the last n, as C2 needs
+            last = plan.doublings - (quantity in ratios)
+            for doublings in (last - 1, last):
+                shared = _series_from_table(
+                    quantity, RHO_1, _dyadic_ns(n0, doublings), at_rho, at_mirror
+                )
+                alone = sweep(quantity, RHO_1, plan.n0, doublings, plan.cfg)
+                assert shared == alone, (quantity, doublings)
+
+    def test_identity_sums_equal_standalone(self):
+        plan = SweepPlan()
+        _, at_rho, at_mirror = _zero_table(RHO_1, plan)
+        for n in plan.identity_ns:
+            g = _value(Quantity.SMALL_G_2N, RHO_1, n, at_rho, at_mirror)
+            h = _value(Quantity.SMALL_H_2N, RHO_1, n, at_rho, at_mirror)
+            assert g == small_g_2n(RHO_1, n)
+            assert h == small_h_2n(RHO_1, n)
+
+    def test_window_shift_warns_once_per_zero(self):
+        plan = SweepPlan(n0=2, doublings=6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = verify_claims([_zero(40.0, 1), _zero(45.0, 2)], plan)
+        shifts = [w for w in caught if "validity window" in str(w.message)]
+        assert len(shifts) == 2
+        assert all(r.measured != "error" for r in rows if r.claim != "C6")
+
+    def test_non_finite_zero_gives_failed_rows(self):
+        rows = _claims_for_zero(_zero(math.nan), SweepPlan())
+        assert [r.claim for r in rows] == list(CLAIM_IDS)
+        assert all(not r.passed for r in rows)
+        assert all("DomainError" in r.detail for r in rows[:6])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from zetascope.series import (
     N_CAP,
     SeriesKind,
     evaluate,
+    raw_sums_at,
     xi_partial,
     zeta_hat_partial,
     zeta_hat_partial_derivative,
@@ -44,9 +46,21 @@ class TestZetaPartial:
         with pytest.raises(DomainError):
             zeta_partial(2.0 + 0.0j, N_CAP + 1)
 
+    def test_bool_n_rejected(self):
+        with pytest.raises(DomainError):
+            zeta_partial(2.0 + 0.0j, True)
+        with pytest.raises(DomainError):
+            raw_sums_at(2.0 + 0.0j, (4, True))
+
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             zeta_partial(-300.0 + 0.0j, 50)
+
+    def test_overflow_raises_no_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                zeta_partial(-300.0 + 0.0j, 50)
 
 
 class TestXiPartial:
@@ -173,3 +187,53 @@ class TestEvaluate:
         a = evaluate(SeriesKind.ZETA_HAT_N, z, 512).value
         b = evaluate(SeriesKind.ZETA_HAT_N, z.conjugate(), 512).value
         assert a == b.conjugate()
+
+
+def _mpmath_sums(z: complex, n: int):
+    """zeta_n, xi_n and zeta_n' at z to 30 digits, through the Hurwitz zeta:
+    zeta_n(s) = zeta(s) - zeta(s, n+1), xi_n(s) = zeta_n(s) - 2^(1-s) zeta_{n//2}(s),
+    and zeta_n'(s) = zeta'(s) - zeta'(s, n+1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s = mpmath.mpc(z.real, z.imag)
+        zeta_n = mpmath.zeta(s) - mpmath.zeta(s, n + 1)
+        zeta_half = mpmath.zeta(s) - mpmath.zeta(s, n // 2 + 1)
+        xi_n = zeta_n - mpmath.power(2, 1 - s) * zeta_half
+        prime_n = mpmath.zeta(s, 1, 1) - mpmath.zeta(s, n + 1, 1)
+        return [complex(v) for v in (zeta_n, xi_n, prime_n)]
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("n", [4097, 2**16])
+    @pytest.mark.parametrize("z", [RHO_1, 1.0 - RHO_1], ids=["rho1", "1-rho1"])
+    def test_sums_at_first_zero(self, z, n):
+        zeta_n, xi_n, prime_n = _mpmath_sums(z, n)
+        got = raw_sums_at(z, (n,), include_derivative=True)[n]
+        assert abs(got.zeta - zeta_n) <= 2e-14
+        assert abs(got.xi - xi_n) <= 2e-14
+        assert abs(got.zeta_prime - prime_n) <= 1e-13
+
+
+def _bits(sums) -> tuple[str, ...]:
+    parts = (sums.zeta, sums.xi, sums.zeta_prime)
+    return tuple(x.hex() for c in parts if c is not None for x in (c.real, c.imag))
+
+
+#: checkpoints on both sides of the first two summation-chunk boundaries
+_STRADDLE = (1, 2, 4095, 4096, 4097, 8191, 8192, 8193)
+
+
+class TestCheckpointIndependence:
+    @given(
+        z=strip_z,
+        straddle=st.sets(st.sampled_from(_STRADDLE), min_size=1, max_size=5),
+        n=st.integers(1, 9000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_snapshot_ignores_other_checkpoints(self, z, straddle, n):
+        checkpoints = straddle | {n}
+        shared = raw_sums_at(z, checkpoints, include_derivative=True)
+        for m in checkpoints:
+            alone = raw_sums_at(z, (m,), include_derivative=True)[m]
+            assert _bits(shared[m]) == _bits(alone)
+            assert _bits(raw_sums_at(z, (m,))[m]) == _bits(alone)[:4]
