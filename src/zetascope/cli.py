@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import convergence, functional_eq, series, zeros as zeros_mod
-from .errors import ZetascopeError
+from .errors import ConfigError, ZetascopeError
 from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
 from .zeros import ZeroRecord
 
@@ -27,6 +27,11 @@ EXIT_MODULE_ERROR = 2
 EXIT_CLAIMS_FAILED = 3
 
 REPORT_SCHEMA = 1
+
+
+class UsageError(ZetascopeError):
+    """A malformed input file; the command exits with EXIT_USAGE."""
+
 
 _QUANTITIES = (
     "zeta_n",
@@ -82,6 +87,8 @@ def load_config(env: dict | None = None) -> RunConfig:
         return cfg
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     em_kwargs = {}
     for key, attr in (
         ("em.depth", "depth"),
@@ -90,13 +97,24 @@ def load_config(env: dict | None = None) -> RunConfig:
         ("em.window_C", "window_C"),
     ):
         if key in data:
-            em_kwargs[attr] = data[key]
+            em_kwargs[attr] = _typed(key, data[key], getattr(cfg.em, attr))
     if em_kwargs:
         cfg = replace(cfg, em=replace(cfg.em, **em_kwargs))
     for key in ("n0", "doublings", "t_min", "t_max", "step", "out_format"):
         if key in data:
-            cfg = replace(cfg, **{key: data[key]})
+            cfg = replace(cfg, **{key: _typed(key, data[key], getattr(cfg, key))})
     return cfg
+
+
+def _typed(key: str, value, default):
+    """value, if it has the type of the key's default (an int may stand for
+    a float); ConfigError otherwise."""
+    kind = type(default)
+    if isinstance(value, bool) or not (
+        isinstance(value, kind) or (kind is float and isinstance(value, int))
+    ):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def parse_complex(text: str) -> complex:
@@ -192,18 +210,26 @@ def write_zeros_csv(records: list[ZeroRecord], path: Path) -> None:
 
 
 def read_zeros_csv(path: Path) -> list[ZeroRecord]:
+    """The records of a zeros CSV; UsageError if a row is malformed."""
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                ZeroRecord(
-                    index=int(row["index"]),
-                    t=float(row["t"]),
-                    rho=complex(float(row["re_rho"]), float(row["im_rho"])),
-                    bracket=(float(row["bracket_lo"]), float(row["bracket_hi"])),
-                    residual=float(row["residual"]),
+        reader = csv.DictReader(fh)
+        missing = [c for c in ZEROS_CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise UsageError(f"zeros file {path} lacks the columns {', '.join(missing)}")
+        for line, row in enumerate(reader, start=2):
+            try:
+                records.append(
+                    ZeroRecord(
+                        index=int(row["index"]),
+                        t=float(row["t"]),
+                        rho=complex(float(row["re_rho"]), float(row["im_rho"])),
+                        bracket=(float(row["bracket_lo"]), float(row["bracket_hi"])),
+                        residual=float(row["residual"]),
+                    )
                 )
-            )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise UsageError(f"malformed zeros file {path}, line {line}: {exc!r}") from exc
     return records
 
 
@@ -268,22 +294,23 @@ def cmd_report(args, cfg: RunConfig) -> int:
     if not path.exists():
         print(f"error: report file {path} does not exist", file=sys.stderr)
         return EXIT_USAGE
-    report = json.loads(path.read_text())
-    rows = report["results"]
     header = ("zero", "claim", "expected", "measured", "tol", "pass")
     widths = [len(h) for h in header]
     table = []
-    for r in rows:
-        line = (
-            str(r["zero_index"]),
-            r["claim"],
-            str(r["expected"]),
-            str(r["measured"]),
-            f"{r['tolerance']:g}",
-            "yes" if r["pass"] else "NO",
-        )
-        widths = [max(w, len(c)) for w, c in zip(widths, line)]
-        table.append(line)
+    try:
+        for r in json.loads(path.read_text())["results"]:
+            line = (
+                str(r["zero_index"]),
+                str(r["claim"]),
+                str(r["expected"]),
+                str(r["measured"]),
+                f"{r['tolerance']:g}",
+                "yes" if r["pass"] else "NO",
+            )
+            widths = [max(w, len(c)) for w, c in zip(widths, line)]
+            table.append(line)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed report {path}: {exc!r}") from exc
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     print(fmt.format(*header))
     for line in table:
@@ -338,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, cfg)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ZetascopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODULE_ERROR

@@ -444,21 +444,30 @@ def verify_claims(
     return results
 
 
+def _conjugate(sums: RawSums) -> RawSums:
+    return RawSums(*(None if v is None else v.conjugate() for v in sums))
+
+
 def _zero_table(
     rho: complex, plan: SweepPlan
 ) -> tuple[int, dict[int, RawSums], dict[int, RawSums]]:
     """The window-shifted n0 and every partial sum the claims read at one zero.
 
-    One pass at rho reaches n0 * 2^(d+1) (the 2n of h_2n, g_2n and the
-    doubling ratios, and of the identity checks) and one at 1 - rho reaches
-    n0 * 2^d, both with the derivative.
+    One pass at rho, with the derivative, reaches the dyadic ns and the 2n
+    of the C1 fit points (n <= C1_FIT_MAX_N) and of the identity checks.
+    On the critical line 1 - rho is exactly conj(rho), and every term of the
+    pass is conjugated exactly (cos is even, sin odd, Sum2 and fsum are
+    sign-symmetric), so the table at 1 - rho is the conjugate of the one at
+    rho; off the line 1 - rho gets its own pass over the ns.
     """
     n0 = _window_n0(rho, plan.n0, plan.cfg)
     ns = [n0 * 2**k for k in range(plan.doublings + 1)]
-    at_rho = raw_sums_at(
-        rho, {*ns, 2 * ns[-1], *(2 * n for n in plan.identity_ns)}, True
-    )
-    at_mirror = raw_sums_at(1.0 - rho, ns, True)
+    doubled = [n for n in ns if n <= C1_FIT_MAX_N] + list(plan.identity_ns)
+    at_rho = raw_sums_at(rho, {*ns, *(2 * n for n in doubled)}, True)
+    if rho.real == 0.5:
+        at_mirror = {n: _conjugate(at_rho[n]) for n in ns}
+    else:
+        at_mirror = raw_sums_at(1.0 - rho, ns, True)
     return n0, at_rho, at_mirror
 
 
@@ -500,10 +509,11 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
             )
 
     def c1() -> ClaimResult:
-        full = series(Quantity.SMALL_H_2N, plan.doublings)
-        pts = tuple(p for p in full.points if p[0] <= C1_FIT_MAX_N)
+        if table_error is not None:
+            raise table_error
+        ns = [n for n in _dyadic_ns(n0, plan.doublings) if n <= C1_FIT_MAX_N]
         fit = fit_power_law(
-            ConvergenceSeries(quantity=full.quantity, rho=rho, points=pts)
+            _series_from_table(Quantity.SMALL_H_2N, rho, ns, at_rho, at_mirror)
         )
         lo, hi = C1_EXPONENT_RANGE
         return ClaimResult(

@@ -34,6 +34,10 @@ class PrecisionNotReachedError(ZetascopeError):
         self.bound = bound
 
 
+class SumOverflowError(ZetascopeError, OverflowError):
+    """A partial sum left the finite floats."""
+
+
 class PrecisionError(ZetascopeError):
     """A quantity that must be real carries too much imaginary leakage."""
 

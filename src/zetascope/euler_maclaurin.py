@@ -3,12 +3,19 @@
 Provides the Bernoulli remainder R_n(z), a high-accuracy reference value of
 the regularized zeta function in Re z > 0, and the Hardy-Littlewood validity
 window |Im z| <= 2 pi n / C that gates both.
+
+The remainder and the reference are written once, over 1-d arrays of z:
+every element runs its own stopping rule, window check and n-doubling in
+lockstep with the others. remainder_with_bound and zeta_hat_reference are
+one-element calls into that code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -17,10 +24,8 @@ from .errors import (
     PrecisionNotReachedError,
     WindowError,
 )
-from .series import N_CAP, zeta_partial
-from .special import bernoulli_numbers, complex_pow_base_real
-
-TWO_PI = 2.0 * math.pi
+from .series import N_CAP, zeta_partial_array
+from .special import TWO_PI, bernoulli_numbers
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,70 @@ class RemainderResult:
     terms_used: int
 
 
+def _pow_neg(ln_n: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """n**(-z) elementwise from ln n, via exp(-z ln n)."""
+    return np.exp(-z * ln_n)
+
+
+def _remainder_rows(
+    z: np.ndarray, n: np.ndarray, cfg: EulerMaclaurinConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """R_n(z) for each row (z_i, n_i): value, bound, terms used, diverged.
+
+    Every row runs the recurrence of remainder_with_bound with its own
+    stopping rule and leaves the lockstep loop when that rule fires; a row
+    whose series grew before meeting the target is flagged as diverged,
+    with its partial value and bound. Raises DomainError or WindowError
+    naming the first offending row.
+    """
+    bad = ~(z.real > 0)
+    if bad.any():
+        raise DomainError(f"remainder requires Re z > 0, got {complex(z[bad][0])}")
+    outside = ~(np.abs(z.imag) <= ValidityWindow(cfg.window_C).max_im(n))
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise WindowError(
+            f"|Im z|={abs(z[i].imag):.6g} exceeds the window 2*pi*{n[i]}/{cfg.window_C}"
+        )
+    table = bernoulli_numbers(min(cfg.depth + 1, 30))
+    ln_n = np.log(n.astype(np.float64))
+    acc = np.zeros(z.shape, dtype=complex)
+    poch = z.copy()  # (z)(z+1)...(z+2k-2), grown incrementally
+    prev_mod = np.full(z.shape, math.inf)
+    bound = np.zeros(z.shape)
+    terms = np.zeros(z.shape, dtype=np.int64)
+    diverged = np.zeros(z.shape, dtype=bool)
+    active = np.ones(z.shape, dtype=bool)
+    k = 1
+    while active.any():
+        coeff = table.b2k(k) / math.factorial(2 * k)
+        term = coeff * poch * _pow_neg(ln_n, z + (2 * k - 1))
+        mod = np.abs(term)
+        # asymptotic divergence onset, or depth exhausted: stop before this term
+        growing = active & (mod >= prev_mod)
+        stop = growing | (active & (k > cfg.depth))
+        diverged |= growing & (mod > cfg.target_rel_error * np.abs(acc))
+        bound[stop], terms[stop] = mod[stop], k - 1
+        active &= ~stop
+        acc = np.where(active, acc + term, acc)
+        prev_mod = mod
+        # converged; next term is smaller still, so mod is a safe bound
+        met = active & (mod <= cfg.target_rel_error * np.abs(acc))
+        bound[met], terms[met] = mod[met], k
+        active &= ~met
+        poch = poch * ((z + (2 * k - 1)) * (z + 2 * k))
+        k += 1
+    return acc, bound, terms, diverged
+
+
+def _diverged_error(row: int, acc, bound, terms) -> PrecisionNotReachedError:
+    return PrecisionNotReachedError(
+        f"remainder series diverges at k={terms[row] + 1} with bound {bound[row]:.3e}",
+        value=complex(acc[row]),
+        bound=float(bound[row]),
+    )
+
+
 def remainder_with_bound(
     z: complex, n: int, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
 ) -> RemainderResult:
@@ -85,41 +154,14 @@ def remainder_with_bound(
     PrecisionNotReachedError if the series starts growing before the target
     accuracy is met.
     """
-    z = complex(z)
-    if z.real <= 0:
-        raise DomainError(f"remainder requires Re z > 0, got {z}")
-    if not check_window(z, n, ValidityWindow(cfg.window_C)):
-        raise WindowError(
-            f"|Im z|={abs(z.imag):.6g} exceeds the window 2*pi*{n}/{cfg.window_C}"
-        )
-    table = bernoulli_numbers(min(cfg.depth + 1, 30))
-    acc = 0.0 + 0.0j
-    poch = z  # (z)(z+1)...(z+2k-2), grown incrementally
-    prev_mod = math.inf
-    k = 1
-    while True:
-        coeff = table.b2k(k) / math.factorial(2 * k)
-        term = coeff * poch * complex_pow_base_real(n, z + (2 * k - 1))
-        mod = abs(term)
-        if mod >= prev_mod:
-            # asymptotic divergence onset: stop before this term
-            if mod > cfg.target_rel_error * abs(acc):
-                raise PrecisionNotReachedError(
-                    f"remainder series diverges at k={k} with bound {mod:.3e}",
-                    value=acc,
-                    bound=mod,
-                )
-            return RemainderResult(value=acc, bound=mod, terms_used=k - 1)
-        if k > cfg.depth:
-            # depth exhausted: this term is the first omitted one
-            return RemainderResult(value=acc, bound=mod, terms_used=k - 1)
-        acc += term
-        prev_mod = mod
-        if mod <= cfg.target_rel_error * abs(acc):
-            # converged; next term is smaller still, so mod is a safe bound
-            return RemainderResult(value=acc, bound=mod, terms_used=k)
-        poch *= (z + (2 * k - 1)) * (z + 2 * k)
-        k += 1
+    acc, bound, terms, diverged = _remainder_rows(
+        np.array([complex(z)]), np.array([n]), cfg
+    )
+    if diverged[0]:
+        raise _diverged_error(0, acc, bound, terms)
+    return RemainderResult(
+        value=complex(acc[0]), bound=float(bound[0]), terms_used=int(terms[0])
+    )
 
 
 def remainder(z: complex, n: int, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> complex:
@@ -127,9 +169,39 @@ def remainder(z: complex, n: int, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) ->
     return remainder_with_bound(z, n, cfg).value
 
 
-def _choose_n(z: complex, cfg: EulerMaclaurinConfig) -> int:
+def zeta_hat_reference_array(z, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """zeta_hat_reference elementwise over a 1-d array of z.
+
+    Each row gets its own n from the config; rows whose remainder diverges
+    double their own n up to N_CAP. The partial sums of all rows share
+    blocked passes (series.zeta_partial_array).
+    """
+    z = np.asarray(z, dtype=complex)
+    bad = ~(np.isfinite(z) & (z.real > 0))
+    if bad.any():
+        raise DomainError(
+            f"reference evaluator requires a finite z with Re z > 0, got {complex(z[bad][0])}"
+        )
+    if (z == 1).any():
+        raise PoleError("zeta has its pole at z=1")
     # meet the window with a 4x margin
-    return max(cfg.n_base, math.ceil(4.0 * cfg.window_C * abs(z.imag) / TWO_PI))
+    n = np.maximum(
+        cfg.n_base, np.ceil(4.0 * cfg.window_C * np.abs(z.imag) / TWO_PI)
+    ).astype(np.int64)
+    rem = np.empty(z.shape, dtype=complex)
+    rows = np.arange(z.size)
+    while rows.size:
+        acc, bound, terms, diverged = _remainder_rows(z[rows], n[rows], cfg)
+        rem[rows] = acc
+        at_cap = diverged & (2 * n[rows] > N_CAP)
+        if at_cap.any():
+            raise _diverged_error(np.flatnonzero(at_cap)[0], acc, bound, terms)
+        rows = rows[diverged]
+        n[rows] *= 2
+    ln_n = np.log(n.astype(np.float64))
+    tail = n * _pow_neg(ln_n, z) / (1.0 - z)
+    half = 0.5 * _pow_neg(ln_n, z)
+    return zeta_partial_array(z, n) - tail - half + rem
 
 
 def zeta_hat_reference(
@@ -141,20 +213,4 @@ def zeta_hat_reference(
     from the config; the result is n-independent up to target_rel_error. In
     the strip this equals the analytic continuation of zeta.
     """
-    z = complex(z)
-    if z.real <= 0:
-        raise DomainError(f"reference evaluator requires Re z > 0, got {z}")
-    if z == 1:
-        raise PoleError("zeta has its pole at z=1")
-    n = _choose_n(z, cfg)
-    while True:
-        try:
-            rem = remainder_with_bound(z, n, cfg)
-            break
-        except PrecisionNotReachedError:
-            if 2 * n > N_CAP:
-                raise
-            n *= 2
-    tail = n * complex_pow_base_real(n, z) / (1.0 - z)
-    half = 0.5 * complex_pow_base_real(n, z)
-    return zeta_partial(z, n) - tail - half + rem.value
+    return complex(zeta_hat_reference_array([complex(z)], cfg)[0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import DegenerateRatioError, NearZeroWarning, PoleError
+from .errors import DegenerateRatioError, DomainError, NearZeroWarning, PoleError
 from .series import xi_partial, zeta_hat_partial, zeta_partial
 from .special import LN_TWO_PI, complex_pow_base_real, log_gamma
 
@@ -62,6 +62,8 @@ def h_hat_exact(z: complex) -> complex:
     (-1)^(z/2) (2 pi)^(z-1) pi / (z-1)!.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"H_hat needs a finite z, got {z}")
     if z == 1:
         raise PoleError("Gamma(1-z) has a pole at z=1")
     if z.imag == 0.0 and z.real == int(z.real) and int(z.real) % 2 == 0:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, PoleError
 
 TWO_PI = 2.0 * math.pi
@@ -49,42 +51,42 @@ def complex_pow_base_real(k: float, z: complex) -> complex:
     return cmath.exp(-z * math.log(k))
 
 
-def _lanczos_log_gamma(z: complex) -> complex:
+def _lanczos_log_gamma(z: np.ndarray) -> np.ndarray:
     # valid for Re z >= 0.5
-    s = _LANCZOS_C[0]
+    s = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
     for i in range(1, len(_LANCZOS_C)):
         s += _LANCZOS_C[i] / (z - 1.0 + i)
     t = z + (_LANCZOS_G - 0.5)
-    return (
-        0.5 * LN_TWO_PI
-        + (z - 0.5) * cmath.log(t)
-        - t
-        + cmath.log(s)
-    )
+    return 0.5 * LN_TWO_PI + (z - 0.5) * np.log(t) - t + np.log(s)
 
 
-def log_gamma(z: complex) -> complex:
-    """log Gamma(z) on the standard (continuous) branch.
+def log_gamma_array(z) -> np.ndarray:
+    """log Gamma(z) elementwise over a 1-d array, on the standard branch.
 
-    For Re z < 0.5 the argument is lifted by the recurrence
-    Gamma(z) = Gamma(z+m) / [z (z+1) ... (z+m-1)], which keeps the branch
-    consistent for the desk-scale domain |z| <= 100 used here.
+    Each element with Re z < 0.5 is lifted by its own m = ceil(0.5 - Re z)
+    through Gamma(z) = Gamma(z+m) / [z (z+1) ... (z+m-1)], which keeps the
+    branch consistent for the desk-scale domain |z| <= 100 used here.
+    Raises PoleError at a non-positive integer and DomainError when a lift
+    would be infinite.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"log_gamma pole at non-positive integer z={z.real}")
-    if z.real >= 0.5:
-        return _lanczos_log_gamma(z)
-    m = int(math.ceil(0.5 - z.real))
-    shift = 0.0 + 0.0j
-    for j in range(m):
-        shift += cmath.log(z + j)
+    z = np.asarray(z, dtype=complex)
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if pole.any():
+        raise PoleError(f"log_gamma pole at non-positive integer z={z.real[pole][0]}")
+    lift = np.where(z.real < 0.5, np.ceil(0.5 - z.real), 0.0)
+    if not np.isfinite(lift).all():
+        raise DomainError(f"log_gamma needs a finite real part, got {z[~np.isfinite(lift)][0]}")
+    m = lift.astype(np.int64)
+    shift = np.zeros(z.shape, dtype=complex)
+    for j in range(int(m.max(initial=0))):
+        lifted = j < m
+        shift[lifted] += np.log(z[lifted] + j)
     return _lanczos_log_gamma(z + m) - shift
 
 
-def gamma(z: complex) -> complex:
-    """Gamma(z) = exp(log_gamma(z)); convenience wrapper."""
-    return cmath.exp(log_gamma(z))
+def log_gamma(z: complex) -> complex:
+    """log Gamma(z) at one point; see log_gamma_array."""
+    return complex(log_gamma_array([complex(z)])[0])
 
 
 @dataclass(frozen=True)

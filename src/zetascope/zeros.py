@@ -2,18 +2,30 @@
 
 Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)] is real up to rounding leakage;
 its sign changes bracket the on-line zeros, which bisection then refines.
+
+Z is evaluated over whole arrays of ordinates (hardy_z_array): theta, the
+Euler-Maclaurin reference and the leakage check each run once per array,
+and the partial sums of all ordinates share blocked numpy passes
+(series.zeta_partial_array). find_zeros builds the scan grid one step at a
+time, evaluates Z on it one call per block of _SCAN_BLOCK steps, then
+bisects every bracket in lockstep: each step is one call over the brackets
+still open, each bracket stops by its own rules, and one more call takes
+the residuals. A row's value never depends on the other
+rows of its array, so the scalar hardy_z (a one-element call) and the scan
+agree bit for bit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PossiblyMissedZeroWarning, PrecisionError
-from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference
-from .special import log_gamma
+from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference_array
+from .special import log_gamma_array
 
 #: maximum tolerated |Im(exp(i theta) zeta)| before hardy_z refuses the value
 IM_LEAK_LIMIT = 1e-9
@@ -22,14 +34,13 @@ IM_LEAK_LIMIT = 1e-9
 #: so downstream identity checks are not limited by the zero residual)
 BRACKET_WIDTH = 1e-12
 
+#: scan steps per hardy_z_array call: bounds the scan's memory at any step
+#: while keeping the per-call cost of the remainder loop small (the partial
+#: sums inside a call are blocked separately, 32 rows at n = 128)
+_SCAN_BLOCK = 256
+
 #: warn when consecutive zeros sit closer than this many scan steps
 _MIN_SEPARATION_STEPS = 4
-
-
-@dataclass(frozen=True)
-class HardyZSample:
-    t: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -43,46 +54,97 @@ class ZeroRecord:
     residual: float
 
 
+def _at_height(sigma: float, t: np.ndarray) -> np.ndarray:
+    """sigma + i t for each t, set part by part."""
+    z = np.empty(t.shape, dtype=complex)
+    z.real, z.imag = sigma, t
+    return z
+
+
+def riemann_siegel_theta_array(t) -> np.ndarray:
+    """theta(t) = Im log Gamma(1/4 + i t / 2) - (t / 2) ln pi, for each t > 0."""
+    t = np.asarray(t, dtype=np.float64)
+    bad = ~(t > 0)
+    if bad.any():
+        raise DomainError(f"theta requires t > 0, got {t[bad][0]}")
+    return log_gamma_array(_at_height(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
+
+
 def riemann_siegel_theta(t: float) -> float:
-    """theta(t) = Im log Gamma(1/4 + i t / 2) - (t / 2) ln pi, for t > 0."""
-    if t <= 0:
-        raise DomainError(f"theta requires t > 0, got {t}")
-    return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
+    """theta at one t; see riemann_siegel_theta_array."""
+    return float(riemann_siegel_theta_array([t])[0])
 
 
-def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
-    """Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)], with leakage checked."""
-    if not 0 < t <= 100:
-        raise DomainError(f"hardy_z is supported for t in (0, 100], got {t}")
-    zeta_val = zeta_hat_reference(complex(0.5, t), cfg)
-    w = cmath.exp(1j * riemann_siegel_theta(t)) * zeta_val
-    if abs(w.imag) > IM_LEAK_LIMIT:
+def hardy_z_array(t, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)] for each t, leakage checked.
+
+    Raises DomainError or PrecisionError naming the first offending t.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    bad = ~((t > 0) & (t <= 100))
+    if bad.any():
+        raise DomainError(f"hardy_z is supported for t in (0, 100], got {t[bad][0]}")
+    zeta_val = zeta_hat_reference_array(_at_height(0.5, t), cfg)
+    w = np.exp(1j * riemann_siegel_theta_array(t)) * zeta_val
+    leak = np.abs(w.imag) > IM_LEAK_LIMIT
+    if leak.any():
+        i = np.flatnonzero(leak)[0]
         raise PrecisionError(
-            f"imaginary leakage {abs(w.imag):.3e} exceeds {IM_LEAK_LIMIT} at t={t}"
+            f"imaginary leakage {abs(w[i].imag):.3e} exceeds {IM_LEAK_LIMIT} at t={t[i]}"
         )
     return w.real
 
 
+def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
+    """Z at one t; see hardy_z_array."""
+    return float(hardy_z_array([t], cfg)[0])
+
+
 def _bisect(
-    t_lo: float,
-    z_lo: float,
-    t_hi: float,
-    z_hi: float,
+    t_lo: np.ndarray,
+    z_lo: np.ndarray,
+    t_hi: np.ndarray,
     cfg: EulerMaclaurinConfig,
-) -> tuple[float, float]:
-    while t_hi - t_lo > BRACKET_WIDTH:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine every sign-change bracket in lockstep; returns (lo, hi) arrays.
+
+    z_lo is Z at t_lo; Z changes sign or vanishes on each (t_lo, t_hi].
+    Each step evaluates Z once over the brackets still open. A bracket
+    closes when it is narrower than BRACKET_WIDTH, when its midpoint hits
+    float spacing, or when Z vanishes exactly at its midpoint (then it
+    becomes a small bracket around that midpoint).
+    """
+    t_lo, z_lo, t_hi = t_lo.copy(), z_lo.copy(), t_hi.copy()
+    open_ = t_hi - t_lo > BRACKET_WIDTH
+    while True:
         mid = 0.5 * (t_lo + t_hi)
-        if mid <= t_lo or mid >= t_hi:
-            break  # hit float spacing
-        z_mid = hardy_z(mid, cfg)
-        if z_mid == 0.0:
-            half = max(BRACKET_WIDTH / 4, (t_hi - t_lo) * 1e-6)
-            return mid - half, mid + half
-        if (z_lo < 0) != (z_mid < 0):
-            t_hi, z_hi = mid, z_mid
-        else:
-            t_lo, z_lo = mid, z_mid
-    return t_lo, t_hi
+        open_ &= (mid > t_lo) & (mid < t_hi)  # else: hit float spacing
+        rows = np.flatnonzero(open_)
+        if not rows.size:
+            return t_lo, t_hi
+        m = mid[rows]
+        z_mid = hardy_z_array(m, cfg)
+        exact = z_mid == 0.0
+        half = np.maximum(BRACKET_WIDTH / 4, (t_hi[rows] - t_lo[rows]) * 1e-6)
+        left = (z_lo[rows] < 0) != (z_mid < 0)
+        t_hi[rows] = np.where(exact, m + half, np.where(left, m, t_hi[rows]))
+        t_lo[rows] = np.where(exact, m - half, np.where(left, t_lo[rows], m))
+        z_lo[rows] = np.where(left, z_lo[rows], z_mid)
+        open_[rows] = ~exact & (t_hi[rows] - t_lo[rows] > BRACKET_WIDTH)
+
+
+def _scan_blocks(t_min: float, t_max: float, step: float):
+    """The scan grid t_min, t_min + step, ... capped at t_max, built one step
+    at a time, in arrays of at most _SCAN_BLOCK + 1 points that each start
+    at the previous array's last point."""
+    block = [t_min]
+    while block[-1] < t_max:
+        block.append(min(block[-1] + step, t_max))
+        if len(block) > _SCAN_BLOCK:
+            yield np.array(block)
+            block = block[-1:]
+    if len(block) > 1:
+        yield np.array(block)
 
 
 def find_zeros(
@@ -104,25 +166,25 @@ def find_zeros(
     if not 0 < step <= 0.25:
         raise DomainError(f"scan step must be in (0, 0.25], got {step}")
 
-    records: list[ZeroRecord] = []
-    t_prev = t_min
-    z_prev = hardy_z(t_prev, cfg)
-    k = 1
-    while t_prev < t_max:
-        t_cur = min(t_prev + step, t_max)
-        z_cur = hardy_z(t_cur, cfg)
-        if z_prev == 0.0:
-            pass  # grid point exactly on a zero: the previous bracket took it
-        elif z_cur == 0.0 or (z_prev < 0) != (z_cur < 0):
-            lo, hi = _bisect(t_prev, z_prev, t_cur, z_cur, cfg)
-            t_zero = 0.5 * (lo + hi)
-            rho = complex(0.5, t_zero)
-            residual = abs(zeta_hat_reference(rho, cfg))
-            records.append(
-                ZeroRecord(index=k, t=t_zero, rho=rho, bracket=(lo, hi), residual=residual)
-            )
-            k += 1
-        t_prev, z_prev = t_cur, z_cur
+    t_lo, z_lo, t_hi = [], [], []
+    for t in _scan_blocks(t_min, t_max, step):
+        z = hardy_z_array(t, cfg)
+        # a grid point exactly on a zero belongs to the bracket that ends there
+        prev, cur = z[:-1], z[1:]
+        i = np.flatnonzero((prev != 0.0) & ((cur == 0.0) | ((prev < 0) != (cur < 0))))
+        t_lo.append(t[i])
+        z_lo.append(z[i])
+        t_hi.append(t[i + 1])
+    t_lo, z_lo, t_hi = map(np.concatenate, (t_lo, z_lo, t_hi))
+    lo, hi = _bisect(t_lo, z_lo, t_hi, cfg)
+    t_zero = 0.5 * (lo + hi)
+    residual = np.abs(zeta_hat_reference_array(_at_height(0.5, t_zero), cfg))
+    records = [
+        ZeroRecord(index=k, t=tz, rho=complex(0.5, tz), bracket=(a, b), residual=r)
+        for k, (tz, a, b, r) in enumerate(
+            zip(t_zero.tolist(), lo.tolist(), hi.tolist(), residual.tolist()), start=1
+        )
+    ]
 
     for a, b in zip(records, records[1:]):
         if b.t - a.t < _MIN_SEPARATION_STEPS * step:

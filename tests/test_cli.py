@@ -213,3 +213,35 @@ class TestVerifyAndReport:
 
     def test_missing_report_file(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "none.json")]) == EXIT_USAGE
+
+
+class TestBoundaryProbes:
+    """Bad input at each boundary exits through a documented code."""
+
+    @pytest.mark.parametrize("what", ["zeta_n", "zeta_hat", "H_hat"])
+    def test_nan_point_is_numerical_error(self, what, capsys):
+        assert main(["eval", "--what", what, "--z", "nan"]) == EXIT_MODULE_ERROR
+        assert "finite" in capsys.readouterr().err
+
+    def test_malformed_zeros_csv_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        path.write_text(
+            "index,t,re_rho,im_rho,residual,bracket_lo,bracket_hi\n"
+            "1,abc,0.5,14.1,0.0,14.1,14.1\n"
+        )
+        code = main(["verify", "--zeros", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_USAGE
+        assert "line 2" in capsys.readouterr().err
+
+    def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n0": "abc"}))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
+        assert "'n0' must be int" in capsys.readouterr().err
+
+    def test_report_without_results_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"schema": REPORT_SCHEMA}))
+        assert main(["report", "--in", str(path)]) == EXIT_USAGE
+        assert "results" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from zetascope.convergence import (
+    C1_FIT_MAX_N,
     CLAIM_IDS,
     LIMIT_TOL,
     ClaimResult,
@@ -23,9 +24,10 @@ from zetascope.convergence import (
     _value,
     _zero_table,
 )
+from zetascope import convergence
 from zetascope.errors import DegenerateSeriesError, DomainError
 from zetascope.functional_eq import h_hat_exact, small_g_2n, small_h_2n
-from zetascope.series import zeta_hat_partial
+from zetascope.series import raw_sums_at, zeta_hat_partial
 from zetascope.zeros import ZeroRecord
 
 from conftest import RHO_1
@@ -231,16 +233,45 @@ class TestSharedTable:
     def test_table_series_equal_standalone_sweeps(self):
         plan = SweepPlan()
         n0, at_rho, at_mirror = _zero_table(RHO_1, plan)
+        assert max(at_rho) == n0 * 2**plan.doublings
         ratios = (Quantity.H_HAT_DOUBLING_RATIO, Quantity.H_DOUBLING_RATIO)
+        doubled = (Quantity.SMALL_H_2N, Quantity.SMALL_G_2N)
         for quantity in Quantity:
-            # the table holds 2n at 1 - rho only below the last n, as C2 needs
+            # the table holds 2n at 1 - rho only below the last n, as C2 needs,
+            # and 2n at rho only up to C1's fit range
             last = plan.doublings - (quantity in ratios)
+            if quantity in doubled:
+                last = (C1_FIT_MAX_N // n0).bit_length() - 1
             for doublings in (last - 1, last):
                 shared = _series_from_table(
                     quantity, RHO_1, _dyadic_ns(n0, doublings), at_rho, at_mirror
                 )
                 alone = sweep(quantity, RHO_1, plan.n0, doublings, plan.cfg)
                 assert shared == alone, (quantity, doublings)
+
+    @pytest.mark.parametrize("t", [14.134725141734694, 49.773832477672302, 77.1448400688748])
+    def test_mirror_table_is_the_conjugate_bit_for_bit(self, t):
+        rho = complex(0.5, t)
+        n0, at_rho, at_mirror = _zero_table(rho, SweepPlan())
+        ns = _dyadic_ns(n0, SweepPlan().doublings)
+        alone = raw_sums_at(1 - rho, ns, True)
+        assert sorted(at_mirror) == ns
+        for n in ns:
+            for got, want in zip(at_mirror[n], alone[n]):
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @pytest.mark.parametrize("rho,passes", [(RHO_1, 1), (complex(0.6, 20.0), 2)])
+    def test_passes_per_zero(self, monkeypatch, rho, passes):
+        calls = []
+
+        def counting(z, checkpoints, include_derivative=False):
+            calls.append(z)
+            return raw_sums_at(z, checkpoints, include_derivative)
+
+        monkeypatch.setattr(convergence, "raw_sums_at", counting)
+        _, at_rho, at_mirror = _zero_table(rho, SweepPlan())
+        assert calls == [rho, 1.0 - rho][:passes]
+        assert at_mirror[1024] == raw_sums_at(1.0 - rho, (1024,), True)[1024]
 
     def test_identity_sums_equal_standalone(self):
         plan = SweepPlan()

@@ -1,6 +1,10 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetascope.errors import (
     ConfigError,
@@ -9,6 +13,7 @@ from zetascope.errors import (
     PrecisionNotReachedError,
     WindowError,
 )
+from zetascope import euler_maclaurin
 from zetascope.euler_maclaurin import (
     EulerMaclaurinConfig,
     ValidityWindow,
@@ -16,9 +21,10 @@ from zetascope.euler_maclaurin import (
     remainder,
     remainder_with_bound,
     zeta_hat_reference,
+    zeta_hat_reference_array,
 )
 from zetascope.series import xi_partial, zeta_hat_partial, zeta_partial
-from zetascope.special import complex_pow_base_real
+from zetascope.special import bernoulli_numbers, complex_pow_base_real
 
 from conftest import RHO_1
 
@@ -165,3 +171,102 @@ class TestReference:
         g = xi_partial(z, 2 * n) + 0.5 * complex_pow_base_real(2.0 * n, z)
         rhs = (1.0 - complex_pow_base_real(2.0, z - 1.0)) * zeta_hat_reference(z)
         assert g == pytest.approx(rhs, rel=1e-9)
+
+
+class TestReferenceArray:
+    def test_rows_equal_scalar_bit_for_bit(self):
+        z = np.array([2.0 + 0j, complex(0.75, 33.3), complex(0.5, -90.0), 0.1 + 0j])
+        got = zeta_hat_reference_array(z)
+        assert [complex(g) for g in got] == [zeta_hat_reference(complex(v)) for v in z]
+
+    def test_errors_name_the_row(self):
+        with pytest.raises(DomainError, match=r"-0\.2"):
+            zeta_hat_reference_array([2.0, complex(-0.2, 5.0)])
+        with pytest.raises(DomainError, match="nan"):
+            zeta_hat_reference_array([complex(0.5, math.nan)])
+        with pytest.raises(PoleError):
+            zeta_hat_reference_array([2.0, 1.0])
+
+    def test_diverged_row_doubles_its_own_n(self, monkeypatch):
+        # the remainder is flagged diverged for the second row on the first
+        # try only: that row alone is redone, at twice its n
+        rows = euler_maclaurin._remainder_rows
+        seen = []
+
+        def flag_once(z, n, cfg):
+            acc, bound, terms, diverged = rows(z, n, cfg)
+            seen.append(n.tolist())
+            if len(seen) == 1:
+                diverged[1] = True
+            return acc, bound, terms, diverged
+
+        monkeypatch.setattr(euler_maclaurin, "_remainder_rows", flag_once)
+        z = [complex(0.5, 14.0), complex(0.5, 40.0), complex(0.5, 60.0)]
+        got = zeta_hat_reference_array(z)
+        assert seen == [[50, 51, 77], [102]]
+        assert got[1] == pytest.approx(zeta_hat_reference(z[1]), rel=1e-11)
+
+    def test_diverged_row_at_the_cap_raises(self, monkeypatch):
+        def always(z, n, cfg):
+            return np.zeros_like(z), np.ones(z.shape), np.zeros(z.shape, int), n > 60
+
+        monkeypatch.setattr(euler_maclaurin, "_remainder_rows", always)
+        monkeypatch.setattr(euler_maclaurin, "N_CAP", 200)
+        with pytest.raises(PrecisionNotReachedError):
+            zeta_hat_reference_array([complex(0.5, 14.0), complex(0.5, 60.0)])
+
+    def test_window_error_names_the_row(self):
+        with pytest.raises(WindowError, match=r"2\*pi\*10/"):
+            euler_maclaurin._remainder_rows(
+                np.array([complex(0.5, 1.0), complex(0.5, 90.0)]),
+                np.array([100, 10]),
+                EulerMaclaurinConfig(),
+            )
+
+
+def _loop_remainder(z: complex, n: int, cfg: EulerMaclaurinConfig):
+    """The scalar recurrence, one term at a time: (value, bound, terms, diverged)."""
+    b2k = bernoulli_numbers(min(cfg.depth + 1, 30)).b2k
+    acc, poch, prev_mod, k = 0j, z, math.inf, 1
+    while True:
+        term = b2k(k) / math.factorial(2 * k) * poch * cmath.exp(-(z + 2 * k - 1) * math.log(n))
+        mod = abs(term)
+        if mod >= prev_mod or k > cfg.depth:
+            diverged = mod >= prev_mod and mod > cfg.target_rel_error * abs(acc)
+            return acc, mod, k - 1, diverged
+        acc += term
+        prev_mod = mod
+        if mod <= cfg.target_rel_error * abs(acc):
+            return acc, mod, k, False
+        poch *= (z + (2 * k - 1)) * (z + 2 * k)
+        k += 1
+
+
+class TestRemainderRowsAgainstLoop:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(0.05, 3.0),
+                st.floats(-60.0, 60.0),
+                st.sampled_from((10, 20, 50, 64, 128, 4096)),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        depth=st.integers(1, 29),
+        target=st.sampled_from((1e-12, 1e-6, 0.5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_follows_its_own_stopping_rule(self, rows, depth, target):
+        cfg = EulerMaclaurinConfig(depth=depth, target_rel_error=target)
+        rows = [(complex(re, im), n) for re, im, n in rows if abs(im) <= math.pi * n]
+        if not rows:
+            return
+        z = np.array([r[0] for r in rows])
+        n = np.array([r[1] for r in rows])
+        acc, bound, terms, diverged = euler_maclaurin._remainder_rows(z, n, cfg)
+        for i, (zi, ni) in enumerate(rows):
+            want = _loop_remainder(zi, ni, cfg)
+            assert (terms[i], diverged[i]) == (want[2], want[3])
+            assert acc[i] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
+            assert bound[i] == pytest.approx(want[1], rel=1e-13)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetascope.errors import DomainError, PoleError
+import numpy as np
+
+from zetascope.errors import DomainError, PoleError, SumOverflowError
 from zetascope.series import (
     N_CAP,
     SeriesKind,
@@ -16,6 +18,7 @@ from zetascope.series import (
     zeta_hat_partial,
     zeta_hat_partial_derivative,
     zeta_partial,
+    zeta_partial_array,
     zeta_partial_derivative,
 )
 from zetascope.special import complex_pow_base_real
@@ -237,3 +240,37 @@ class TestCheckpointIndependence:
             alone = raw_sums_at(z, (m,), include_derivative=True)[m]
             assert _bits(shared[m]) == _bits(alone)
             assert _bits(raw_sums_at(z, (m,))[m]) == _bits(alone)[:4]
+
+
+class TestZetaPartialArray:
+    @given(
+        rows=st.lists(
+            st.tuples(strip_z, st.sampled_from((1, 50, 128, 4095, 4097, 9000))),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rows_equal_scalar_sums_bit_for_bit(self, rows):
+        z = np.array([r[0] for r in rows])
+        n = np.array([r[1] for r in rows])
+        got = zeta_partial_array(z, n)
+        for zi, ni, gi in zip(z.tolist(), n.tolist(), got.tolist()):
+            assert gi.real.hex() == zeta_partial(zi, ni).real.hex()
+            assert gi.imag.hex() == zeta_partial(zi, ni).imag.hex()
+
+    def test_non_finite_z_rejected(self):
+        with pytest.raises(DomainError, match="nan"):
+            zeta_partial_array([2.0, complex(math.nan, 1.0)], [4, 4])
+        with pytest.raises(DomainError):
+            raw_sums_at(complex(0.5, math.inf), (4,))
+
+    def test_overflow_names_the_row(self):
+        with pytest.raises(SumOverflowError, match=r"-800"):
+            zeta_partial_array([2.0, -800.0], [10, 10**5])
+
+    def test_n_validation(self):
+        with pytest.raises(DomainError):
+            zeta_partial_array([2.0], [0])
+        with pytest.raises(DomainError):
+            zeta_partial_array([2.0], [N_CAP + 1])

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetascope.errors import ConfigError, DomainError, PoleError
+import numpy as np
+
 from zetascope.special import (
     bernoulli_numbers,
     complex_pow_base_real,
     log_gamma,
+    log_gamma_array,
 )
 
 strip_z = st.builds(
@@ -90,6 +93,33 @@ class TestLogGamma:
         lhs = cmath.exp(log_gamma(z + 1.0))
         rhs = z * cmath.exp(log_gamma(z))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestLogGammaArray:
+    @given(t=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=50))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_scalar_on_theta_line(self, t):
+        z = 0.25 + 0.5j * np.array(t)
+        got = log_gamma_array(z)
+        assert [g == log_gamma(complex(zi)) for g, zi in zip(got, z)] == [True] * len(t)
+
+    def test_per_element_shift(self):
+        # each element lifts by its own m = ceil(0.5 - Re z), 0 for Re z >= 0.5
+        z = np.array([complex(-3.7, 2.0), complex(0.75, -9.0), complex(-0.2, 0.0), 0.5 + 0j])
+        got = log_gamma_array(z)
+        assert [complex(g) for g in got] == [log_gamma(complex(v)) for v in z]
+        for v, g in zip(z, got):
+            assert cmath.exp(g) == pytest.approx(complex(mpmath_gamma(v)), rel=1e-12)
+
+    def test_pole_in_one_element(self):
+        with pytest.raises(PoleError, match="-2.0"):
+            log_gamma_array([complex(1.0, 3.0), complex(-2.0, 0.0)])
+
+
+def mpmath_gamma(z: complex):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return mpmath.gamma(mpmath.mpc(z.real, z.imag))
 
 
 def _zeta_even(two_k: int) -> float:

@@ -1,13 +1,20 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetascope.errors import DomainError
+from zetascope import zeros
+from zetascope.errors import DomainError, PrecisionError
+from zetascope.euler_maclaurin import DEFAULT_CONFIG
 from zetascope.zeros import (
     BRACKET_WIDTH,
     ZeroRecord,
+    _bisect,
     find_zeros,
     hardy_z,
+    hardy_z_array,
     riemann_siegel_theta,
 )
 
@@ -62,6 +69,77 @@ class TestHardyZ:
     def test_domain_enforced(self, t):
         with pytest.raises(DomainError):
             hardy_z(t)
+
+
+ordinates = st.floats(10.0, 100.0)
+
+
+class TestHardyZArray:
+    @given(
+        t=st.lists(ordinates, min_size=1, max_size=40),
+        pad=st.lists(ordinates, max_size=90),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_equals_scalar_bit_for_bit(self, t, pad, seed):
+        # any length, order and padding: a row never depends on its block-mates
+        arr = np.array(t + pad)
+        order = np.random.default_rng(seed).permutation(arr.size)
+        got = hardy_z_array(arr[order])
+        scalar = {v: hardy_z(v).hex() for v in t}
+        for v, g in zip(arr[order].tolist(), got.tolist()):
+            if v in scalar:
+                assert g.hex() == scalar[v], v
+
+    @given(t=st.lists(st.floats(1.0, 100.0), min_size=1, max_size=8))
+    @settings(max_examples=20, deadline=None)
+    def test_against_mpmath_siegelz(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        got = hardy_z_array(t)
+        with mpmath.workdps(30):
+            for v, g in zip(t, got.tolist()):
+                ref = float(mpmath.siegelz(v))
+                assert abs(g - ref) <= 1e-13 * (1.0 + abs(g)), v
+
+    def test_domain_error_names_the_row(self):
+        with pytest.raises(DomainError, match="100.5"):
+            hardy_z_array([20.0, 100.5, 30.0])
+        with pytest.raises(DomainError, match="got 0.0"):
+            hardy_z_array([0.0, 20.0])
+
+    def test_leakage_error_names_the_row(self, monkeypatch):
+        reference = zeros.zeta_hat_reference_array
+
+        def leaky(z, cfg):
+            values = reference(z, cfg)
+            values[z.imag == 30.0] *= 1.0 + 1e-6j
+            return values
+
+        monkeypatch.setattr(zeros, "zeta_hat_reference_array", leaky)
+        with pytest.raises(PrecisionError, match=r"at t=30\.0$"):
+            hardy_z_array([20.0, 30.0, 40.0])
+        assert hardy_z_array([20.0, 40.0]).shape == (2,)
+
+    def test_scalar_keeps_its_type(self):
+        assert type(hardy_z(20.0)) is float
+        assert type(riemann_siegel_theta(20.0)) is float
+
+
+class TestLockstepBisection:
+    def test_each_bracket_stops_by_its_own_rules(self):
+        # a bracket already narrower than BRACKET_WIDTH is returned as is,
+        # while its neighbour is refined around the first zero
+        t_lo = np.array([14.0, 20.0])
+        t_hi = np.array([14.3, 20.0 + BRACKET_WIDTH / 2])
+        lo, hi = _bisect(t_lo, hardy_z_array(t_lo), t_hi, DEFAULT_CONFIG)
+        assert (lo[1], hi[1]) == (t_lo[1], t_hi[1])
+        assert hi[0] - lo[0] <= BRACKET_WIDTH
+        assert 0.5 * (lo[0] + hi[0]) == pytest.approx(KNOWN_ZERO_T[0], abs=1e-9)
+
+    def test_no_brackets(self):
+        empty = np.array([])
+        lo, hi = _bisect(empty, empty, empty, DEFAULT_CONFIG)
+        assert lo.size == hi.size == 0
 
 
 class TestFindZeros:
