@@ -5,7 +5,6 @@ from .convergence import (
     ConvergenceSeries,
     DerivativeRatioLimit,
     Normalizer,
-    Quantity,
     RatioLimit,
     SlopeFit,
     SweepPlan,
@@ -24,10 +23,8 @@ from .euler_maclaurin import (
     remainder_with_bound,
     zeta_hat_reference,
 )
-from .functional_eq import h_hat_exact, h_hat_n, h_n, small_g_2n, small_h_2n
+from .functional_eq import Quantity, h_hat_exact, h_hat_n, h_n, small_g_2n, small_h_2n
 from .series import (
-    SeriesEvaluation,
-    SeriesKind,
     xi_partial,
     zeta_hat_partial,
     zeta_hat_partial_derivative,
@@ -46,8 +43,6 @@ __all__ = [
     "Normalizer",
     "Quantity",
     "RatioLimit",
-    "SeriesEvaluation",
-    "SeriesKind",
     "SlopeFit",
     "SweepPlan",
     "ValidityWindow",

@@ -33,19 +33,19 @@ class UsageError(ZetascopeError):
     """A malformed input file; the command exits with EXIT_USAGE."""
 
 
-_QUANTITIES = (
-    "zeta_n",
-    "xi_n",
-    "zeta_hat_n",
-    "zeta_hat",
-    "H_hat",
-    "H_hat_n",
-    "H_n",
-    "h_2n",
-    "g_2n",
-    "R_n",
-)
-_N_DEPENDENT = {"zeta_n", "xi_n", "zeta_hat_n", "H_hat_n", "H_n", "h_2n", "g_2n", "R_n"}
+#: eval --what name -> (value at (z, n, Euler-Maclaurin config), whether it depends on n)
+_QUANTITIES = {
+    "zeta_n": (lambda z, n, em: series.zeta_partial(z, n), True),
+    "xi_n": (lambda z, n, em: series.xi_partial(z, n), True),
+    "zeta_hat_n": (lambda z, n, em: series.zeta_hat_partial(z, n), True),
+    "zeta_hat": (lambda z, n, em: zeta_hat_reference(z, em), False),
+    "H_hat": (lambda z, n, em: functional_eq.h_hat_exact(z), False),
+    "H_hat_n": (lambda z, n, em: functional_eq.h_hat_n(z, n), True),
+    "H_n": (lambda z, n, em: functional_eq.h_n(z, n), True),
+    "h_2n": (lambda z, n, em: functional_eq.small_h_2n(z, n), True),
+    "g_2n": (lambda z, n, em: functional_eq.small_g_2n(z, n), True),
+    "R_n": (lambda z, n, em: remainder(z, n, em), True),
+}
 
 ZEROS_CSV_COLUMNS = (
     "index",
@@ -68,13 +68,10 @@ class RunConfig:
     t_min: float = 10.0
     t_max: float = 50.0
     step: float = 0.05
-    out_format: str = "json"
 
     def __post_init__(self):
         if self.n0 < 1:
             raise ZetascopeError(f"n0 must be positive, got {self.n0}")
-        if self.out_format not in ("csv", "json"):
-            raise ZetascopeError(f"format must be csv or json, got {self.out_format}")
 
 
 def load_config(env: dict | None = None) -> RunConfig:
@@ -100,7 +97,7 @@ def load_config(env: dict | None = None) -> RunConfig:
             em_kwargs[attr] = _typed(key, data[key], getattr(cfg.em, attr))
     if em_kwargs:
         cfg = replace(cfg, em=replace(cfg.em, **em_kwargs))
-    for key in ("n0", "doublings", "t_min", "t_max", "step", "out_format"):
+    for key in ("n0", "doublings", "t_min", "t_max", "step"):
         if key in data:
             cfg = replace(cfg, **{key: _typed(key, data[key], getattr(cfg, key))})
     return cfg
@@ -144,30 +141,6 @@ def format_value(v: complex) -> str:
     return _format_real(v.real) + _format_real(v.imag, signed=True) + "i"
 
 
-def _eval_quantity(what: str, z: complex, n: int, em: EulerMaclaurinConfig) -> complex:
-    if what == "zeta_n":
-        return series.zeta_partial(z, n)
-    if what == "xi_n":
-        return series.xi_partial(z, n)
-    if what == "zeta_hat_n":
-        return series.zeta_hat_partial(z, n)
-    if what == "zeta_hat":
-        return zeta_hat_reference(z, em)
-    if what == "H_hat":
-        return functional_eq.h_hat_exact(z)
-    if what == "H_hat_n":
-        return functional_eq.h_hat_n(z, n)
-    if what == "H_n":
-        return functional_eq.h_n(z, n)
-    if what == "h_2n":
-        return functional_eq.small_h_2n(z, n)
-    if what == "g_2n":
-        return functional_eq.small_g_2n(z, n)
-    if what == "R_n":
-        return remainder(z, n, em)
-    raise ZetascopeError(f"unknown quantity {what!r}")
-
-
 def cmd_eval(args, cfg: RunConfig) -> int:
     if args.z is not None:
         z = parse_complex(args.z)
@@ -184,9 +157,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         )
         return EXIT_USAGE
     n = args.n if args.n is not None else 1024
-    value = _eval_quantity(args.what, z, n, cfg.em)
-    print(format_value(value))
-    if args.what in _N_DEPENDENT:
+    fn, depends_on_n = _QUANTITIES[args.what]
+    print(format_value(fn(z, n, cfg.em)))
+    if depends_on_n:
         print(f"n = {n}")
     return EXIT_OK
 
@@ -255,6 +228,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         print(f"error: zeros file {zeros_path} does not exist", file=sys.stderr)
         return EXIT_USAGE
     records = read_zeros_csv(zeros_path)
+    if not records:
+        raise UsageError(f"zeros file {zeros_path} holds no zeros")
     n0 = args.n0 if args.n0 is not None else cfg.n0
     doublings = args.doublings if args.doublings is not None else cfg.doublings
     if doublings < 4:

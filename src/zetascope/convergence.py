@@ -6,6 +6,10 @@ table of partial sums built by one compensated pass per argument point, then
 the fitting/extrapolation helpers quantify the convergence order or limit.
 verify_claims aggregates the nine per-zero checks into one report record;
 all nine read one table per zero.
+
+No quantity's formula lives here: ``Quantity``, ``_tables`` and ``_value``
+are the registry in ``functional_eq``. This module owns the n grid, the
+validity-window shift, the fits and the claims.
 """
 
 from __future__ import annotations
@@ -23,26 +27,21 @@ from .errors import DegenerateRatioError, DegenerateSeriesError, DomainError
 from .euler_maclaurin import (
     EulerMaclaurinConfig,
     ValidityWindow,
+    _diverged_error,
+    _remainder_rows,
     check_window,
-    remainder_with_bound,
 )
-from .functional_eq import h_hat_exact
+from .functional_eq import (
+    Quantity,
+    _corrected_prime,
+    _corrected_prime_bound,
+    _tables,
+    _value,
+    h_hat_exact,
+)
 from .series import N_CAP, RawSums, raw_sums_at
 from .special import complex_pow_base_real
 from .zeros import ZeroRecord
-
-
-class Quantity(Enum):
-    ZETA_HAT_AT_RHO = "zeta_hat_at_rho"
-    ZETA_HAT_AT_ONE_MINUS_RHO = "zeta_hat_at_one_minus_rho"
-    H_HAT_N = "H_hat_n"
-    H_N = "H_n"
-    SMALL_H_2N = "h_2n"
-    SMALL_G_2N = "g_2n"
-    DERIV_RATIO = "deriv_ratio"
-    DERIV_RATIO_CORRECTED = "deriv_ratio_corrected"
-    H_HAT_DOUBLING_RATIO = "H_hat_doubling_ratio"
-    H_DOUBLING_RATIO = "H_doubling_ratio"
 
 
 class Normalizer(Enum):
@@ -115,32 +114,6 @@ def _pow_1_minus_2rho(n: int, rho: complex) -> complex:
     return n * complex_pow_base_real(n, 2.0 * rho)
 
 
-def _tail(z: complex, n: int) -> complex:
-    return n * complex_pow_base_real(n, z) / (1.0 - z)
-
-
-def _hat(sums: RawSums, z: complex, n: int) -> complex:
-    return sums.zeta - _tail(z, n)
-
-
-def _hat_prime(sums: RawSums, z: complex, n: int) -> complex:
-    p = n * complex_pow_base_real(n, z)
-    ln_n = math.log(n)
-    return sums.zeta_prime + ln_n * p / (1.0 - z) - p / (1.0 - z) ** 2
-
-
-def _corrected_prime(sums: RawSums, z: complex, n: int) -> complex:
-    """zeta'(z) from the partial sums to n: zeta_hat_n'(z) plus (ln n) n^(-z) / 2,
-    the z-derivative of the n^(-z)/2 Euler-Maclaurin boundary term."""
-    return _hat_prime(sums, z, n) + 0.5 * math.log(n) * complex_pow_base_real(n, z)
-
-
-def _corrected_prime_bound(z: complex, n: int) -> float:
-    """Modulus of the first term ``_corrected_prime`` omits, the derivative of
-    the first Bernoulli term: |n^(-z-1) (1 - z ln n)| / 12."""
-    return abs(complex_pow_base_real(n, z) / n * (1.0 - z * math.log(n))) / 12.0
-
-
 def _derivative_ratio(
     rho: complex,
     ns: Sequence[int],
@@ -203,41 +176,6 @@ def _dyadic_ns(n0: int, doublings: int) -> list[int]:
     return [n0 * 2**k for k in range(doublings + 1)]
 
 
-def _value(
-    quantity: Quantity,
-    rho: complex,
-    n: int,
-    at_rho: dict[int, RawSums],
-    at_mirror: dict[int, RawSums] | None,
-) -> complex:
-    """``quantity`` at n, read from sums tables at rho and at 1 - rho."""
-    if quantity is Quantity.ZETA_HAT_AT_RHO:
-        return _hat(at_rho[n], rho, n)
-    if quantity is Quantity.ZETA_HAT_AT_ONE_MINUS_RHO:
-        return _hat(at_mirror[n], 1.0 - rho, n)
-    if quantity is Quantity.H_HAT_N:
-        return _hat(at_rho[n], rho, n) / _hat(at_mirror[n], 1.0 - rho, n)
-    if quantity is Quantity.H_N:
-        return at_rho[n].zeta / at_mirror[n].zeta
-    if quantity is Quantity.SMALL_H_2N:
-        return at_rho[2 * n].xi + _hat(at_rho[2 * n], rho, 2 * n)
-    if quantity is Quantity.SMALL_G_2N:
-        return at_rho[2 * n].xi + 0.5 * complex_pow_base_real(2 * n, rho)
-    if quantity is Quantity.DERIV_RATIO:
-        return _hat_prime(at_rho[n], rho, n) / _hat_prime(at_mirror[n], 1.0 - rho, n)
-    if quantity is Quantity.DERIV_RATIO_CORRECTED:
-        return _corrected_prime(at_rho[n], rho, n) / _corrected_prime(
-            at_mirror[n], 1.0 - rho, n
-        )
-    if quantity is Quantity.H_HAT_DOUBLING_RATIO:
-        h = lambda m: _hat(at_rho[m], rho, m) / _hat(at_mirror[m], 1.0 - rho, m)
-        return h(2 * n) / h(n)
-    if quantity is Quantity.H_DOUBLING_RATIO:
-        h = lambda m: at_rho[m].zeta / at_mirror[m].zeta
-        return h(2 * n) / h(n)
-    raise DomainError(f"unknown quantity {quantity}")
-
-
 def _series_from_table(
     quantity: Quantity,
     rho: complex,
@@ -274,30 +212,7 @@ def _sweep_table(
     reads at rho and, if it needs them, at 1 - rho."""
     rho = complex(rho)
     ns = _dyadic_ns(_window_n0(rho, n0, cfg or EulerMaclaurinConfig()), doublings)
-    needs_double = quantity in (
-        Quantity.SMALL_H_2N,
-        Quantity.SMALL_G_2N,
-        Quantity.H_HAT_DOUBLING_RATIO,
-        Quantity.H_DOUBLING_RATIO,
-    )
-    checkpoints = sorted(set(ns) | {2 * n for n in ns}) if needs_double else ns
-    needs_deriv = quantity in (Quantity.DERIV_RATIO, Quantity.DERIV_RATIO_CORRECTED)
-    needs_mirror = quantity in (
-        Quantity.ZETA_HAT_AT_ONE_MINUS_RHO,
-        Quantity.H_HAT_N,
-        Quantity.H_N,
-        Quantity.DERIV_RATIO,
-        Quantity.DERIV_RATIO_CORRECTED,
-        Quantity.H_HAT_DOUBLING_RATIO,
-        Quantity.H_DOUBLING_RATIO,
-    )
-    at_rho = raw_sums_at(rho, checkpoints, include_derivative=needs_deriv)
-    at_mirror = (
-        raw_sums_at(1.0 - rho, checkpoints, include_derivative=needs_deriv)
-        if needs_mirror
-        else None
-    )
-    return rho, ns, at_rho, at_mirror
+    return (rho, ns, *_tables(quantity, rho, ns))
 
 
 def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
@@ -487,11 +402,6 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         ns = _dyadic_ns(n0, doublings)
         return _series_from_table(quantity, rho, ns, at_rho, at_mirror)
 
-    def value(quantity: Quantity, n: int) -> complex:
-        if table_error is not None:
-            raise table_error
-        return _value(quantity, rho, n, at_rho, at_mirror)
-
     def run(claim: str, fn) -> None:
         try:
             rows.append(fn())
@@ -612,16 +522,27 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
             ),
         )
 
-    def _identity_claim(claim: str, lhs_fn, rhs_fn) -> ClaimResult:
+    @functools.cache  # C7 and C8 share one remainder pass over the (n, 2n) rows
+    def remainders() -> tuple[list[list[complex]], list[list[float]]]:
+        ns = [m for n in plan.identity_ns for m in (n, 2 * n)]
+        acc, bound, terms, diverged = _remainder_rows(
+            np.full(len(ns), rho), np.array(ns), plan.identity_cfg
+        )
+        if diverged.any():
+            raise _diverged_error(np.flatnonzero(diverged)[0], acc, bound, terms)
+        return acc.reshape(-1, 2).tolist(), bound.reshape(-1, 2).tolist()
+
+    def _identity_claim(claim: str, quantity: Quantity, rhs_fn) -> ClaimResult:
         worst = 0.0
         details = []
-        for n in plan.identity_ns:
-            r_n = remainder_with_bound(rho, n, plan.identity_cfg)
-            r_2n = remainder_with_bound(rho, 2 * n, plan.identity_cfg)
-            lhs = lhs_fn(n)
-            rhs = rhs_fn(r_n.value, r_2n.value)
+        values, bounds = remainders()
+        if table_error is not None:
+            raise table_error
+        for n, (r_n, r_2n), (b_n, b_2n) in zip(plan.identity_ns, values, bounds):
+            lhs = _value(quantity, rho, n, at_rho, at_mirror)
+            rhs = rhs_fn(r_n, r_2n)
             tol = IDENTITY_BOUND_FACTOR * (
-                r_2n.bound + abs(complex_pow_base_real(2.0, rho - 1.0)) * r_n.bound
+                b_2n + abs(complex_pow_base_real(2.0, rho - 1.0)) * b_n
             )
             err = abs(lhs - rhs)
             worst = max(worst, err / tol)
@@ -640,7 +561,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         two_pow = complex_pow_base_real(2.0, rho - 1.0)  # 2^(1-rho)
         return _identity_claim(
             "C7",
-            lambda n: value(Quantity.SMALL_G_2N, n),
+            Quantity.SMALL_G_2N,
             lambda r_n, r_2n: -r_2n + two_pow * r_n,
         )
 
@@ -648,7 +569,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         two_pow = complex_pow_base_real(2.0, rho - 1.0)
         return _identity_claim(
             "C8",
-            lambda n: value(Quantity.SMALL_H_2N, n),
+            Quantity.SMALL_H_2N,
             lambda r_n, r_2n: -2.0 * r_2n + two_pow * r_n,
         )
 

@@ -51,10 +51,5 @@ class DegenerateSeriesError(ZetascopeError, ValueError):
     too few points, or missing doubling pairs)."""
 
 
-class NearZeroWarning(UserWarning):
-    """A ratio was evaluated within 1e-3 (in Im z) of a known zero of its
-    denominator, where the quotient is delicate."""
-
-
 class PossiblyMissedZeroWarning(UserWarning):
     """The scan step may have been too coarse to separate close zeros."""

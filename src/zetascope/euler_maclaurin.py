@@ -104,7 +104,7 @@ def _remainder_rows(
         raise WindowError(
             f"|Im z|={abs(z[i].imag):.6g} exceeds the window 2*pi*{n[i]}/{cfg.window_C}"
         )
-    table = bernoulli_numbers(min(cfg.depth + 1, 30))
+    b2k = bernoulli_numbers(cfg.depth + 1)  # the bound reads one term past depth
     ln_n = np.log(n.astype(np.float64))
     acc = np.zeros(z.shape, dtype=complex)
     poch = z.copy()  # (z)(z+1)...(z+2k-2), grown incrementally
@@ -115,7 +115,7 @@ def _remainder_rows(
     active = np.ones(z.shape, dtype=bool)
     k = 1
     while active.any():
-        coeff = table.b2k(k) / math.factorial(2 * k)
+        coeff = b2k[k - 1] / math.factorial(2 * k)
         term = coeff * poch * _pow_neg(ln_n, z + (2 * k - 1))
         mod = np.abs(term)
         # asymptotic divergence onset, or depth exhausted: stop before this term

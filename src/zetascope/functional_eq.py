@@ -1,55 +1,132 @@
-"""The functional-equation factor and its finite-n ratio companions.
+"""The finite-n quantity registry and the functional-equation factor.
 
-Covers the exact factor 2 Gamma(1-z) (2 pi)^(z-1) sin(pi z / 2), the
-regularized and raw finite-n ratios, and the composite sums h_2n and g_2n
-built from the alternating and regularized partial sums.
+Each finite-n quantity the claims study is one row of ``_value``, which reads
+sums tables at rho and at 1 - rho; ``_tables`` builds the smallest tables a
+quantity reads. The sweeps and claims in ``convergence`` and the one-point
+functions below all read these two, so each formula is written once. The
+regularized-sum pieces the rows share (``_tail``, ``_hat``, ``_hat_prime``)
+live in ``series``. h_hat_exact is the exact factor H_hat_n tends to.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import DegenerateRatioError, DomainError, NearZeroWarning, PoleError
-from .series import xi_partial, zeta_hat_partial, zeta_partial
+from .errors import DegenerateRatioError, DomainError, PoleError
+from .series import RawSums, _hat, _hat_prime, raw_sums_at
 from .special import LN_TWO_PI, complex_pow_base_real, log_gamma
 
 LN_2 = math.log(2.0)
-
-#: ratios evaluated with |Im z - t_zero| below this are flagged, not trusted
-NEAR_ZERO_T_WINDOW = 1e-3
 
 #: denominator moduli below this raise DegenerateRatioError
 DENOMINATOR_FLOOR = 1e-300
 
 
-class RatioKind(Enum):
-    H_HAT_EXACT = "H_hat"
+class Quantity(Enum):
+    ZETA_HAT_AT_RHO = "zeta_hat_at_rho"
+    ZETA_HAT_AT_ONE_MINUS_RHO = "zeta_hat_at_one_minus_rho"
     H_HAT_N = "H_hat_n"
     H_N = "H_n"
     SMALL_H_2N = "h_2n"
     SMALL_G_2N = "g_2n"
+    DERIV_RATIO = "deriv_ratio"
+    DERIV_RATIO_CORRECTED = "deriv_ratio_corrected"
+    H_HAT_DOUBLING_RATIO = "H_hat_doubling_ratio"
+    H_DOUBLING_RATIO = "H_doubling_ratio"
 
 
-@dataclass(frozen=True)
-class RatioEvaluation:
-    """Value of one ratio-family quantity at (z, n); n = 0 for the exact factor."""
+#: quantities that read the sums at 2n as well as at n
+_READS_2N = (
+    Quantity.SMALL_H_2N,
+    Quantity.SMALL_G_2N,
+    Quantity.H_HAT_DOUBLING_RATIO,
+    Quantity.H_DOUBLING_RATIO,
+)
+#: quantities that read the derivative sums
+_READS_DERIV = (Quantity.DERIV_RATIO, Quantity.DERIV_RATIO_CORRECTED)
+#: quantities that read the table at 1 - rho: all but three
+_READS_MIRROR = set(Quantity) - {Quantity.ZETA_HAT_AT_RHO, Quantity.SMALL_H_2N, Quantity.SMALL_G_2N}
 
-    kind: RatioKind
-    z: complex
-    n: int
-    value: complex
 
-    def __post_init__(self):
-        if self.kind is RatioKind.H_HAT_EXACT:
-            if self.n != 0:
-                raise ValueError("the exact factor carries n = 0")
-        elif self.n < 1:
-            raise ValueError(f"{self.kind.value} requires n >= 1")
+def _tables(
+    quantity: Quantity, rho: complex, ns: Sequence[int]
+) -> tuple[dict[int, RawSums], dict[int, RawSums] | None]:
+    """The sums tables ``quantity`` reads at every n of ``ns``: one pass at
+    rho and, if it reads one, one at 1 - rho."""
+    checkpoints = sorted(set(ns) | {2 * n for n in ns}) if quantity in _READS_2N else ns
+    deriv = quantity in _READS_DERIV
+    at_rho = raw_sums_at(rho, checkpoints, include_derivative=deriv)
+    at_mirror = (
+        raw_sums_at(1.0 - rho, checkpoints, include_derivative=deriv)
+        if quantity in _READS_MIRROR
+        else None
+    )
+    return at_rho, at_mirror
+
+
+def _ratio(num: complex, den: complex, quantity: Quantity) -> complex:
+    if abs(den) < DENOMINATOR_FLOOR:
+        raise DegenerateRatioError(f"{quantity.value}: denominator modulus below 1e-300")
+    return num / den
+
+
+def _corrected_prime(sums: RawSums, z: complex, n: int) -> complex:
+    """zeta'(z) from the partial sums to n: zeta_hat_n'(z) plus (ln n) n^(-z) / 2,
+    the z-derivative of the n^(-z)/2 Euler-Maclaurin boundary term."""
+    return _hat_prime(sums, z, n) + 0.5 * math.log(n) * complex_pow_base_real(n, z)
+
+
+def _corrected_prime_bound(z: complex, n: int) -> float:
+    """Modulus of the first term ``_corrected_prime`` omits, the derivative of
+    the first Bernoulli term: |n^(-z-1) (1 - z ln n)| / 12."""
+    return abs(complex_pow_base_real(n, z) / n * (1.0 - z * math.log(n))) / 12.0
+
+
+def _value(
+    quantity: Quantity,
+    rho: complex,
+    n: int,
+    at_rho: dict[int, RawSums],
+    at_mirror: dict[int, RawSums] | None,
+) -> complex:
+    """``quantity`` at n, read from sums tables at rho and at 1 - rho."""
+    if quantity is Quantity.ZETA_HAT_AT_RHO:
+        return _hat(at_rho[n], rho, n)
+    if quantity is Quantity.ZETA_HAT_AT_ONE_MINUS_RHO:
+        return _hat(at_mirror[n], 1.0 - rho, n)
+    if quantity is Quantity.H_HAT_N:
+        return _ratio(_hat(at_rho[n], rho, n), _hat(at_mirror[n], 1.0 - rho, n), quantity)
+    if quantity is Quantity.H_N:
+        return _ratio(at_rho[n].zeta, at_mirror[n].zeta, quantity)
+    if quantity is Quantity.SMALL_H_2N:
+        return at_rho[2 * n].xi + _hat(at_rho[2 * n], rho, 2 * n)
+    if quantity is Quantity.SMALL_G_2N:
+        return at_rho[2 * n].xi + 0.5 * complex_pow_base_real(2 * n, rho)
+    if quantity is Quantity.DERIV_RATIO:
+        return _ratio(
+            _hat_prime(at_rho[n], rho, n), _hat_prime(at_mirror[n], 1.0 - rho, n), quantity
+        )
+    if quantity is Quantity.DERIV_RATIO_CORRECTED:
+        return _ratio(
+            _corrected_prime(at_rho[n], rho, n),
+            _corrected_prime(at_mirror[n], 1.0 - rho, n),
+            quantity,
+        )
+    if quantity is Quantity.H_HAT_DOUBLING_RATIO:
+        h = lambda m: _value(Quantity.H_HAT_N, rho, m, at_rho, at_mirror)
+        return _ratio(h(2 * n), h(n), quantity)
+    if quantity is Quantity.H_DOUBLING_RATIO:
+        h = lambda m: _value(Quantity.H_N, rho, m, at_rho, at_mirror)
+        return _ratio(h(2 * n), h(n), quantity)
+    raise DomainError(f"unknown quantity {quantity}")
+
+
+def _at(quantity: Quantity, z: complex, n: int) -> complex:
+    """``quantity`` at one point (z, n), from the smallest tables it reads."""
+    return _value(quantity, z, n, *_tables(quantity, z, (n,)))
 
 
 def h_hat_exact(z: complex) -> complex:
@@ -80,46 +157,21 @@ def h_hat_exact(z: complex) -> complex:
     return cmath.exp(LN_2 + log_gamma(1.0 - z) + (z - 1.0) * LN_TWO_PI + cmath.log(s))
 
 
-def _flag_near_zero(z: complex, zero_ordinates: Sequence[float] | None) -> None:
-    if not zero_ordinates:
-        return
-    t = abs(complex(z).imag)
-    if min(abs(t - t0) for t0 in zero_ordinates) <= NEAR_ZERO_T_WINDOW:
-        warnings.warn(
-            f"ratio evaluated within {NEAR_ZERO_T_WINDOW} (in t) of a zero of "
-            "the denominator; the quotient is delicate there",
-            NearZeroWarning,
-            stacklevel=3,
-        )
-
-
-def _guarded_ratio(num: complex, den: complex, name: str) -> complex:
-    if abs(den) < DENOMINATOR_FLOOR:
-        raise DegenerateRatioError(f"{name}: denominator modulus below 1e-300")
-    return num / den
-
-
-def h_hat_n(
-    z: complex, n: int, zero_ordinates: Sequence[float] | None = None
-) -> complex:
+def h_hat_n(z: complex, n: int) -> complex:
     """Regularized finite-n ratio: zeta_hat_n(z) / zeta_hat_n(1-z)."""
-    _flag_near_zero(z, zero_ordinates)
-    return _guarded_ratio(
-        zeta_hat_partial(z, n), zeta_hat_partial(1.0 - z, n), "H_hat_n"
-    )
+    return _at(Quantity.H_HAT_N, z, n)
 
 
-def h_n(z: complex, n: int, zero_ordinates: Sequence[float] | None = None) -> complex:
+def h_n(z: complex, n: int) -> complex:
     """Raw finite-n ratio: zeta_n(z) / zeta_n(1-z)."""
-    _flag_near_zero(z, zero_ordinates)
-    return _guarded_ratio(zeta_partial(z, n), zeta_partial(1.0 - z, n), "H_n")
+    return _at(Quantity.H_N, z, n)
 
 
 def small_h_2n(z: complex, n: int) -> complex:
     """xi_2n(z) + zeta_hat_2n(z); decays one power of n faster than either."""
-    return xi_partial(z, 2 * n) + zeta_hat_partial(z, 2 * n)
+    return _at(Quantity.SMALL_H_2N, z, n)
 
 
 def small_g_2n(z: complex, n: int) -> complex:
     """First-order average of the alternating sum: xi_2n(z) + (2n)^(-z) / 2."""
-    return xi_partial(z, 2 * n) + 0.5 * complex_pow_base_real(2 * n, z)
+    return _at(Quantity.SMALL_G_2N, z, n)

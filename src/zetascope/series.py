@@ -23,13 +23,15 @@ and fsum commute with negation, so the sums at conj(z) are the conjugates
 of the sums at z, bit for bit. On the critical line 1 - rho = conj(rho),
 and the claims read the table at 1 - rho as the conjugate of the one at rho
 (convergence._zero_table).
+
+``_tail``, ``_hat`` and ``_hat_prime`` write the regularized sum and its
+z-derivative once, over a RawSums; the quantities built from them are the
+registry in functional_eq.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -39,24 +41,6 @@ from .special import complex_pow_base_real
 
 #: hard cap on n; keeps every sum at desk scale
 N_CAP = 2**24
-
-
-class SeriesKind(Enum):
-    ZETA_N = "zeta_n"
-    XI_N = "xi_n"
-    ZETA_HAT_N = "zeta_hat_n"
-    ZETA_N_PRIME = "zeta_n_prime"
-    ZETA_HAT_N_PRIME = "zeta_hat_n_prime"
-
-
-@dataclass(frozen=True)
-class SeriesEvaluation:
-    """Value of one named finite sum at (z, n)."""
-
-    kind: SeriesKind
-    z: complex
-    n: int
-    value: complex
 
 
 class RawSums(NamedTuple):
@@ -222,15 +206,28 @@ def zeta_partial_array(z, n) -> np.ndarray:
 
 
 def _pow_n(n: int, z: complex) -> complex:
-    """n**(1-z) computed as n * n**(-z); exact when z = 0."""
+    """n**(1-z) computed as n * n**(-z), exact when z = 0; raises PoleError at
+    z = 1, the pole of the tail model n**(1-z)/(1-z) it is the numerator of."""
+    if z == 1:
+        raise PoleError("the tail term n^(1-z)/(1-z) has a pole at z=1")
     return n * complex_pow_base_real(n, z)
 
 
 def _tail(z: complex, n: int) -> complex:
     """The divergent-tail model n**(1-z) / (1-z)."""
-    if z == 1:
-        raise PoleError("the tail term n^(1-z)/(1-z) has a pole at z=1")
     return _pow_n(n, z) / (1.0 - z)
+
+
+def _hat(sums: RawSums, z: complex, n: int) -> complex:
+    """The regularized sum zeta_n(z) - n**(1-z)/(1-z) from the sums to n."""
+    return sums.zeta - _tail(z, n)
+
+
+def _hat_prime(sums: RawSums, z: complex, n: int) -> complex:
+    """The exact z-derivative of ``_hat`` from the sums to n (with zeta')."""
+    p = _pow_n(n, z)
+    ln_n = math.log(n)
+    return sums.zeta_prime + ln_n * p / (1.0 - z) - p / (1.0 - z) ** 2
 
 
 def zeta_partial(z: complex, n: int) -> complex:
@@ -245,7 +242,7 @@ def xi_partial(z: complex, n: int) -> complex:
 
 def zeta_hat_partial(z: complex, n: int) -> complex:
     """Regularized partial sum: zeta_partial(z, n) - n**(1-z)/(1-z)."""
-    return zeta_partial(z, n) - _tail(z, n)
+    return _hat(raw_sums_at(z, (n,))[n], z, n)
 
 
 def zeta_partial_derivative(z: complex, n: int) -> complex:
@@ -255,26 +252,4 @@ def zeta_partial_derivative(z: complex, n: int) -> complex:
 
 def zeta_hat_partial_derivative(z: complex, n: int) -> complex:
     """Exact z-derivative of the regularized partial sum."""
-    if z == 1:
-        raise PoleError("the tail term n^(1-z)/(1-z) has a pole at z=1")
-    p = _pow_n(n, z)
-    ln_n = math.log(n)
-    return (
-        zeta_partial_derivative(z, n)
-        + ln_n * p / (1.0 - z)
-        - p / (1.0 - z) ** 2
-    )
-
-
-_DISPATCH = {
-    SeriesKind.ZETA_N: zeta_partial,
-    SeriesKind.XI_N: xi_partial,
-    SeriesKind.ZETA_HAT_N: zeta_hat_partial,
-    SeriesKind.ZETA_N_PRIME: zeta_partial_derivative,
-    SeriesKind.ZETA_HAT_N_PRIME: zeta_hat_partial_derivative,
-}
-
-
-def evaluate(kind: SeriesKind, z: complex, n: int) -> SeriesEvaluation:
-    """Evaluate one named sum and wrap it with its truncation metadata."""
-    return SeriesEvaluation(kind=kind, z=complex(z), n=n, value=_DISPATCH[kind](z, n))
+    return _hat_prime(raw_sums_at(z, (n,), include_derivative=True)[n], z, n)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -89,22 +88,6 @@ def log_gamma(z: complex) -> complex:
     return complex(log_gamma_array([complex(z)])[0])
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Even-index Bernoulli numbers B_2, B_4, ..., B_{2m} as floats."""
-
-    values: tuple[float, ...]
-    depth: int
-
-    def __post_init__(self):
-        if len(self.values) != self.depth:
-            raise ConfigError("table length must equal depth")
-
-    def b2k(self, k: int) -> float:
-        """B_{2k} for 1 <= k <= depth."""
-        return self.values[k - 1]
-
-
 @lru_cache(maxsize=None)
 def _bernoulli_fractions(count: int) -> tuple[Fraction, ...]:
     # B_0 .. B_count via the exact recurrence
@@ -116,9 +99,10 @@ def _bernoulli_fractions(count: int) -> tuple[Fraction, ...]:
     return tuple(b)
 
 
-def bernoulli_numbers(m: int) -> BernoulliTable:
-    """B_2 .. B_{2m}, computed exactly over the rationals then rounded once."""
-    if not isinstance(m, int) or not 1 <= m <= 30:
-        raise ConfigError(f"bernoulli depth must be an integer in [1, 30], got {m}")
+def bernoulli_numbers(m: int) -> tuple[float, ...]:
+    """(B_2, B_4, ..., B_{2m}), exact over the rationals then rounded once. m
+    reaches 31 because a 30-term remainder bounds its error with term 31."""
+    if not isinstance(m, int) or not 1 <= m <= 31:
+        raise ConfigError(f"bernoulli depth must be an integer in [1, 31], got {m}")
     b = _bernoulli_fractions(2 * m)
-    return BernoulliTable(values=tuple(float(b[2 * k]) for k in range(1, m + 1)), depth=m)
+    return tuple(float(b[2 * k]) for k in range(1, m + 1))

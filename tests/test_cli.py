@@ -245,3 +245,17 @@ class TestBoundaryProbes:
         path.write_text(json.dumps({"schema": REPORT_SCHEMA}))
         assert main(["report", "--in", str(path)]) == EXIT_USAGE
         assert "results" in capsys.readouterr().err
+
+    def test_zeros_file_without_zeros_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        assert main(["zeros", "--t-min", "2", "--t-max", "13", "--out", str(path)]) == EXIT_OK
+        report = tmp_path / "r.json"
+        assert main(["verify", "--zeros", str(path), "--out", str(report)]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_deepest_remainder_config_evaluates(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"em.depth": 30, "em.target_rel_error": 1e-300}))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        assert main(["eval", "--what", "R_n", "--z", "2", "--n", "100"]) == EXIT_OK

@@ -26,6 +26,7 @@ from zetascope.convergence import (
 )
 from zetascope import convergence
 from zetascope.errors import DegenerateSeriesError, DomainError
+from zetascope.euler_maclaurin import _remainder_rows
 from zetascope.functional_eq import h_hat_exact, small_g_2n, small_h_2n
 from zetascope.series import raw_sums_at, zeta_hat_partial
 from zetascope.zeros import ZeroRecord
@@ -272,6 +273,18 @@ class TestSharedTable:
         _, at_rho, at_mirror = _zero_table(rho, SweepPlan())
         assert calls == [rho, 1.0 - rho][:passes]
         assert at_mirror[1024] == raw_sums_at(1.0 - rho, (1024,), True)[1024]
+
+    def test_identity_claims_share_one_remainder_call(self, monkeypatch):
+        calls = []
+
+        def counting(z, n, cfg):
+            calls.append(n.tolist())
+            return _remainder_rows(z, n, cfg)
+
+        monkeypatch.setattr(convergence, "_remainder_rows", counting)
+        rows = _claims_for_zero(_zero(RHO_1.imag), SweepPlan())
+        assert calls == [[256, 512, 1024, 2048, 4096, 8192]]
+        assert [r.passed for r in rows if r.claim in ("C7", "C8")] == [True, True]
 
     def test_identity_sums_equal_standalone(self):
         plan = SweepPlan()

@@ -99,6 +99,13 @@ class TestRemainder:
         with pytest.raises(WindowError):
             remainder(complex(0.5, 90.0), 10)
 
+    def test_deepest_truncation_bounds_with_the_next_term(self):
+        # at depth 30 the bound is the 31st term, B_62 (2)(3)...(62) / 62! 10^(-63)
+        cfg = EulerMaclaurinConfig(depth=30, target_rel_error=1e-300)
+        r = remainder_with_bound(2.0, 10, cfg)
+        assert r.terms_used == 30
+        assert r.bound == pytest.approx(abs(bernoulli_numbers(31)[30]) * 1e-63, rel=1e-12)
+
     def test_divergence_before_target_reported(self):
         with pytest.raises(PrecisionNotReachedError) as exc:
             remainder(complex(0.5, 30.0), 10, EulerMaclaurinConfig(depth=30))
@@ -226,10 +233,10 @@ class TestReferenceArray:
 
 def _loop_remainder(z: complex, n: int, cfg: EulerMaclaurinConfig):
     """The scalar recurrence, one term at a time: (value, bound, terms, diverged)."""
-    b2k = bernoulli_numbers(min(cfg.depth + 1, 30)).b2k
+    b2k = bernoulli_numbers(cfg.depth + 1)
     acc, poch, prev_mod, k = 0j, z, math.inf, 1
     while True:
-        term = b2k(k) / math.factorial(2 * k) * poch * cmath.exp(-(z + 2 * k - 1) * math.log(n))
+        term = b2k[k - 1] / math.factorial(2 * k) * poch * cmath.exp(-(z + 2 * k - 1) * math.log(n))
         mod = abs(term)
         if mod >= prev_mod or k > cfg.depth:
             diverged = mod >= prev_mod and mod > cfg.target_rel_error * abs(acc)
@@ -253,7 +260,7 @@ class TestRemainderRowsAgainstLoop:
             min_size=1,
             max_size=16,
         ),
-        depth=st.integers(1, 29),
+        depth=st.integers(1, 30),
         target=st.sampled_from((1e-12, 1e-6, 0.5)),
     )
     @settings(max_examples=60, deadline=None)

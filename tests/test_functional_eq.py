@@ -4,20 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetascope.errors import NearZeroWarning, PoleError
+from zetascope.convergence import sweep
+from zetascope.errors import DegenerateRatioError, PoleError
 from zetascope.functional_eq import (
-    RatioEvaluation,
-    RatioKind,
+    Quantity,
+    _value,
     h_hat_exact,
     h_hat_n,
     h_n,
     small_g_2n,
     small_h_2n,
 )
-from zetascope.series import xi_partial, zeta_hat_partial, zeta_partial
+from zetascope.series import RawSums, xi_partial, zeta_hat_partial, zeta_partial
 from zetascope.special import complex_pow_base_real
 
-from conftest import KNOWN_ZERO_T, RHO_1
+from conftest import RHO_1
 
 
 class TestExactFactor:
@@ -93,17 +94,6 @@ class TestFiniteRatios:
         err_large = abs(h_hat_n(z, 2**16) - exact)
         assert err_large < err_small
 
-    def test_near_zero_flagged(self):
-        with pytest.warns(NearZeroWarning):
-            h_hat_n(complex(0.5, KNOWN_ZERO_T[0]), 256, zero_ordinates=KNOWN_ZERO_T)
-
-    def test_far_from_zeros_not_flagged(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            h_n(complex(0.5, 17.0), 256, zero_ordinates=KNOWN_ZERO_T)
-
 
 class TestCompositeSums:
     def test_small_h_definition(self):
@@ -129,19 +119,32 @@ class TestCompositeSums:
         assert all(b < a for a, b in zip(mods, mods[1:]))
 
 
-class TestRecordValidation:
-    def test_exact_kind_requires_n_zero(self):
-        with pytest.raises(ValueError):
-            RatioEvaluation(
-                kind=RatioKind.H_HAT_EXACT, z=0.5 + 0.0j, n=3, value=1.0 + 0.0j
-            )
+def _bits(v: complex) -> tuple[str, str]:
+    return v.real.hex(), v.imag.hex()
 
-    def test_finite_kinds_require_positive_n(self):
-        with pytest.raises(ValueError):
-            RatioEvaluation(kind=RatioKind.H_N, z=0.5 + 0.0j, n=0, value=1.0 + 0.0j)
 
-    def test_valid_record(self):
-        rec = RatioEvaluation(
-            kind=RatioKind.H_HAT_EXACT, z=0.5 + 0.0j, n=0, value=1.0 + 0.0j
-        )
-        assert rec.value == 1.0 + 0.0j
+class TestSinglePath:
+    """Sweeps and the one-point functions read the same registry formula."""
+
+    @pytest.mark.parametrize("z", [RHO_1, complex(0.75, 33.3)])
+    @pytest.mark.parametrize(
+        "quantity,fn",
+        [
+            (Quantity.ZETA_HAT_AT_RHO, zeta_hat_partial),
+            (Quantity.H_HAT_N, h_hat_n),
+            (Quantity.H_N, h_n),
+            (Quantity.SMALL_H_2N, small_h_2n),
+            (Quantity.SMALL_G_2N, small_g_2n),
+        ],
+    )
+    def test_sweep_last_point_is_the_function(self, quantity, fn, z):
+        n, v = sweep(quantity, z, n0=64, doublings=4).points[-1]
+        assert n == 1024
+        assert _bits(v) == _bits(fn(z, 1024))
+
+    @pytest.mark.parametrize("quantity", [Quantity.H_N, Quantity.H_DOUBLING_RATIO])
+    def test_degenerate_denominator_guarded_in_the_formula(self, quantity):
+        sums = RawSums(zeta=1.0 + 0.0j, xi=0j, zeta_prime=None)
+        vanishing = RawSums(zeta=0j, xi=0j, zeta_prime=None)
+        with pytest.raises(DegenerateRatioError):
+            _value(quantity, RHO_1, 4, {4: sums, 8: sums}, {4: vanishing, 8: vanishing})

@@ -11,8 +11,6 @@ import numpy as np
 from zetascope.errors import DomainError, PoleError, SumOverflowError
 from zetascope.series import (
     N_CAP,
-    SeriesKind,
-    evaluate,
     raw_sums_at,
     xi_partial,
     zeta_hat_partial,
@@ -101,6 +99,10 @@ class TestZetaHatPartial:
         leading = 0.5 * n**-0.5
         assert leading / 2.0 <= v <= leading * 2.0
 
+    def test_conjugate_symmetry(self):
+        z = complex(0.5, 21.0)
+        assert zeta_hat_partial(z, 512) == zeta_hat_partial(z.conjugate(), 512).conjugate()
+
 
 class TestDerivatives:
     def test_single_term_is_zero(self):
@@ -176,20 +178,6 @@ class TestSplittingIdentities:
         tail = (2 * n) ** (1.0 - z.real) / abs(1.0 - z)
         scale = max(abs(zeta_hat_partial(z, 2 * n)), abs(lhs), tail, 1.0)
         assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-class TestEvaluate:
-    def test_record_fields(self):
-        rec = evaluate(SeriesKind.ZETA_N, 2.0 + 0.0j, 3)
-        assert rec.kind is SeriesKind.ZETA_N
-        assert rec.n == 3
-        assert rec.value == pytest.approx(49.0 / 36.0, rel=1e-15)
-
-    def test_conjugate_symmetry(self):
-        z = complex(0.5, 21.0)
-        a = evaluate(SeriesKind.ZETA_HAT_N, z, 512).value
-        b = evaluate(SeriesKind.ZETA_HAT_N, z.conjugate(), 512).value
-        assert a == b.conjugate()
 
 
 def _mpmath_sums(z: complex, n: int):
