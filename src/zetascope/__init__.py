@@ -4,12 +4,10 @@ equation, critical-line zeros, and convergence-order measurement."""
 from .convergence import (
     ConvergenceSeries,
     DerivativeRatioLimit,
-    Normalizer,
     RatioLimit,
     SlopeFit,
     SweepPlan,
     derivative_ratio_limit,
-    doubling_ratio,
     fit_power_law,
     ratio_limit,
     sweep,
@@ -17,8 +15,6 @@ from .convergence import (
 )
 from .euler_maclaurin import (
     EulerMaclaurinConfig,
-    ValidityWindow,
-    check_window,
     remainder,
     remainder_with_bound,
     zeta_hat_reference,
@@ -40,18 +36,14 @@ __all__ = [
     "ConvergenceSeries",
     "DerivativeRatioLimit",
     "EulerMaclaurinConfig",
-    "Normalizer",
     "Quantity",
     "RatioLimit",
     "SlopeFit",
     "SweepPlan",
-    "ValidityWindow",
     "ZeroRecord",
     "bernoulli_numbers",
-    "check_window",
     "complex_pow_base_real",
     "derivative_ratio_limit",
-    "doubling_ratio",
     "find_zeros",
     "fit_power_law",
     "h_hat_exact",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import convergence, functional_eq, series, zeros as zeros_mod
-from .errors import ConfigError, ZetascopeError
+from .errors import ConfigError, DomainError, ZetascopeError
 from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
 from .zeros import ZeroRecord
 
@@ -70,8 +70,12 @@ class RunConfig:
     step: float = 0.05
 
     def __post_init__(self):
-        if self.n0 < 1:
-            raise ZetascopeError(f"n0 must be positive, got {self.n0}")
+        convergence._check_grid(self.n0, self.doublings)
+
+
+#: the keys a config file may set: the em. keys set EulerMaclaurinConfig fields
+_EM_KEYS = ("depth", "n_base", "target_rel_error", "window_C")
+_RUN_KEYS = ("n0", "doublings", "t_min", "t_max", "step")
 
 
 def load_config(env: dict | None = None) -> RunConfig:
@@ -86,21 +90,16 @@ def load_config(env: dict | None = None) -> RunConfig:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    em_kwargs = {}
-    for key, attr in (
-        ("em.depth", "depth"),
-        ("em.n_base", "n_base"),
-        ("em.target_rel_error", "target_rel_error"),
-        ("em.window_C", "window_C"),
-    ):
-        if key in data:
-            em_kwargs[attr] = _typed(key, data[key], getattr(cfg.em, attr))
-    if em_kwargs:
-        cfg = replace(cfg, em=replace(cfg.em, **em_kwargs))
-    for key in ("n0", "doublings", "t_min", "t_max", "step"):
-        if key in data:
-            cfg = replace(cfg, **{key: _typed(key, data[key], getattr(cfg, key))})
-    return cfg
+    unknown = sorted(set(data) - {f"em.{k}" for k in _EM_KEYS} - set(_RUN_KEYS))
+    if unknown:
+        raise ConfigError(f"config file {path} has unknown keys {', '.join(unknown)}")
+    em = {
+        k: _typed(f"em.{k}", data[f"em.{k}"], getattr(cfg.em, k))
+        for k in _EM_KEYS
+        if f"em.{k}" in data
+    }
+    run = {k: _typed(k, data[k], getattr(cfg, k)) for k in _RUN_KEYS if k in data}
+    return replace(cfg, em=replace(cfg.em, **em), **run)
 
 
 def _typed(key: str, value, default):
@@ -232,13 +231,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         raise UsageError(f"zeros file {zeros_path} holds no zeros")
     n0 = args.n0 if args.n0 is not None else cfg.n0
     doublings = args.doublings if args.doublings is not None else cfg.doublings
-    if doublings < 4:
-        print(
-            f"usage error: verification needs at least 4 doublings, got {doublings}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    plan = convergence.SweepPlan(n0=n0, doublings=doublings, cfg=cfg.em)
+    try:
+        plan = convergence.SweepPlan(n0=n0, doublings=doublings, cfg=cfg.em)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     rows = convergence.verify_claims(records, plan)
     report = {
         "schema": REPORT_SCHEMA,

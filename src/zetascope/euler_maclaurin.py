@@ -1,8 +1,9 @@
 """Euler-Maclaurin reference evaluator for the regularized zeta value.
 
-Provides the Bernoulli remainder R_n(z), a high-accuracy reference value of
-the regularized zeta function in Re z > 0, and the Hardy-Littlewood validity
-window |Im z| <= 2 pi n / C that gates both.
+Provides the Bernoulli remainder R_n(z) and a high-accuracy reference value of
+the regularized zeta function in Re z > 0. The Hardy-Littlewood validity
+window |Im z| <= 2 pi n / C that gates both is written once, as
+``EulerMaclaurinConfig.max_im``; the convergence sweeps read it too.
 
 The remainder and the reference are written once, over 1-d arrays of z:
 every element runs its own stopping rule, window check and n-doubling in
@@ -47,27 +48,13 @@ class EulerMaclaurinConfig:
         if not self.window_C > 1:
             raise ConfigError(f"window constant C must exceed 1, got {self.window_C}")
 
+    def max_im(self, n):
+        """The largest |Im z| of the validity window at n: 2 pi n / C (n may
+        be an array)."""
+        return TWO_PI * n / self.window_C
+
 
 DEFAULT_CONFIG = EulerMaclaurinConfig()
-
-
-@dataclass(frozen=True)
-class ValidityWindow:
-    """Hardy-Littlewood condition |Im z| <= 2 pi n / C, C > 1."""
-
-    C: float = 2.0
-
-    def __post_init__(self):
-        if not self.C > 1:
-            raise ConfigError(f"window constant C must exceed 1, got {self.C}")
-
-    def max_im(self, n: int) -> float:
-        return TWO_PI * n / self.C
-
-
-def check_window(z: complex, n: int, w: ValidityWindow) -> bool:
-    """True iff |Im z| <= 2 pi n / C."""
-    return abs(complex(z).imag) <= w.max_im(n)
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,7 @@ def _remainder_rows(
     bad = ~(z.real > 0)
     if bad.any():
         raise DomainError(f"remainder requires Re z > 0, got {complex(z[bad][0])}")
-    outside = ~(np.abs(z.imag) <= ValidityWindow(cfg.window_C).max_im(n))
+    outside = ~(np.abs(z.imag) <= cfg.max_im(n))
     if outside.any():
         i = np.flatnonzero(outside)[0]
         raise WindowError(

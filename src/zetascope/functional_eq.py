@@ -132,8 +132,12 @@ def _at(quantity: Quantity, z: complex, n: int) -> complex:
 def h_hat_exact(z: complex) -> complex:
     """2 Gamma(1-z) (2 pi)^(z-1) sin(pi z / 2), accumulated in log space.
 
-    The log-space route keeps |Im z| ~ 50 safe, where Gamma(1-z) and the
-    sine factor have huge opposing moduli. Exact even-integer arguments are
+    The log-space route keeps large |Im z| safe, where Gamma(1-z) and the
+    sine factor have huge opposing moduli. Beyond |Im z| = 100 log sin w,
+    w = pi z / 2, is taken as -iw + log(i/2) + log(1 - e^(2iw)) for
+    Im w > 0 and as its mirror below, since sin w itself overflows from
+    |Im z| ~ 453; any branch of the log serves, as the sum is exponentiated.
+    Exact even-integer arguments are
     special-cased: the sine zero makes the factor exactly 0 for z <= 0, and
     for positive even z it cancels the Gamma pole, leaving the finite limit
     (-1)^(z/2) (2 pi)^(z-1) pi / (z-1)!.
@@ -153,8 +157,15 @@ def h_hat_exact(z: complex) -> complex:
             * math.exp((m - 1) * LN_TWO_PI + math.log(math.pi) - math.lgamma(m)),
             0.0,
         )
-    s = cmath.sin(0.5 * cmath.pi * z)
-    return cmath.exp(LN_2 + log_gamma(1.0 - z) + (z - 1.0) * LN_TWO_PI + cmath.log(s))
+    w = 0.5 * cmath.pi * z
+    if abs(z.imag) <= 100.0:
+        log_sin = cmath.log(cmath.sin(w))
+    else:
+        sign = 1.0 if w.imag > 0 else -1.0
+        log_sin = (
+            -sign * 1j * w + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(2j * sign * w))
+        )
+    return cmath.exp(LN_2 + log_gamma(1.0 - z) + (z - 1.0) * LN_TWO_PI + log_sin)
 
 
 def h_hat_n(z: complex, n: int) -> complex:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -259,3 +260,31 @@ class TestBoundaryProbes:
         path.write_text(json.dumps({"em.depth": 30, "em.target_rel_error": 1e-300}))
         monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
         assert main(["eval", "--what", "R_n", "--z", "2", "--n", "100"]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--n0", "0"), ("--n0", "-3"), ("--doublings", "40"), ("--doublings", "100000")],
+    )
+    def test_bad_sweep_grid_is_usage_error_at_once(
+        self, flag, value, first_zero_csv, tmp_path, capsys
+    ):
+        report = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = main(["verify", "--zeros", str(first_zero_csv), flag, value, "--out", str(report)])
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_USAGE
+        assert value in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_h_hat_beyond_the_sine_overflow_evaluates(self, capsys):
+        assert main(["eval", "--what", "H_hat", "--z", "0.5+500i"]) == EXIT_OK
+        # on the critical line |H_hat| = 1
+        value = parse_complex(capsys.readouterr().out.strip())
+        assert abs(value) == pytest.approx(1.0, rel=1e-11)
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"em.dpeth": 5, "doublngs": 2}))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
+        assert "unknown keys doublngs, em.dpeth" in capsys.readouterr().err

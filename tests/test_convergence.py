@@ -6,29 +6,29 @@ import pytest
 from zetascope.convergence import (
     C1_FIT_MAX_N,
     CLAIM_IDS,
+    IDENTITY_NS,
     LIMIT_TOL,
     ClaimResult,
     ConvergenceSeries,
-    Normalizer,
     Quantity,
     SweepPlan,
     derivative_ratio_limit,
-    doubling_ratio,
     fit_power_law,
     ratio_limit,
     sweep,
     verify_claims,
     _claims_for_zero,
     _dyadic_ns,
+    _normalized,
     _series_from_table,
     _value,
     _zero_table,
 )
 from zetascope import convergence
-from zetascope.errors import DegenerateSeriesError, DomainError
+from zetascope.errors import DegenerateRatioError, DegenerateSeriesError, DomainError
 from zetascope.euler_maclaurin import _remainder_rows
 from zetascope.functional_eq import h_hat_exact, small_g_2n, small_h_2n
-from zetascope.series import raw_sums_at, zeta_hat_partial
+from zetascope.series import N_CAP, raw_sums_at, zeta_hat_partial
 from zetascope.zeros import ZeroRecord
 
 from conftest import RHO_1
@@ -83,6 +83,20 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(Quantity.ZETA_HAT_AT_RHO, RHO_1, n0=n0, doublings=4)
 
+    @pytest.mark.parametrize("n0,doublings", [(64, 100_000), (64, 19), (N_CAP, 4), (64, 4.0)])
+    def test_grid_checked_before_any_work(self, n0, doublings):
+        # 2^100000 is never built: the check compares n0 with N_CAP >> doublings
+        with pytest.raises(DomainError):
+            sweep(Quantity.ZETA_HAT_AT_RHO, RHO_1, n0=n0, doublings=doublings)
+        with pytest.raises(DomainError):
+            derivative_ratio_limit(RHO_1, n0, doublings)
+        with pytest.raises(DomainError):
+            SweepPlan(n0=n0, doublings=doublings)
+
+    def test_grid_reaching_the_cap_is_accepted(self):
+        assert SweepPlan(n0=64, doublings=18).doublings == 18
+        assert _dyadic_ns(N_CAP >> 4, 4)[-1] == N_CAP
+
 
 class TestFitting:
     def test_exact_power_law_recovered(self):
@@ -110,21 +124,6 @@ class TestFitting:
         assert -1.65 <= fit.exponent <= -1.35
 
 
-class TestDoublingRatio:
-    def test_pairs_and_quantity_mapping(self):
-        pts = tuple((2**k, complex(2.0**-k, 0.0)) for k in range(6, 12))
-        ser = ConvergenceSeries(quantity=Quantity.H_HAT_N, rho=RHO_1, points=pts)
-        ratios = doubling_ratio(ser)
-        assert ratios.quantity is Quantity.H_HAT_DOUBLING_RATIO
-        assert all(v == pytest.approx(0.5, rel=1e-14) for _, v in ratios.points)
-
-    def test_needs_four_pairs(self):
-        pts = ((64, 1.0 + 0.0j), (128, 1.0 + 0.0j), (4096, 1.0 + 0.0j))
-        ser = ConvergenceSeries(quantity=Quantity.H_N, rho=RHO_1, points=pts)
-        with pytest.raises(DegenerateSeriesError):
-            doubling_ratio(ser)
-
-
 class TestRatioLimit:
     def test_plain_last_point(self):
         pts = tuple(
@@ -137,9 +136,15 @@ class TestRatioLimit:
 
     def test_normalized_limit_at_first_zero(self):
         ser = sweep(Quantity.H_N, RHO_1, n0=64, doublings=10)
-        lim = ratio_limit(ser, Normalizer.N_POW_1_MINUS_2RHO)
+        lim = ratio_limit(_normalized(ser))
         target = RHO_1 / (1.0 - RHO_1)
         assert abs(lim.limit - target) < 1e-3
+
+    def test_normalization_underflow_is_guarded(self):
+        # n^(1-2 rho) underflows to 0 at rho = 300, n = 2^24
+        ser = ConvergenceSeries(quantity=Quantity.H_N, rho=300 + 0j, points=((2**24, 1 + 0j),))
+        with pytest.raises(DegenerateRatioError):
+            _normalized(ser)
 
     def test_too_few_points(self):
         ser = ConvergenceSeries(
@@ -217,13 +222,15 @@ class TestVerifyClaims:
             verify_claims([])
 
     def test_error_containment(self, scanned_zeros):
-        # a plan whose sweep would be degenerate must yield failed rows,
-        # not an exception
+        # a plan whose C2 sweep would be degenerate (3 doublings) must yield
+        # a failed row, not an exception
         records, _ = scanned_zeros
-        bad_plan = SweepPlan(n0=64, doublings=4, identity_ns=(2**8,))
-        rows = verify_claims(records[:1], bad_plan)
+        rows = verify_claims(records[:1], SweepPlan(n0=64, doublings=4))
         assert len(rows) == 9
         assert all(isinstance(r, ClaimResult) for r in rows)
+        c2 = rows[CLAIM_IDS.index("C2")]
+        assert (c2.passed, c2.measured) == (False, "error")
+        assert "DomainError" in c2.detail
 
 
 def _zero(t: float, index: int = 1) -> ZeroRecord:
@@ -289,7 +296,7 @@ class TestSharedTable:
     def test_identity_sums_equal_standalone(self):
         plan = SweepPlan()
         _, at_rho, at_mirror = _zero_table(RHO_1, plan)
-        for n in plan.identity_ns:
+        for n in IDENTITY_NS:
             g = _value(Quantity.SMALL_G_2N, RHO_1, n, at_rho, at_mirror)
             h = _value(Quantity.SMALL_H_2N, RHO_1, n, at_rho, at_mirror)
             assert g == small_g_2n(RHO_1, n)
@@ -309,3 +316,19 @@ class TestSharedTable:
         assert [r.claim for r in rows] == list(CLAIM_IDS)
         assert all(not r.passed for r in rows)
         assert all("DomainError" in r.detail for r in rows[:6])
+        # C7/C8 ask for the remainders before the table
+        assert all(r.detail.startswith("WindowError: ") for r in rows[6:8])
+        assert all(
+            (r.expected, r.measured, math.isnan(r.tolerance)) == ("", "error", True)
+            for r in rows[:8]
+        )
+        assert rows[8].measured == "nan"
+
+    def test_off_line_point_fails_all_but_c2(self):
+        rows = _claims_for_zero(
+            ZeroRecord(index=7, t=20.0, rho=complex(0.6, 20.0), bracket=(20.0, 20.0), residual=0.0),
+            SweepPlan(),
+        )
+        assert [r.claim for r in rows if r.passed] == ["C2"]
+        assert all(r.zero_index == 7 for r in rows)
+        assert rows[8].measured == "0.870550563"

@@ -16,8 +16,6 @@ from zetascope.errors import (
 from zetascope import euler_maclaurin
 from zetascope.euler_maclaurin import (
     EulerMaclaurinConfig,
-    ValidityWindow,
-    check_window,
     remainder,
     remainder_with_bound,
     zeta_hat_reference,
@@ -54,17 +52,13 @@ class TestConfig:
 
 class TestWindow:
     def test_real_axis_always_inside(self):
-        assert check_window(2.0 + 0.0j, 10, ValidityWindow(C=2.0))
+        assert 0.0 <= EulerMaclaurinConfig(window_C=2.0).max_im(10)
 
     def test_high_ordinate_outside(self):
-        assert not check_window(complex(0.5, 100.0), 10, ValidityWindow(C=2.0))
+        assert not 100.0 <= EulerMaclaurinConfig(window_C=2.0).max_im(10)
 
     def test_first_zero_ordinate_inside_small_n(self):
-        assert check_window(complex(0.5, 14.13), 5, ValidityWindow(C=2.0))
-
-    def test_c_must_exceed_one(self):
-        with pytest.raises(ConfigError):
-            ValidityWindow(C=0.9)
+        assert 14.13 <= EulerMaclaurinConfig(window_C=2.0).max_im(5)
 
 
 class TestRemainder:

@@ -48,6 +48,23 @@ class TestExactFactor:
     def test_unit_modulus_on_the_line(self, t):
         assert abs(h_hat_exact(complex(0.5, t))) == pytest.approx(1.0, rel=1e-11)
 
+    @given(
+        x=st.floats(-3.3, 2.5),
+        t=st.floats(1.0, 1000.0),
+        lower=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_against_mpmath_up_to_t_1000(self, x, t, lower):
+        # sin(pi z / 2) alone overflows from |Im z| ~ 453; the factor must not
+        mpmath = pytest.importorskip("mpmath")
+        z = complex(x, -t if lower else t)
+        with mpmath.workdps(40):
+            w = mpmath.mpc(z.real, z.imag)
+            ref = complex(
+                2 * mpmath.gamma(1 - w) * (2 * mpmath.pi) ** (w - 1) * mpmath.sin(mpmath.pi * w / 2)
+            )
+        assert abs(h_hat_exact(z) - ref) <= 5e-12 * abs(ref)
+
     def test_zero_at_negative_even_integers(self):
         assert h_hat_exact(-2.0 + 0.0j) == 0.0 + 0.0j
         assert h_hat_exact(-6.0 + 0.0j) == 0.0 + 0.0j
