@@ -71,6 +71,7 @@ class RunConfig:
 
     def __post_init__(self):
         convergence._check_grid(self.n0, self.doublings)
+        zeros_mod._check_scan(self.t_min, self.t_max, self.step)
 
 
 #: the keys a config file may set: the em. keys set EulerMaclaurinConfig fields
@@ -209,12 +210,10 @@ def cmd_zeros(args, cfg: RunConfig) -> int:
     t_min = args.t_min if args.t_min is not None else cfg.t_min
     t_max = args.t_max if args.t_max is not None else cfg.t_max
     step = args.step if args.step is not None else cfg.step
-    if not t_min < t_max:
-        print(
-            f"usage error: need t_min < t_max, got ({t_min}, {t_max})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    try:
+        zeros_mod._check_scan(t_min, t_max, step)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     records = zeros_mod.find_zeros(t_min, t_max, step, cfg.em)
     write_zeros_csv(records, Path(args.out))
     print(len(records))

@@ -31,6 +31,7 @@ from .functional_eq import (
     Quantity,
     _corrected_prime,
     _corrected_prime_bound,
+    _mirror,
     _ratio,
     _tables,
     _value,
@@ -158,9 +159,10 @@ def _derivative_ratio(
     )
 
 
-def _window_n0(rho: complex, n0: int, cfg: EulerMaclaurinConfig) -> int:
+def _window_n0(rho: complex, n0: int, cfg: EulerMaclaurinConfig, stacklevel: int) -> int:
     """Smallest n0 * 2^j that meets the validity window at rho, with one
-    warning when j > 0.
+    warning when j > 0. ``stacklevel`` counts the frames from here to the
+    caller of the public function, so the warning names the caller's line.
 
     Raises DomainError if no such n stays within N_CAP (as for a NaN or
     infinite Im rho).
@@ -176,13 +178,12 @@ def _window_n0(rho: complex, n0: int, cfg: EulerMaclaurinConfig) -> int:
         warnings.warn(
             f"n0={n0} violates the validity window for Im z={rho.imag}; "
             f"shifted to n0={n}",
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
     return n
 
 
 def _dyadic_ns(n0: int, doublings: int) -> list[int]:
-    _check_grid(n0, doublings)
     return [n0 * 2**k for k in range(doublings + 1)]
 
 
@@ -222,7 +223,9 @@ def _sweep_table(
     reads at rho and, if it needs them, at 1 - rho."""
     _check_grid(n0, doublings)
     rho = complex(rho)
-    ns = _dyadic_ns(_window_n0(rho, n0, cfg or EulerMaclaurinConfig()), doublings)
+    # the warning's frames: _window_n0, _sweep_table, sweep (or
+    # derivative_ratio_limit) and its caller
+    ns = _dyadic_ns(_window_n0(rho, n0, cfg or EulerMaclaurinConfig(), 4), doublings)
     return (rho, ns, *_tables(quantity, rho, ns))
 
 
@@ -342,31 +345,22 @@ def verify_claims(
     return results
 
 
-def _conjugate(sums: RawSums) -> RawSums:
-    return RawSums(*(None if v is None else v.conjugate() for v in sums))
-
-
 def _zero_table(
     rho: complex, plan: SweepPlan
 ) -> tuple[int, dict[int, RawSums], dict[int, RawSums]]:
     """The window-shifted n0 and every partial sum the claims read at one zero.
 
     One pass at rho, with the derivative, reaches the dyadic ns and the 2n
-    of the C1 fit points (n <= C1_FIT_MAX_N) and of the identity checks.
-    On the critical line 1 - rho is exactly conj(rho), and every term of the
-    pass is conjugated exactly (cos is even, sin odd, Sum2 and fsum are
-    sign-symmetric), so the table at 1 - rho is the conjugate of the one at
-    rho; off the line 1 - rho gets its own pass over the ns.
+    of the C1 fit points (n <= C1_FIT_MAX_N) and of the identity checks;
+    the table at 1 - rho (``_mirror``) covers the ns.
     """
-    n0 = _window_n0(rho, plan.n0, plan.cfg)
+    # the warning's frames: _window_n0, _zero_table, _claims_for_zero,
+    # verify_claims and its caller
+    n0 = _window_n0(rho, plan.n0, plan.cfg, 5)
     ns = _dyadic_ns(n0, plan.doublings)
     doubled = [n for n in ns if n <= C1_FIT_MAX_N] + list(IDENTITY_NS)
     at_rho = raw_sums_at(rho, {*ns, *(2 * n for n in doubled)}, True)
-    if rho.real == 0.5:
-        at_mirror = {n: _conjugate(at_rho[n]) for n in ns}
-    else:
-        at_mirror = raw_sums_at(1.0 - rho, ns, True)
-    return n0, at_rho, at_mirror
+    return n0, at_rho, _mirror(rho, at_rho, ns, True)
 
 
 #: what one check measured: expected, measured, tolerance, passed, detail

@@ -2,10 +2,11 @@
 
 Each finite-n quantity the claims study is one row of ``_value``, which reads
 sums tables at rho and at 1 - rho; ``_tables`` builds the smallest tables a
-quantity reads. The sweeps and claims in ``convergence`` and the one-point
-functions below all read these two, so each formula is written once. The
-regularized-sum pieces the rows share (``_tail``, ``_hat``, ``_hat_prime``)
-live in ``series``. h_hat_exact is the exact factor H_hat_n tends to.
+quantity reads, and ``_mirror`` is the one rule for the table at 1 - rho. The
+sweeps and claims in ``convergence`` and the one-point functions below all
+read these, so each formula is written once. The regularized-sum pieces the
+rows share (``_tail``, ``_hat``, ``_hat_prime``) live in ``series``.
+h_hat_exact is the exact factor H_hat_n tends to.
 """
 
 from __future__ import annotations
@@ -51,19 +52,26 @@ _READS_DERIV = (Quantity.DERIV_RATIO, Quantity.DERIV_RATIO_CORRECTED)
 _READS_MIRROR = set(Quantity) - {Quantity.ZETA_HAT_AT_RHO, Quantity.SMALL_H_2N, Quantity.SMALL_G_2N}
 
 
+def _mirror(
+    rho: complex, at_rho: dict[int, RawSums], ns: Sequence[int], derivative: bool
+) -> dict[int, RawSums]:
+    """The sums table at 1 - rho for each n of ``ns``: on the critical line,
+    where 1 - rho = conj(rho), the conjugate of ``at_rho``, bit for bit (the
+    pass is sign-symmetric; see ``series``); off it, a pass of its own."""
+    if rho.real == 0.5:
+        return {n: RawSums(*(None if v is None else v.conjugate() for v in at_rho[n])) for n in ns}
+    return raw_sums_at(1.0 - rho, ns, include_derivative=derivative)
+
+
 def _tables(
     quantity: Quantity, rho: complex, ns: Sequence[int]
 ) -> tuple[dict[int, RawSums], dict[int, RawSums] | None]:
     """The sums tables ``quantity`` reads at every n of ``ns``: one pass at
-    rho and, if it reads one, one at 1 - rho."""
+    rho and, if it reads one, the table at 1 - rho."""
     checkpoints = sorted(set(ns) | {2 * n for n in ns}) if quantity in _READS_2N else ns
     deriv = quantity in _READS_DERIV
     at_rho = raw_sums_at(rho, checkpoints, include_derivative=deriv)
-    at_mirror = (
-        raw_sums_at(1.0 - rho, checkpoints, include_derivative=deriv)
-        if quantity in _READS_MIRROR
-        else None
-    )
+    at_mirror = _mirror(rho, at_rho, checkpoints, deriv) if quantity in _READS_MIRROR else None
     return at_rho, at_mirror
 
 

@@ -1,28 +1,27 @@
 """Finite-n zeta sums: plain, alternating, regularized, and their z-derivatives.
 
-Terms k**(-z) are evaluated with numpy on a fixed grid of chunks of at most
-2^12 terms, [j C + 1, (j + 1) C], the last one cut short at the largest
-checkpoint. Each chunk sums its six real components (zeta, xi and zeta',
-real and imaginary) with Sum2 of Ogita, Rump and Oishi, "Accurate sum and
-dot product" (SIAM J. Sci. Comput. 26(6), 2005): a running float sum plus
-the running sum of its error-free TwoSum corrections, which is as accurate
-as summing in twice the working precision. A snapshot at a checkpoint joins
-the completed chunks and the current chunk's prefix with ``math.fsum``,
-which is correctly rounded, so the value at n does not depend on which other
-checkpoints share the pass. Memory is a few chunk-sized arrays at any n.
-Everything is a pure function of (z, n) and safe to call concurrently.
-
-zeta_partial_array sums many short rows (z_i, n_i) at once, as the zero
-scan needs: the same kernel runs with a leading z axis over blocks of at
-most 2^12 terms per chunk (32 rows at n = 128), each row zero-padded past
-its own n. Adding +0.0 is exact and leaves no TwoSum error, so a row's sum
-never depends on its block-mates.
+One function, ``_sums``, computes every partial sum: rows of z, each summed to
+one or more n. Terms k**(-z) are evaluated with numpy on a fixed grid of
+chunks of at most 2^12 terms, [j C + 1, (j + 1) C], for a block of rows at
+once (32 rows at n = 128). Each chunk sums its six real components (zeta, xi
+and zeta', real and imaginary) with Sum2 of Ogita, Rump and Oishi, "Accurate
+sum and dot product" (SIAM J. Sci. Comput. 26(6), 2005): a running float sum
+plus the running sum of its error-free TwoSum corrections, which is as
+accurate as summing in twice the working precision. The sum at n is the
+column of the chunk that holds n, joined with copies of the last columns of
+the row's completed chunks: p + e in the first chunk, ``math.fsum`` past it.
+Both joins are correctly rounded, so the value at n depends neither on the
+other n of its row nor on the other rows of its block; a row shorter than
+its block is just not read past its n. Memory is a few chunk-sized arrays at
+any n. Everything is a pure function of (z, n) and safe to call
+concurrently. raw_sums_at reads one row at many n, as the sweeps and claims
+need; zeta_partial_array reads many rows at one n each, as the zero scan does.
 
 The pass is sign-symmetric: numpy's cos is even and its sin odd, and Sum2
 and fsum commute with negation, so the sums at conj(z) are the conjugates
-of the sums at z, bit for bit. On the critical line 1 - rho = conj(rho),
-and the claims read the table at 1 - rho as the conjugate of the one at rho
-(convergence._zero_table).
+of the sums at z, bit for bit. On the critical line 1 - rho = conj(rho), so
+the sweeps and claims read the table at 1 - rho as the conjugate of the one
+at rho (functional_eq._mirror).
 
 ``_tail``, ``_hat`` and ``_hat_prime`` write the regularized sum and its
 z-derivative once, over a RawSums; the quantities built from them are the
@@ -31,6 +30,7 @@ registry in functional_eq.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable, NamedTuple
 
@@ -63,11 +63,7 @@ def _check_n(n: int) -> None:
 
 
 def _chunk_prefix_sums(
-    z: np.ndarray,
-    lo: int,
-    hi: int,
-    components: int,
-    ends: np.ndarray | None = None,
+    z: np.ndarray, lo: int, hi: int, components: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum2 prefix sums of the terms k = lo+1..hi for each z of a 1-d array.
 
@@ -75,9 +71,7 @@ def _chunk_prefix_sums(
     the real components Re/Im of zeta, xi and zeta'. Column i of the running
     sum ``p`` and of the running TwoSum error ``e`` together hold the sum
     through k = lo+1+i. ``lo`` is a multiple of _CHUNK, so the odd columns
-    are the even k that xi subtracts. Terms with k > ends[j] are zero in
-    row j: adding +0.0 is exact and its TwoSum error is 0, so the sums past
-    ends[j] repeat the sum at ends[j] bit for bit.
+    are the even k that xi subtracts.
     """
     lk = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
     x = np.empty((z.size, components, hi - lo))
@@ -90,9 +84,6 @@ def _chunk_prefix_sums(
         x[:, 2:4, 1::2] *= -1.0
     if components > 4:
         np.multiply(-lk, x[:, 0:2], out=x[:, 4:6])
-    if ends is not None and ends.min() < hi:
-        past = np.arange(lo + 1, hi + 1) > ends[:, None]
-        np.copyto(x, 0.0, where=past[:, None, :])
     p = np.cumsum(x, axis=2)
     # TwoSum of (p[i-1], x[i]) -> p[i], in place: x becomes each add's exact
     # error (b - b_virtual) + (a - a_virtual), with one scratch array
@@ -106,103 +97,95 @@ def _chunk_prefix_sums(
     return p, np.cumsum(x, axis=2, out=x)
 
 
-def _snapshot(
-    z: complex, done: list[list[float]], p: np.ndarray, e: np.ndarray
-) -> RawSums:
-    """Correctly rounded join of the completed chunks and one prefix column."""
-    try:
-        v = [
-            math.fsum([*row, pi, ei])
-            for row, pi, ei in zip(done, p.tolist(), e.tolist())
-        ]
-    except (OverflowError, ValueError):  # intermediate overflow or inf - inf
-        v = [math.inf]
-    if not all(map(math.isfinite, v)):
-        raise SumOverflowError(f"partial sum overflowed at z={z}")
-    return RawSums(
-        zeta=complex(v[0], v[1]),
-        xi=complex(v[2], v[3]),
-        zeta_prime=complex(v[4], v[5]) if len(v) == 6 else None,
-    )
+def _sums(z: np.ndarray, row: np.ndarray, n: np.ndarray, components: int) -> np.ndarray:
+    """The first ``components`` real sums of z[row[i]] to n[i], for each i.
 
-
-def _check_z(z: np.ndarray) -> None:
+    Every row of the 1-d ``z`` has a pair; pairs come in row order, each
+    row's in n order. A block of several rows fits in one chunk, so the
+    pairs a chunk holds are the next run of that order. Raises
+    SumOverflowError (an OverflowError) if a sum leaves the finite floats.
+    """
     if not np.isfinite(z).all():
         raise DomainError(f"partial sums need a finite z, got {complex(z[~np.isfinite(z)][0])}")
+    n_max = int(n.max(initial=1))
+    if not (n.min(initial=1) >= 1 and n_max <= N_CAP):
+        raise DomainError(f"each n must lie in [1, {N_CAP}], got {n.min()}..{n.max()}")
+    out = np.empty((n.size, components))
+    rows = max(1, _CHUNK // min(n_max, _CHUNK))
+    block, local = np.divmod(row, rows)
+    blocks, ns = block.tolist(), n.tolist()
+    i = 0  # the next pair to read
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(-(-z.size // rows)):
+            zb = z[b * rows : (b + 1) * rows]
+            end = bisect.bisect_right(blocks, b, i)  # the block's pairs are i..end-1
+            top = max(ns[i:end])
+            # the last column of each completed chunk, copied: p, e, p, e, ...
+            done = np.empty((zb.size, components, 2 * -(-top // _CHUNK)))
+            for j, lo in enumerate(range(0, top, _CHUNK)):
+                hi = min(lo + _CHUNK, top)
+                p, e = _chunk_prefix_sums(zb, lo, hi, components)
+                k = bisect.bisect_right(ns, hi, i, end)
+                if k > i:  # the pairs whose n this chunk holds
+                    r, col = local[i:k], n[i:k] - (lo + 1)
+                    ps, es = p[r, :, col], e[r, :, col]
+                    if j == 0:
+                        out[i:k] = ps + es
+                    else:
+                        heads = done[r, :, : 2 * j].reshape(-1, 2 * j).tolist()
+                        cols = zip(heads, ps.ravel().tolist(), es.ravel().tolist())
+                        try:
+                            v = [math.fsum([*h, pc, ec]) for h, pc, ec in cols]
+                            out[i:k] = np.reshape(v, ps.shape)
+                        except (OverflowError, ValueError):  # intermediate overflow or inf - inf
+                            out[i:k] = math.inf
+                    i = k
+                if hi < top:
+                    done[:, :, 2 * j] = p[:, :, -1]
+                    done[:, :, 2 * j + 1] = e[:, :, -1]
+    if not np.isfinite(out).all():
+        bad = row[~np.isfinite(out).all(axis=1)][0]
+        raise SumOverflowError(f"partial sum overflowed at z={complex(z[bad])}")
+    return out
 
 
 def raw_sums_at(
     z: complex, checkpoints: Iterable[int], include_derivative: bool = False
 ) -> dict[int, RawSums]:
-    """One ascending compensated pass, snapshotting the sums at each checkpoint.
+    """The sums at each checkpoint, from one ascending compensated pass.
 
     ``checkpoints`` must be positive integers; they are deduplicated and
     visited in increasing order. Raises SumOverflowError (an OverflowError)
     if a sum leaves the finite floats.
     """
     z = complex(z)
-    zs = np.array([z])
-    _check_z(zs)
     ns = sorted(set(checkpoints))
     if not ns:
         raise DomainError("raw_sums_at needs at least one checkpoint")
     for n in ns:
         _check_n(n)
-    out: dict[int, RawSums] = {}
-    done: list[list[float]] = [[] for _ in range(6 if include_derivative else 4)]
-    pending = iter(ns)
-    next_cp = next(pending)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, ns[-1], _CHUNK):
-            hi = min(lo + _CHUNK, ns[-1])
-            (p,), (e,) = _chunk_prefix_sums(zs, lo, hi, len(done))
-            while next_cp is not None and next_cp <= hi:
-                i = next_cp - lo - 1
-                out[next_cp] = _snapshot(z, done, p[:, i], e[:, i])
-                next_cp = next(pending, None)
-            for row, pj, ej in zip(done, p[:, -1].tolist(), e[:, -1].tolist()):
-                row += (pj, ej)
-    return out
+    components = 6 if include_derivative else 4
+    v = _sums(np.array([z]), np.zeros(len(ns), dtype=np.int64), np.array(ns), components)
+    return {
+        n: RawSums(
+            zeta=complex(s[0], s[1]),
+            xi=complex(s[2], s[3]),
+            zeta_prime=complex(s[4], s[5]) if include_derivative else None,
+        )
+        for n, s in zip(ns, v.tolist())
+    }
 
 
 def zeta_partial_array(z, n) -> np.ndarray:
     """Sum_{k=1..n_i} k**(-z_i) for each pair of two equal-length 1-d arrays.
 
-    Rows are summed together in blocks of at most _CHUNK terms per chunk
-    (32 rows at n = 128), each row zero-padded past its own n, and
-    each row's chunk sums are joined as in raw_sums_at. A row's value is
-    therefore bit-identical to ``zeta_partial(z_i, n_i)`` whatever rows
-    share its block.
+    Each row's value is bit-identical to ``zeta_partial(z_i, n_i)``,
+    whatever rows share its block.
     """
     z = np.asarray(z, dtype=complex)
     n = np.asarray(n, dtype=np.int64)
-    _check_z(z)
-    if not ((n >= 1) & (n <= N_CAP)).all():
-        raise DomainError(f"each n must lie in [1, {N_CAP}], got {n.min()}..{n.max()}")
-    out = np.empty(z.shape, dtype=complex)
-    rows = max(1, _CHUNK // min(int(n.max(initial=1)), _CHUNK))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in range(0, z.size, rows):
-            zb, nb = z[r0 : r0 + rows], n[r0 : r0 + rows]
-            top = int(nb.max())
-            parts = []  # each chunk's final p and e, shape (rows, 2)
-            for lo in range(0, top, _CHUNK):
-                p, e = _chunk_prefix_sums(zb, lo, min(lo + _CHUNK, top), 2, nb)
-                parts += (p[..., -1], e[..., -1])
-            if len(parts) == 2:
-                v = parts[0] + parts[1]  # the exact sum rounded once, as fsum gives
-            else:
-                flat = np.stack(parts, axis=-1).reshape(-1, len(parts))
-                try:
-                    v = np.array([math.fsum(q) for q in flat.tolist()]).reshape(-1, 2)
-                except (OverflowError, ValueError):  # intermediate overflow or inf - inf
-                    v = np.full((zb.size, 2), math.inf)
-            bad = ~np.isfinite(v).all(axis=1)
-            if bad.any():
-                raise SumOverflowError(f"partial sum overflowed at z={complex(zb[bad][0])}")
-            block = out[r0 : r0 + rows]
-            block.real, block.imag = v.T
-    return out
+    # each row of the (rows, 2) result is one complex: (real, imag) in memory
+    return _sums(z, np.arange(z.size), n, 2).view(complex).reshape(z.shape)
 
 
 def _pow_n(n: int, z: complex) -> complex:

@@ -147,6 +147,15 @@ def _scan_blocks(t_min: float, t_max: float, step: float):
         yield np.array(block)
 
 
+def _check_scan(t_min: float, t_max: float, step: float) -> None:
+    """DomainError unless 0 < t_min < t_max <= 100 and 0 < step <= 0.25
+    (a NaN fails the comparisons)."""
+    if not 0 < t_min < t_max <= 100:
+        raise DomainError(f"need 0 < t_min < t_max <= 100, got ({t_min}, {t_max})")
+    if not 0 < step <= 0.25:
+        raise DomainError(f"scan step must be in (0, 0.25], got {step}")
+
+
 def find_zeros(
     t_min: float,
     t_max: float,
@@ -159,13 +168,7 @@ def find_zeros(
     identical inputs. Warns if found zeros sit suspiciously close relative
     to the scan step (a coarser scan could have missed a pair).
     """
-    if not 0 < t_min < t_max <= 100:
-        raise DomainError(
-            f"need 0 < t_min < t_max <= 100, got ({t_min}, {t_max})"
-        )
-    if not 0 < step <= 0.25:
-        raise DomainError(f"scan step must be in (0, 0.25], got {step}")
-
+    _check_scan(t_min, t_max, step)
     t_lo, z_lo, t_hi = [], [], []
     for t in _scan_blocks(t_min, t_max, step):
         z = hardy_z_array(t, cfg)

@@ -276,6 +276,22 @@ class TestBoundaryProbes:
         assert value in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t-min", "50", "--t-max", "10"],
+            ["--t-max", "200"],
+            ["--t-min", "-1"],
+            ["--step", "0"],
+            ["--step", "nan"],
+        ],
+    )
+    def test_bad_scan_range_is_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "zeros.csv"
+        assert main(["zeros", *flags, "--out", str(out)]) == EXIT_USAGE
+        assert flags[-1] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_h_hat_beyond_the_sine_overflow_evaluates(self, capsys):
         assert main(["eval", "--what", "H_hat", "--z", "0.5+500i"]) == EXIT_OK
         # on the critical line |H_hat| = 1

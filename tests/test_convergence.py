@@ -24,10 +24,10 @@ from zetascope.convergence import (
     _value,
     _zero_table,
 )
-from zetascope import convergence
+from zetascope import convergence, functional_eq, series
 from zetascope.errors import DegenerateRatioError, DegenerateSeriesError, DomainError
 from zetascope.euler_maclaurin import _remainder_rows
-from zetascope.functional_eq import h_hat_exact, small_g_2n, small_h_2n
+from zetascope.functional_eq import h_hat_exact, h_hat_n, small_g_2n, small_h_2n
 from zetascope.series import N_CAP, raw_sums_at, zeta_hat_partial
 from zetascope.zeros import ZeroRecord
 
@@ -221,20 +221,48 @@ class TestVerifyClaims:
         with pytest.raises(DomainError):
             verify_claims([])
 
-    def test_error_containment(self, scanned_zeros):
-        # a plan whose C2 sweep would be degenerate (3 doublings) must yield
-        # a failed row, not an exception
+    def test_error_containment(self, scanned_zeros, monkeypatch):
+        # a table build that raises must yield failed rows, not an exception
+        def broken(rho, plan):
+            raise DomainError("table build failed")
+
+        monkeypatch.setattr(convergence, "_zero_table", broken)
         records, _ = scanned_zeros
-        rows = verify_claims(records[:1], SweepPlan(n0=64, doublings=4))
+        rows = verify_claims(records[:1])
         assert len(rows) == 9
         assert all(isinstance(r, ClaimResult) for r in rows)
+        assert all(
+            (r.passed, r.measured, r.detail) == (False, "error", "DomainError: table build failed")
+            for r in rows[:8]
+        )
+        assert rows[8].passed
+
+    def test_c2_at_four_doublings_measures_the_ratio(self, scanned_zeros):
+        # C2 reads its ratio series one doubling short, at n0 * 2^3
+        records, _ = scanned_zeros
+        rows = verify_claims(records[:1], SweepPlan(n0=64, doublings=4))
         c2 = rows[CLAIM_IDS.index("C2")]
-        assert (c2.passed, c2.measured) == (False, "error")
-        assert "DomainError" in c2.detail
+        assert c2.measured != "error"
+        assert c2.detail == f"|H_hat_2n/H_hat_n| at n={64 * 2**3}"
+        assert abs(float(c2.measured) - 1.0) <= LIMIT_TOL
 
 
 def _zero(t: float, index: int = 1) -> ZeroRecord:
     return ZeroRecord(index=index, t=t, rho=complex(0.5, t), bracket=(t, t), residual=0.0)
+
+
+def _count_passes(monkeypatch) -> list[complex]:
+    """The z of every raw_sums_at pass from here on, in every module that
+    binds the function."""
+    calls = []
+
+    def counting(z, checkpoints, include_derivative=False):
+        calls.append(z)
+        return raw_sums_at(z, checkpoints, include_derivative)
+
+    for module in (series, functional_eq, convergence):
+        monkeypatch.setattr(module, "raw_sums_at", counting)
+    return calls
 
 
 class TestSharedTable:
@@ -270,16 +298,24 @@ class TestSharedTable:
 
     @pytest.mark.parametrize("rho,passes", [(RHO_1, 1), (complex(0.6, 20.0), 2)])
     def test_passes_per_zero(self, monkeypatch, rho, passes):
-        calls = []
-
-        def counting(z, checkpoints, include_derivative=False):
-            calls.append(z)
-            return raw_sums_at(z, checkpoints, include_derivative)
-
-        monkeypatch.setattr(convergence, "raw_sums_at", counting)
+        calls = _count_passes(monkeypatch)
         _, at_rho, at_mirror = _zero_table(rho, SweepPlan())
         assert calls == [rho, 1.0 - rho][:passes]
         assert at_mirror[1024] == raw_sums_at(1.0 - rho, (1024,), True)[1024]
+
+    @pytest.mark.parametrize("rho,passes", [(RHO_1, 1), (complex(0.6, 20.0), 2)])
+    def test_sweep_passes(self, monkeypatch, rho, passes):
+        calls = _count_passes(monkeypatch)
+        ser = sweep(Quantity.H_HAT_N, rho, 64, 10)
+        assert calls == [rho, 1.0 - rho][:passes]
+        del calls[:]
+        h_hat_n(rho, 1024)
+        assert calls == [rho, 1.0 - rho][:passes]
+        ns = ser.ns()
+        at_rho, at_mirror = raw_sums_at(rho, ns), raw_sums_at(1.0 - rho, ns)
+        for n, v in ser.points:
+            want = _value(Quantity.H_HAT_N, rho, n, at_rho, at_mirror)
+            assert (v.real.hex(), v.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_identity_claims_share_one_remainder_call(self, monkeypatch):
         calls = []
@@ -310,6 +346,16 @@ class TestSharedTable:
         shifts = [w for w in caught if "validity window" in str(w.message)]
         assert len(shifts) == 2
         assert all(r.measured != "error" for r in rows if r.claim != "C6")
+
+    def test_window_shift_warning_names_the_caller(self):
+        rho = complex(0.5, 40.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(Quantity.ZETA_HAT_AT_RHO, rho, n0=2, doublings=4)
+            derivative_ratio_limit(rho, 2, 4)
+            verify_claims([_zero(40.0)], SweepPlan(n0=2, doublings=4))
+        shifts = [w for w in caught if "validity window" in str(w.message)]
+        assert [w.filename for w in shifts] == [__file__] * 3
 
     def test_non_finite_zero_gives_failed_rows(self):
         rows = _claims_for_zero(_zero(math.nan), SweepPlan())

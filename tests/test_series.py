@@ -228,6 +228,9 @@ class TestCheckpointIndependence:
             alone = raw_sums_at(z, (m,), include_derivative=True)[m]
             assert _bits(shared[m]) == _bits(alone)
             assert _bits(raw_sums_at(z, (m,))[m]) == _bits(alone)[:4]
+            # the array wrapper reads the same chunked sums: the same bits for zeta
+            (row,) = zeta_partial_array([z], [m]).tolist()
+            assert (row.real.hex(), row.imag.hex()) == _bits(alone)[:2]
 
 
 class TestZetaPartialArray:

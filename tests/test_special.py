@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetascope.errors import ConfigError, DomainError, PoleError
@@ -114,6 +114,26 @@ class TestLogGammaArray:
     def test_pole_in_one_element(self):
         with pytest.raises(PoleError, match="-2.0"):
             log_gamma_array([complex(1.0, 3.0), complex(-2.0, 0.0)])
+
+
+#: the strip of the mpmath oracle test: Re z in [-5, 5], |Im z| <= 1000
+wide_z = st.builds(complex, st.floats(-5.0, 5.0), st.floats(-1000.0, 1000.0))
+
+
+class TestLogGammaOracle:
+    @given(zs=st.lists(wide_z, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_against_mpmath(self, zs):
+        mpmath = pytest.importorskip("mpmath")
+        assume(not any(z.imag == 0.0 and z.real == math.floor(z.real) <= 0.0 for z in zs))
+        got = log_gamma_array(zs)
+        for z, g in zip(zs, got.tolist()):
+            scalar = log_gamma(z)
+            assert (g.real.hex(), g.imag.hex()) == (scalar.real.hex(), scalar.imag.hex())
+            with mpmath.workdps(30):
+                ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+                err = abs(mpmath.mpc(scalar.real, scalar.imag) - ref)
+                assert err <= 1e-14 * max(1, abs(ref)), z
 
 
 def mpmath_gamma(z: complex):
