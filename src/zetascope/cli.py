@@ -147,20 +147,17 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     elif args.re is not None:
         z = complex(args.re, args.im or 0.0)
     else:
-        print("usage error: provide --z or --re/--im", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("provide --z or --re/--im")
     if args.what not in _QUANTITIES:
-        print(
-            f"usage error: unknown quantity {args.what!r}; choose from "
-            + ", ".join(_QUANTITIES),
-            file=sys.stderr,
+        raise UsageError(
+            f"unknown quantity {args.what!r}; choose from " + ", ".join(_QUANTITIES)
         )
-        return EXIT_USAGE
-    n = args.n if args.n is not None else 1024
+    if not 1 <= args.n <= series.N_CAP:
+        raise UsageError(f"--n must lie in [1, {series.N_CAP}], got {args.n}")
     fn, depends_on_n = _QUANTITIES[args.what]
-    print(format_value(fn(z, n, cfg.em)))
+    print(format_value(fn(z, args.n, cfg.em)))
     if depends_on_n:
-        print(f"n = {n}")
+        print(f"n = {args.n}")
     return EXIT_OK
 
 
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--re", type=float, help="real part (alternative to --z)")
     p_eval.add_argument("--im", type=float, help="imaginary part")
     p_eval.add_argument("--what", required=True, help="quantity name")
-    p_eval.add_argument("--n", type=int, help="truncation length for finite sums")
+    p_eval.add_argument("--n", type=int, default=1024, help="truncation length for finite sums")
 
     p_zeros = sub.add_parser("zeros", help="scan for critical-line zeros")
     p_zeros.add_argument("--t-min", type=float, dest="t_min")
@@ -334,7 +331,13 @@ def main(argv: list[str] | None = None) -> int:
         "report": cmd_report,
     }
     try:
-        return handlers[args.command](args, cfg)
+        code = handlers[args.command](args, cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,10 +5,11 @@ the regularized zeta function in Re z > 0. The Hardy-Littlewood validity
 window |Im z| <= 2 pi n / C that gates both is written once, as
 ``EulerMaclaurinConfig.max_im``; the convergence sweeps read it too.
 
-The remainder and the reference are written once, over 1-d arrays of z:
-every element runs its own stopping rule, window check and n-doubling in
-lockstep with the others. remainder_with_bound and zeta_hat_reference are
-one-element calls into that code.
+The remainder and the reference are written once, over 1-d arrays of z. The
+remainder builds one table of every element's depth + 1 terms per call and
+reads each element's stop, value and bound from it by index; the reference
+doubles the n of each element whose remainder diverges. remainder_with_bound
+and zeta_hat_reference are one-element calls into that code.
 """
 
 from __future__ import annotations
@@ -76,11 +77,10 @@ def _remainder_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """R_n(z) for each row (z_i, n_i): value, bound, terms used, diverged.
 
-    Every row runs the recurrence of remainder_with_bound with its own
-    stopping rule and leaves the lockstep loop when that rule fires; a row
-    whose series grew before meeting the target is flagged as diverged,
-    with its partial value and bound. Raises DomainError or WindowError
-    naming the first offending row.
+    Each row stops by the rule of remainder_with_bound, read off one table
+    of its depth + 1 terms; a row whose series grew before meeting the
+    target is flagged as diverged, with its partial value and bound. Raises
+    DomainError or WindowError naming the first offending row.
     """
     bad = ~(z.real > 0)
     if bad.any():
@@ -92,34 +92,31 @@ def _remainder_rows(
             f"|Im z|={abs(z[i].imag):.6g} exceeds the window 2*pi*{n[i]}/{cfg.window_C}"
         )
     b2k = bernoulli_numbers(cfg.depth + 1)  # the bound reads one term past depth
+    coeff = np.array([b / math.factorial(2 * j) for j, b in enumerate(b2k, start=1)])
+    k = np.arange(1, cfg.depth + 2)
     ln_n = np.log(n.astype(np.float64))
-    acc = np.zeros(z.shape, dtype=complex)
-    poch = z.copy()  # (z)(z+1)...(z+2k-2), grown incrementally
-    prev_mod = np.full(z.shape, math.inf)
-    bound = np.zeros(z.shape)
-    terms = np.zeros(z.shape, dtype=np.int64)
-    diverged = np.zeros(z.shape, dtype=bool)
-    active = np.ones(z.shape, dtype=bool)
-    k = 1
-    while active.any():
-        coeff = b2k[k - 1] / math.factorial(2 * k)
-        term = coeff * poch * _pow_neg(ln_n, z + (2 * k - 1))
+    # columns past a row's stop may overflow at large |z|; they are never read
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (z)(z+1)...(z+2k-2), one elementwise product per column: np.cumprod
+        # can round complex products differently
+        poch = [z]
+        for j in range(1, cfg.depth + 1):
+            poch.append(poch[-1] * ((z + (2 * j - 1)) * (z + 2 * j)))
+        term = coeff * np.stack(poch, axis=1) * _pow_neg(ln_n[:, None], z[:, None] + (2 * k - 1))
         mod = np.abs(term)
-        # asymptotic divergence onset, or depth exhausted: stop before this term
-        growing = active & (mod >= prev_mod)
-        stop = growing | (active & (k > cfg.depth))
-        diverged |= growing & (mod > cfg.target_rel_error * np.abs(acc))
-        bound[stop], terms[stop] = mod[stop], k - 1
-        active &= ~stop
-        acc = np.where(active, acc + term, acc)
-        prev_mod = mod
-        # converged; next term is smaller still, so mod is a safe bound
-        met = active & (mod <= cfg.target_rel_error * np.abs(acc))
-        bound[met], terms[met] = mod[met], k
-        active &= ~met
-        poch = poch * ((z + (2 * k - 1)) * (z + 2 * k))
-        k += 1
-    return acc, bound, terms, diverged
+        first = np.zeros((z.size, 1))
+        acc = np.cumsum(np.concatenate((first, term), axis=1), axis=1)  # acc[:, k]: terms 1..k
+        # a term that does not shrink, or term depth + 1, stops its row
+        # unadded; else the row stops once an added term meets the target
+        growing = mod >= np.concatenate((first + math.inf, mod[:, :-1]), axis=1)
+        stop = growing | (k > cfg.depth)
+        met = ~stop & (mod <= cfg.target_rel_error * np.abs(acc[:, 1:]))
+    rows = np.arange(z.size)
+    last = np.argmax(stop | met, axis=1)  # the column each row stops at
+    terms = last + met[rows, last]
+    value, bound = acc[rows, terms], mod[rows, last]
+    diverged = growing[rows, last] & (bound > cfg.target_rel_error * np.abs(value))
+    return value, bound, terms, diverged
 
 
 def _diverged_error(row: int, acc, bound, terms) -> PrecisionNotReachedError:

@@ -3,25 +3,25 @@
 One function, ``_sums``, computes every partial sum: rows of z, each summed to
 one or more n. Terms k**(-z) are evaluated with numpy on a fixed grid of
 chunks of at most 2^12 terms, [j C + 1, (j + 1) C], for a block of rows at
-once (32 rows at n = 128). Each chunk sums its six real components (zeta, xi
-and zeta', real and imaginary) with Sum2 of Ogita, Rump and Oishi, "Accurate
-sum and dot product" (SIAM J. Sci. Comput. 26(6), 2005): a running float sum
-plus the running sum of its error-free TwoSum corrections, which is as
-accurate as summing in twice the working precision. The sum at n is the
-column of the chunk that holds n, joined with copies of the last columns of
-the row's completed chunks: p + e in the first chunk, ``math.fsum`` past it.
-Both joins are correctly rounded, so the value at n depends neither on the
-other n of its row nor on the other rows of its block; a row shorter than
-its block is just not read past its n. Memory is a few chunk-sized arrays at
-any n. Everything is a pure function of (z, n) and safe to call
-concurrently. raw_sums_at reads one row at many n, as the sweeps and claims
-need; zeta_partial_array reads many rows at one n each, as the zero scan does.
+once (32 rows at n = 128). Each row's six real components (zeta, xi and
+zeta', real and imaginary) are summed with Sum2 of Ogita, Rump and Oishi,
+"Accurate sum and dot product" (SIAM J. Sci. Comput. 26(6), 2005): a running
+float sum plus the running sum of its error-free TwoSum corrections, which is
+as accurate as summing in twice the working precision. A chunk takes both
+running sums from the chunk before in a leading column, so one Sum2 runs over
+the whole row and the sum at n is p + e at n's column, in any chunk. It
+depends neither on the other n of its row nor on the other rows of its
+block; a row shorter than its block is just not read past its n. Memory is
+a few chunk-sized arrays at any n. Everything is a pure function of (z, n)
+and safe to call concurrently. raw_sums_at reads one row at many n, as the
+sweeps and claims need; zeta_partial_array reads many rows at one n each, as
+the zero scan does.
 
 The pass is sign-symmetric: numpy's cos is even and its sin odd, and Sum2
-and fsum commute with negation, so the sums at conj(z) are the conjugates
-of the sums at z, bit for bit. On the critical line 1 - rho = conj(rho), so
-the sweeps and claims read the table at 1 - rho as the conjugate of the one
-at rho (functional_eq._mirror).
+commutes with negation, so the sums at conj(z) are the conjugates of the
+sums at z, bit for bit. On the critical line 1 - rho = conj(rho), so the
+sweeps and claims read the table at 1 - rho as the conjugate of the one at
+rho (functional_eq._mirror).
 
 ``_tail``, ``_hat`` and ``_hat_prime`` write the regularized sum and its
 z-derivative once, over a RawSums; the quantities built from them are the
@@ -63,27 +63,31 @@ def _check_n(n: int) -> None:
 
 
 def _chunk_prefix_sums(
-    z: np.ndarray, lo: int, hi: int, components: int
+    z: np.ndarray, lo: int, hi: int, p0: np.ndarray, e0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum2 prefix sums of the terms k = lo+1..hi for each z of a 1-d array.
+    """Sum2 prefix sums of the terms k = lo+1..hi for each z of a 1-d array,
+    carried on from the running sum ``p0`` and running error ``e0``.
 
-    Axis 0 runs over z; axis 1 over the first ``components`` (2, 4 or 6) of
+    Axis 0 runs over z; axis 1 over the components of ``p0`` (2, 4 or 6):
     the real components Re/Im of zeta, xi and zeta'. Column i of the running
     sum ``p`` and of the running TwoSum error ``e`` together hold the sum
-    through k = lo+1+i. ``lo`` is a multiple of _CHUNK, so the odd columns
-    are the even k that xi subtracts.
+    through k = lo+i; column 0 is the carry. ``lo`` is a multiple of _CHUNK,
+    so the even columns are the even k that xi subtracts.
     """
+    components = p0.shape[1]
     lk = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
-    x = np.empty((z.size, components, hi - lo))
+    x = np.empty((z.size, components, hi - lo + 1))
+    terms = x[..., 1:]
     phase = -z.imag[:, None] * lk
-    np.cos(phase, out=x[:, 0])
-    np.sin(phase, out=x[:, 1])
-    x[:, 0:2] *= np.exp(-z.real[:, None] * lk)[:, None]
+    np.cos(phase, out=terms[:, 0])
+    np.sin(phase, out=terms[:, 1])
+    terms[:, 0:2] *= np.exp(-z.real[:, None] * lk)[:, None]
     if components > 2:
-        x[:, 2:4] = x[:, 0:2]
-        x[:, 2:4, 1::2] *= -1.0
+        terms[:, 2:4] = terms[:, 0:2]
+        terms[:, 2:4, 1::2] *= -1.0
     if components > 4:
-        np.multiply(-lk, x[:, 0:2], out=x[:, 4:6])
+        np.multiply(-lk, terms[:, 0:2], out=terms[:, 4:6])
+    x[..., 0] = p0
     p = np.cumsum(x, axis=2)
     # TwoSum of (p[i-1], x[i]) -> p[i], in place: x becomes each add's exact
     # error (b - b_virtual) + (a - a_virtual), with one scratch array
@@ -93,7 +97,7 @@ def _chunk_prefix_sums(
     np.subtract(s, virtual, out=virtual)  # a_virtual
     np.subtract(a, virtual, out=virtual)
     b += virtual
-    x[..., 0] = 0.0
+    x[..., 0] = e0
     return p, np.cumsum(x, axis=2, out=x)
 
 
@@ -120,29 +124,17 @@ def _sums(z: np.ndarray, row: np.ndarray, n: np.ndarray, components: int) -> np.
             zb = z[b * rows : (b + 1) * rows]
             end = bisect.bisect_right(blocks, b, i)  # the block's pairs are i..end-1
             top = max(ns[i:end])
-            # the last column of each completed chunk, copied: p, e, p, e, ...
-            done = np.empty((zb.size, components, 2 * -(-top // _CHUNK)))
-            for j, lo in enumerate(range(0, top, _CHUNK)):
+            carry = np.zeros((2, zb.size, components))
+            for lo in range(0, top, _CHUNK):
                 hi = min(lo + _CHUNK, top)
-                p, e = _chunk_prefix_sums(zb, lo, hi, components)
-                k = bisect.bisect_right(ns, hi, i, end)
-                if k > i:  # the pairs whose n this chunk holds
-                    r, col = local[i:k], n[i:k] - (lo + 1)
-                    ps, es = p[r, :, col], e[r, :, col]
-                    if j == 0:
-                        out[i:k] = ps + es
-                    else:
-                        heads = done[r, :, : 2 * j].reshape(-1, 2 * j).tolist()
-                        cols = zip(heads, ps.ravel().tolist(), es.ravel().tolist())
-                        try:
-                            v = [math.fsum([*h, pc, ec]) for h, pc, ec in cols]
-                            out[i:k] = np.reshape(v, ps.shape)
-                        except (OverflowError, ValueError):  # intermediate overflow or inf - inf
-                            out[i:k] = math.inf
-                    i = k
-                if hi < top:
-                    done[:, :, 2 * j] = p[:, :, -1]
-                    done[:, :, 2 * j + 1] = e[:, :, -1]
+                p, e = _chunk_prefix_sums(zb, lo, hi, *carry)
+                k = bisect.bisect_right(ns, hi, i, end)  # the pairs whose n this chunk holds
+                r, col = local[i:k], n[i:k] - lo
+                out[i:k] = p[r, :, col] + e[r, :, col]
+                i = k
+                # copies, so the next chunk is built with this one freed
+                carry = p[..., -1].copy(), e[..., -1].copy()
+                del p, e
     if not np.isfinite(out).all():
         bad = row[~np.isfinite(out).all(axis=1)][0]
         raise SumOverflowError(f"partial sum overflowed at z={complex(z[bad])}")

@@ -6,13 +6,13 @@ its sign changes bracket the on-line zeros, which bisection then refines.
 Z is evaluated over whole arrays of ordinates (hardy_z_array): theta, the
 Euler-Maclaurin reference and the leakage check each run once per array,
 and the partial sums of all ordinates share blocked numpy passes
-(series.zeta_partial_array). find_zeros builds the scan grid one step at a
-time, evaluates Z on it one call per block of _SCAN_BLOCK steps, then
-bisects every bracket in lockstep: each step is one call over the brackets
-still open, each bracket stops by its own rules, and one more call takes
-the residuals. A row's value never depends on the other
-rows of its array, so the scalar hardy_z (a one-element call) and the scan
-agree bit for bit.
+(series.zeta_partial_array). find_zeros builds the scan grid as one
+running sum of the step, bounded before any work, evaluates Z on it one call
+per block of _SCAN_BLOCK steps, then bisects every bracket in lockstep: each
+step is one call over the brackets still open, each bracket stops by its own
+rules, and one more call takes the residuals. A row's value never depends on
+the other rows of its array, so the scalar hardy_z (a one-element call) and
+the scan agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ BRACKET_WIDTH = 1e-12
 #: while keeping the per-call cost of the remainder loop small (the partial
 #: sums inside a call are blocked separately, 32 rows at n = 128)
 _SCAN_BLOCK = 256
+
+#: the most points a scan grid may hold: bounds the scan's work before it starts
+_MAX_SCAN_POINTS = 2**20
 
 #: warn when consecutive zeros sit closer than this many scan steps
 _MIN_SEPARATION_STEPS = 4
@@ -133,27 +136,34 @@ def _bisect(
         open_[rows] = ~exact & (t_hi[rows] - t_lo[rows] > BRACKET_WIDTH)
 
 
-def _scan_blocks(t_min: float, t_max: float, step: float):
-    """The scan grid t_min, t_min + step, ... capped at t_max, built one step
-    at a time, in arrays of at most _SCAN_BLOCK + 1 points that each start
-    at the previous array's last point."""
-    block = [t_min]
-    while block[-1] < t_max:
-        block.append(min(block[-1] + step, t_max))
-        if len(block) > _SCAN_BLOCK:
-            yield np.array(block)
-            block = block[-1:]
-    if len(block) > 1:
-        yield np.array(block)
-
-
-def _check_scan(t_min: float, t_max: float, step: float) -> None:
-    """DomainError unless 0 < t_min < t_max <= 100 and 0 < step <= 0.25
-    (a NaN fails the comparisons)."""
+def _check_scan(t_min: float, t_max: float, step: float) -> int:
+    """A bound on the scan grid's points; DomainError unless 0 < t_min <
+    t_max <= 100, 0 < step <= 0.25 (a NaN fails the comparisons), the step is
+    at least twice the float spacing u at t_max, and the bound is at most
+    _MAX_SCAN_POINTS. An add that stays below t_max rounds by at most u / 2,
+    so it moves t by more than step - u; the second extra point absorbs the
+    bound's own rounding."""
     if not 0 < t_min < t_max <= 100:
         raise DomainError(f"need 0 < t_min < t_max <= 100, got ({t_min}, {t_max})")
     if not 0 < step <= 0.25:
         raise DomainError(f"scan step must be in (0, 0.25], got {step}")
+    if not step >= 2 * math.ulp(t_max):
+        raise DomainError(f"scan step {step} is below twice the float spacing at t_max={t_max}")
+    points = math.ceil((t_max - t_min) / (step - math.ulp(t_max))) + 2
+    if points > _MAX_SCAN_POINTS:
+        raise DomainError(
+            f"scan step {step} from {t_min} to {t_max} may need over {_MAX_SCAN_POINTS} points"
+        )
+    return points
+
+
+def _scan_grid(t_min: float, t_max: float, step: float) -> np.ndarray:
+    """t_min, t_min + step, ... as running sums, cut before the first that
+    reaches t_max, then t_max: the points of adding step one at a time."""
+    t = np.full(_check_scan(t_min, t_max, step), step)
+    t[0] = t_min
+    np.cumsum(t, out=t)
+    return np.append(t[: np.argmax(t >= t_max)], t_max)
 
 
 def find_zeros(
@@ -168,18 +178,15 @@ def find_zeros(
     identical inputs. Warns if found zeros sit suspiciously close relative
     to the scan step (a coarser scan could have missed a pair).
     """
-    _check_scan(t_min, t_max, step)
-    t_lo, z_lo, t_hi = [], [], []
-    for t in _scan_blocks(t_min, t_max, step):
-        z = hardy_z_array(t, cfg)
-        # a grid point exactly on a zero belongs to the bracket that ends there
-        prev, cur = z[:-1], z[1:]
-        i = np.flatnonzero((prev != 0.0) & ((cur == 0.0) | ((prev < 0) != (cur < 0))))
-        t_lo.append(t[i])
-        z_lo.append(z[i])
-        t_hi.append(t[i + 1])
-    t_lo, z_lo, t_hi = map(np.concatenate, (t_lo, z_lo, t_hi))
-    lo, hi = _bisect(t_lo, z_lo, t_hi, cfg)
+    t = _scan_grid(t_min, t_max, step)
+    z = np.empty_like(t)
+    for start in range(0, t.size - 1, _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK + 1)
+        z[block] = hardy_z_array(t[block], cfg)
+    # a grid point exactly on a zero belongs to the bracket that ends there
+    prev, cur = z[:-1], z[1:]
+    i = np.flatnonzero((prev != 0.0) & ((cur == 0.0) | ((prev < 0) != (cur < 0))))
+    lo, hi = _bisect(t[i], z[i], t[i + 1], cfg)
     t_zero = 0.5 * (lo + hi)
     residual = np.abs(zeta_hat_reference_array(_at_height(0.5, t_zero), cfg))
     records = [

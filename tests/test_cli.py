@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,23 @@ from zetascope.cli import (
     read_zeros_csv,
 )
 from zetascope.errors import ZetascopeError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _spawn(args, cwd, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """`zetascope ARGS` in a child process, so a hang fails on the timeout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, "-m", "zetascope.cli", *args],
+        cwd=cwd,
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
 
 
 class TestParsing:
@@ -291,6 +312,36 @@ class TestBoundaryProbes:
         assert main(["zeros", *flags, "--out", str(out)]) == EXIT_USAGE
         assert flags[-1] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--t-min", "10", "--t-max", "11", "--step", "1e-300"], "float spacing"),
+            (["--step", "1e-9"], "over 1048576 points"),
+        ],
+    )
+    def test_unbounded_scan_is_usage_error_at_once(self, flags, named, tmp_path):
+        proc = _spawn(["zeros", *flags], tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert named in proc.stderr
+        assert not (tmp_path / "zeros.csv").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-5", str(2**24 + 1)])
+    def test_n_out_of_range_is_usage_error(self, n, capsys):
+        assert main(["eval", "--what", "zeta_n", "--z", "2", "--n", n]) == EXIT_USAGE
+        assert f"--n must lie in [1, {2**24}], got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_usage_without_traceback(self, unbuffered, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            args = ["eval", "--what", "zeta_n", "--z", "2"]
+            proc = _spawn(args, tmp_path, write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == ""
 
     def test_h_hat_beyond_the_sine_overflow_evaluates(self, capsys):
         assert main(["eval", "--what", "H_hat", "--z", "0.5+500i"]) == EXIT_OK

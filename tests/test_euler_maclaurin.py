@@ -1,9 +1,10 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetascope.errors import (
@@ -243,6 +244,34 @@ def _loop_remainder(z: complex, n: int, cfg: EulerMaclaurinConfig):
         k += 1
 
 
+def _lockstep_remainder(z: np.ndarray, n: np.ndarray, cfg: EulerMaclaurinConfig):
+    """The same recurrence over arrays, one term per step for every row still
+    adding: (value, bound, terms, diverged)."""
+    b2k = bernoulli_numbers(cfg.depth + 1)
+    ln_n = np.log(n.astype(np.float64))
+    acc, poch = np.zeros(z.shape, dtype=complex), z.copy()
+    prev_mod, bound = np.full(z.shape, math.inf), np.zeros(z.shape)
+    terms, diverged = np.zeros(z.shape, dtype=np.int64), np.zeros(z.shape, dtype=bool)
+    active = np.ones(z.shape, dtype=bool)
+    k = 1
+    while active.any():
+        term = b2k[k - 1] / math.factorial(2 * k) * poch * np.exp(-(z + (2 * k - 1)) * ln_n)
+        mod = np.abs(term)
+        growing = active & (mod >= prev_mod)
+        stop = growing | (active & (k > cfg.depth))
+        diverged |= growing & (mod > cfg.target_rel_error * np.abs(acc))
+        bound[stop], terms[stop] = mod[stop], k - 1
+        active &= ~stop
+        acc = np.where(active, acc + term, acc)
+        prev_mod = mod
+        met = active & (mod <= cfg.target_rel_error * np.abs(acc))
+        bound[met], terms[met] = mod[met], k
+        active &= ~met
+        poch = poch * ((z + (2 * k - 1)) * (z + 2 * k))
+        k += 1
+    return acc, bound, terms, diverged
+
+
 class TestRemainderRowsAgainstLoop:
     @given(
         rows=st.lists(
@@ -271,3 +300,57 @@ class TestRemainderRowsAgainstLoop:
             assert (terms[i], diverged[i]) == (want[2], want[3])
             assert acc[i] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
             assert bound[i] == pytest.approx(want[1], rel=1e-13)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(0.05, 3.0),
+                st.sampled_from((-1.0, 1.0)),
+                st.sampled_from((10, 64, 1000, 4096, 2**14, 2**16)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        target=st.sampled_from((1e-12, 1e-6, 0.5)),
+    )
+    @example(rows=[(0.5, 1.0, 10), (0.5, -1.0, 4096), (3.0, 1.0, 2**16)], target=1e-12)
+    @settings(max_examples=30, deadline=None)
+    def test_window_edge_rows_at_full_depth(self, rows, target):
+        """At |Im z| = pi n and depth 30 the columns past a row's stop
+        overflow from n = 2^16 on; no warning escapes, and each row stops
+        as the scalar loop does."""
+        cfg = EulerMaclaurinConfig(depth=30, target_rel_error=target)
+        z = np.array([complex(re, sign * cfg.max_im(n)) for re, sign, n in rows])
+        n = np.array([r[2] for r in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc, bound, terms, diverged = euler_maclaurin._remainder_rows(z, n, cfg)
+        for i, (zi, ni) in enumerate(zip(z.tolist(), n.tolist())):
+            want = _loop_remainder(zi, ni, cfg)
+            assert (terms[i], diverged[i]) == (want[2], want[3])
+            assert acc[i] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
+            assert bound[i] == pytest.approx(want[1], rel=1e-13)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(0.05, 3.0),
+                st.floats(-1.0, 1.0),
+                st.sampled_from((10, 20, 50, 64, 128, 4096, 2**16)),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        depth=st.integers(1, 30),
+        target=st.sampled_from((1e-12, 1e-6, 0.5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_the_lockstep_loop_bit_for_bit(self, rows, depth, target):
+        cfg = EulerMaclaurinConfig(depth=depth, target_rel_error=target)
+        z = np.array([complex(re, frac * cfg.max_im(n)) for re, frac, n in rows])
+        n = np.array([r[2] for r in rows])
+        got = euler_maclaurin._remainder_rows(z, n, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # the loop grows stopped rows too
+            want = _lockstep_remainder(z, n, cfg)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()

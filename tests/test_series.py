@@ -265,3 +265,27 @@ class TestZetaPartialArray:
             zeta_partial_array([2.0], [0])
         with pytest.raises(DomainError):
             zeta_partial_array([2.0], [N_CAP + 1])
+
+
+class TestSum2AgainstFsum:
+    @given(
+        sigma=st.floats(-1.0, 3.0),
+        t=st.floats(-200.0, 200.0),
+        n=st.one_of(
+            st.sampled_from((4095, 4096, 4097, 8191, 8192, 8193)), st.integers(1, 20000)
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_component_within_one_ulp_of_fsum(self, sigma, t, n):
+        """Sum2 over the kernel's own float terms, carried across chunk
+        edges, is within 1 ulp of their correctly rounded sum."""
+        lk = np.log(np.arange(1, n + 1, dtype=np.float64))
+        scale = np.exp(-sigma * lk)
+        re, im = np.cos(-t * lk) * scale, np.sin(-t * lk) * scale
+        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # (-1)**(k-1)
+        terms = (re, im, sign * re, sign * im, -lk * re, -lk * im)
+        s = raw_sums_at(complex(sigma, t), (n,), include_derivative=True)[n]
+        got = (s.zeta, s.xi, s.zeta_prime)
+        for value, want in zip([c for v in got for c in (v.real, v.imag)], terms):
+            exact = math.fsum(want.tolist())
+            assert abs(value - exact) <= math.ulp(exact)

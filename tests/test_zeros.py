@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zetascope import zeros
@@ -142,6 +142,25 @@ class TestLockstepBisection:
         assert lo.size == hi.size == 0
 
 
+def _loop_grid(t_min: float, t_max: float, step: float) -> list[float]:
+    """The scan grid one step at a time: t_min, t_min + step, ... capped at t_max."""
+    grid = [t_min]
+    while grid[-1] < t_max:
+        grid.append(min(grid[-1] + step, t_max))
+    return grid
+
+
+@st.composite
+def _scans(draw):
+    """(t_min, t_max, step) with steps from 4 ulp(t_max), twice the smallest
+    step _check_scan accepts, and at most a few thousand points."""
+    t_max = draw(st.floats(1e-3, 100.0))
+    step = min(0.25, 4 * math.ulp(t_max) * 2.0 ** draw(st.floats(0.0, 60.0)))
+    t_min = t_max - step * draw(st.floats(0.5, 3000.0))
+    assume(t_min > 0)
+    return t_min, t_max, step
+
+
 class TestFindZeros:
     def test_count_and_ordering(self, scanned_zeros):
         records, _ = scanned_zeros
@@ -197,6 +216,27 @@ class TestFindZeros:
     def test_argument_validation(self, args):
         with pytest.raises(DomainError):
             find_zeros(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (10.0, 11.0, 1e-300),
+            (10.0, 11.0, math.ulp(11.0)),
+            (10.0, 50.0, 1e-9),
+            (10.0, 12.0, 1e-6),
+        ],
+    )
+    def test_unbounded_grid_refused(self, args):
+        # called on the check alone: a regression must not start the scan
+        with pytest.raises(DomainError, match="float spacing|points"):
+            zeros._check_scan(*args)
+
+    @given(scan=_scans())
+    @example(scan=(100.0 - 1e-11, 100.0, 4 * math.ulp(100.0)))
+    @example(scan=(1e-3, 100.0, 0.25))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_is_the_one_step_loop(self, scan):
+        assert zeros._scan_grid(*scan).tolist() == _loop_grid(*scan)
 
     def test_empty_window(self):
         # no zeros below t = 14; an empty scan is a valid result
