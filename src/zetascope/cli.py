@@ -30,21 +30,22 @@ REPORT_SCHEMA = 1
 
 
 class UsageError(ZetascopeError):
-    """A malformed input file; the command exits with EXIT_USAGE."""
+    """A bad flag, config value or input file; the command exits with EXIT_USAGE."""
 
 
-#: eval --what name -> (value at (z, n, Euler-Maclaurin config), whether it depends on n)
+#: eval --what name -> (value at (z, n, Euler-Maclaurin config), the multiple
+#: of n it sums to: 0 if it does not depend on n)
 _QUANTITIES = {
-    "zeta_n": (lambda z, n, em: series.zeta_partial(z, n), True),
-    "xi_n": (lambda z, n, em: series.xi_partial(z, n), True),
-    "zeta_hat_n": (lambda z, n, em: series.zeta_hat_partial(z, n), True),
-    "zeta_hat": (lambda z, n, em: zeta_hat_reference(z, em), False),
-    "H_hat": (lambda z, n, em: functional_eq.h_hat_exact(z), False),
-    "H_hat_n": (lambda z, n, em: functional_eq.h_hat_n(z, n), True),
-    "H_n": (lambda z, n, em: functional_eq.h_n(z, n), True),
-    "h_2n": (lambda z, n, em: functional_eq.small_h_2n(z, n), True),
-    "g_2n": (lambda z, n, em: functional_eq.small_g_2n(z, n), True),
-    "R_n": (lambda z, n, em: remainder(z, n, em), True),
+    "zeta_n": (lambda z, n, em: series.zeta_partial(z, n), 1),
+    "xi_n": (lambda z, n, em: series.xi_partial(z, n), 1),
+    "zeta_hat_n": (lambda z, n, em: series.zeta_hat_partial(z, n), 1),
+    "zeta_hat": (lambda z, n, em: zeta_hat_reference(z, em), 0),
+    "H_hat": (lambda z, n, em: functional_eq.h_hat_exact(z), 0),
+    "H_hat_n": (lambda z, n, em: functional_eq.h_hat_n(z, n), 1),
+    "H_n": (lambda z, n, em: functional_eq.h_n(z, n), 1),
+    "h_2n": (lambda z, n, em: functional_eq.small_h_2n(z, n), 2),
+    "g_2n": (lambda z, n, em: functional_eq.small_g_2n(z, n), 2),
+    "R_n": (lambda z, n, em: remainder(z, n, em), 1),
 }
 
 ZEROS_CSV_COLUMNS = (
@@ -60,7 +61,7 @@ ZEROS_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run-wide defaults; flags override file values."""
+    """Validated run-wide defaults; flags override file values; UsageError if out of range."""
 
     em: EulerMaclaurinConfig = field(default_factory=EulerMaclaurinConfig)
     n0: int = 64
@@ -70,8 +71,11 @@ class RunConfig:
     step: float = 0.05
 
     def __post_init__(self):
-        convergence._check_grid(self.n0, self.doublings)
-        zeros_mod._check_scan(self.t_min, self.t_max, self.step)
+        try:
+            convergence._check_grid(self.n0, self.doublings)
+            zeros_mod._check_scan(self.t_min, self.t_max, self.step)
+        except DomainError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 #: the keys a config file may set: the em. keys set EulerMaclaurinConfig fields
@@ -120,7 +124,7 @@ def parse_complex(text: str) -> complex:
     try:
         return complex(cleaned)
     except ValueError as exc:
-        raise ZetascopeError(f"cannot parse complex value {text!r}") from exc
+        raise UsageError(f"cannot parse complex value {text!r}") from exc
 
 
 def _format_real(x: float, signed: bool = False) -> str:
@@ -152,11 +156,12 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         raise UsageError(
             f"unknown quantity {args.what!r}; choose from " + ", ".join(_QUANTITIES)
         )
-    if not 1 <= args.n <= series.N_CAP:
-        raise UsageError(f"--n must lie in [1, {series.N_CAP}], got {args.n}")
-    fn, depends_on_n = _QUANTITIES[args.what]
+    fn, reach = _QUANTITIES[args.what]
+    cap = series.N_CAP // max(reach, 1)
+    if not 1 <= args.n <= cap:
+        raise UsageError(f"--n must lie in [1, {cap}], got {args.n}")
     print(format_value(fn(z, args.n, cfg.em)))
-    if depends_on_n:
+    if reach:
         print(f"n = {args.n}")
     return EXIT_OK
 
@@ -204,14 +209,7 @@ def read_zeros_csv(path: Path) -> list[ZeroRecord]:
 
 
 def cmd_zeros(args, cfg: RunConfig) -> int:
-    t_min = args.t_min if args.t_min is not None else cfg.t_min
-    t_max = args.t_max if args.t_max is not None else cfg.t_max
-    step = args.step if args.step is not None else cfg.step
-    try:
-        zeros_mod._check_scan(t_min, t_max, step)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-    records = zeros_mod.find_zeros(t_min, t_max, step, cfg.em)
+    records = zeros_mod.find_zeros(cfg.t_min, cfg.t_max, cfg.step, cfg.em)
     write_zeros_csv(records, Path(args.out))
     print(len(records))
     return EXIT_OK
@@ -219,24 +217,16 @@ def cmd_zeros(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     zeros_path = Path(args.zeros)
-    if not zeros_path.exists():
-        print(f"error: zeros file {zeros_path} does not exist", file=sys.stderr)
-        return EXIT_USAGE
     records = read_zeros_csv(zeros_path)
     if not records:
         raise UsageError(f"zeros file {zeros_path} holds no zeros")
-    n0 = args.n0 if args.n0 is not None else cfg.n0
-    doublings = args.doublings if args.doublings is not None else cfg.doublings
-    try:
-        plan = convergence.SweepPlan(n0=n0, doublings=doublings, cfg=cfg.em)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    plan = convergence.SweepPlan(n0=cfg.n0, doublings=cfg.doublings, cfg=cfg.em)
     rows = convergence.verify_claims(records, plan)
     report = {
         "schema": REPORT_SCHEMA,
         "run": {
-            "n0": n0,
-            "doublings": doublings,
+            "n0": cfg.n0,
+            "doublings": cfg.doublings,
             "zeros_file": str(zeros_path),
             "zero_count": len(records),
         },
@@ -258,9 +248,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def cmd_report(args, cfg: RunConfig) -> int:
     path = Path(getattr(args, "in"))
-    if not path.exists():
-        print(f"error: report file {path} does not exist", file=sys.stderr)
-        return EXIT_USAGE
     header = ("zero", "claim", "expected", "measured", "tol", "pass")
     widths = [len(h) for h in header]
     table = []
@@ -285,8 +272,17 @@ def cmd_report(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose malformed command lines exit with EXIT_USAGE
+    rather than argparse's 2, which this CLI gives to numerical failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zetascope",
         description="Zeta partial sums, critical-line zeros, and convergence checks",
     )
@@ -317,11 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config()
-    except (OSError, json.JSONDecodeError, ZetascopeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ZetascopeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     handlers = {
@@ -331,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         "report": cmd_report,
     }
     try:
+        # the flags given overlay the file; RunConfig checks the result
+        cfg = replace(cfg, **{k: v for k in _RUN_KEYS if (v := getattr(args, k, None)) is not None})
         code = handlers[args.command](args, cfg)
         sys.stdout.flush()
         return code
@@ -338,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader of stdout is gone: the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except UsageError as exc:
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZetascopeError as exc:

@@ -42,8 +42,8 @@ class EulerMaclaurinConfig:
     def __post_init__(self):
         if not 1 <= self.depth <= 30:
             raise ConfigError(f"depth must be in [1, 30], got {self.depth}")
-        if self.n_base < 10:
-            raise ConfigError(f"n_base must be >= 10, got {self.n_base}")
+        if not 10 <= self.n_base <= N_CAP:
+            raise ConfigError(f"n_base must be in [10, {N_CAP}], got {self.n_base}")
         if not self.target_rel_error > 0:
             raise ConfigError("target_rel_error must be positive")
         if not self.window_C > 1:

@@ -103,6 +103,15 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
+    def test_flags_override_file_values(self, first_zero_csv, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n0": 128, "doublings": 8}))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        report = tmp_path / "r.json"
+        main(["verify", "--zeros", str(first_zero_csv), "--n0", "64", "--out", str(report)])
+        run = json.loads(report.read_text())["run"]
+        assert (run["n0"], run["doublings"]) == (64, 8)
+
 
 class TestEval:
     def test_partial_sum(self, capsys):
@@ -355,3 +364,67 @@ class TestBoundaryProbes:
         monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
         assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
         assert "unknown keys doublngs, em.dpeth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeros", "--t-min", "14.0", "--t-max", "14.3", "--out", "{absent}/z.csv"],
+            ["verify", "--zeros", "{csv}", "--out", "{absent}/r.json"],
+            ["verify", "--zeros", "{dir}", "--out", "{dir}/r.json"],
+            ["report", "--in", "{dir}"],
+            ["verify", "--zeros", "{latin1}", "--out", "{dir}/r.json"],
+        ],
+    )
+    def test_unusable_file_is_usage_error(self, argv, first_zero_csv, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"index,t\xe9\n")
+        names = {"absent": tmp_path / "absent", "csv": first_zero_csv, "dir": tmp_path,
+                 "latin1": latin1}
+        assert main([a.format(**names) for a in argv]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"n0": "\xe9"}')
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--what", "zeta_n", "--z", "2", "--n", "abc"],
+            ["zeros", "--step", "x"],
+            ["eval", "--z", "2"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_malformed_command_line_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "usage: zetascope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_ok(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage: zetascope" in capsys.readouterr().out
+
+    def test_unparsable_point_is_usage_error(self, capsys):
+        assert main(["eval", "--what", "zeta_n", "--z", "inf"]) == EXIT_USAGE
+        assert "cannot parse complex value 'inf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["h_2n", "g_2n"])
+    def test_n_past_half_the_cap_is_usage_error_for_2n_sums(self, what, capsys):
+        assert main(["eval", "--what", what, "--z", "2", "--n", str(2**24)]) == EXIT_USAGE
+        assert f"--n must lie in [1, {2**23}], got {2**24}" in capsys.readouterr().err
+
+    def test_n_base_past_the_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"em.n_base": 10**8}))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        assert main(["eval", "--what", "zeta_hat", "--z", "2"]) == EXIT_USAGE
+        assert f"n_base must be in [10, {2**24}], got {10**8}" in capsys.readouterr().err
