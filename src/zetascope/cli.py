@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -91,8 +92,7 @@ def load_config(env: dict | None = None) -> RunConfig:
     cfg = RunConfig()
     if not path:
         return cfg
-    with open(path) as fh:
-        data = json.load(fh)
+    data = json.loads(_read_text(path))
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - {f"em.{k}" for k in _EM_KEYS} - set(_RUN_KEYS))
@@ -105,6 +105,22 @@ def load_config(env: dict | None = None) -> RunConfig:
     }
     run = {k: _typed(k, data[k], getattr(cfg, k)) for k in _RUN_KEYS if k in data}
     return replace(cfg, em=replace(cfg.em, **em), **run)
+
+
+def _read_text(path) -> str:
+    """An input file as UTF-8 text, line ends kept; UsageError naming it if it is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _output(name: str) -> Path:
+    """An output path; UsageError if it is a directory or its directory is missing."""
+    out = Path(name)
+    if out.is_dir() or not out.parent.is_dir():
+        raise UsageError(f"cannot write {out}: it is a directory or its directory does not exist")
+    return out
 
 
 def _typed(key: str, value, default):
@@ -171,51 +187,43 @@ def write_zeros_csv(records: list[ZeroRecord], path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(ZEROS_CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.index,
-                    repr(r.t),
-                    repr(r.rho.real),
-                    repr(r.rho.imag),
-                    repr(r.residual),
-                    repr(r.bracket[0]),
-                    repr(r.bracket[1]),
-                ]
-            )
+            fields = (r.t, r.rho.real, r.rho.imag, r.residual, *r.bracket)
+            writer.writerow([r.index, *map(repr, fields)])
 
 
 def read_zeros_csv(path: Path) -> list[ZeroRecord]:
     """The records of a zeros CSV; UsageError if a row is malformed."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ZEROS_CSV_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise UsageError(f"zeros file {path} lacks the columns {', '.join(missing)}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    ZeroRecord(
-                        index=int(row["index"]),
-                        t=float(row["t"]),
-                        rho=complex(float(row["re_rho"]), float(row["im_rho"])),
-                        bracket=(float(row["bracket_lo"]), float(row["bracket_hi"])),
-                        residual=float(row["residual"]),
-                    )
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    missing = [c for c in ZEROS_CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise UsageError(f"zeros file {path} lacks the columns {', '.join(missing)}")
+    for line, row in enumerate(reader, start=2):
+        try:
+            records.append(
+                ZeroRecord(
+                    index=int(row["index"]),
+                    t=float(row["t"]),
+                    rho=complex(float(row["re_rho"]), float(row["im_rho"])),
+                    bracket=(float(row["bracket_lo"]), float(row["bracket_hi"])),
+                    residual=float(row["residual"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise UsageError(f"malformed zeros file {path}, line {line}: {exc!r}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"malformed zeros file {path}, line {line}: {exc!r}") from exc
     return records
 
 
 def cmd_zeros(args, cfg: RunConfig) -> int:
+    out = _output(args.out)
     records = zeros_mod.find_zeros(cfg.t_min, cfg.t_max, cfg.step, cfg.em)
-    write_zeros_csv(records, Path(args.out))
+    write_zeros_csv(records, out)
     print(len(records))
     return EXIT_OK
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    out = _output(args.out)
     zeros_path = Path(args.zeros)
     records = read_zeros_csv(zeros_path)
     if not records:
@@ -232,7 +240,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         },
         "results": [r.as_dict() for r in rows],
     }
-    with open(args.out, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     failing = [r for r in rows if not r.passed]
@@ -252,12 +260,9 @@ def cmd_report(args, cfg: RunConfig) -> int:
     widths = [len(h) for h in header]
     table = []
     try:
-        for r in json.loads(path.read_text())["results"]:
+        for r in json.loads(_read_text(path))["results"]:
             line = (
-                str(r["zero_index"]),
-                str(r["claim"]),
-                str(r["expected"]),
-                str(r["measured"]),
+                *(str(r[k]) for k in ("zero_index", "claim", "expected", "measured")),
                 f"{r['tolerance']:g}",
                 "yes" if r["pass"] else "NO",
             )
@@ -316,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config()
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ZetascopeError) as exc:
+    except (OSError, json.JSONDecodeError, ZetascopeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     handlers = {
@@ -335,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader of stdout is gone: the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except (UsageError, OSError, UnicodeDecodeError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ZetascopeError as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -290,15 +290,8 @@ class ClaimResult:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "zero_index": self.zero_index,
-            "claim": self.claim,
-            "expected": self.expected,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "detail": self.detail,
-        }
+        """The report row: the fields in order, with passed under the key "pass"."""
+        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
 
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")

@@ -47,8 +47,7 @@ class DegenerateRatioError(ZetascopeError, ZeroDivisionError):
 
 
 class DegenerateSeriesError(ZetascopeError, ValueError):
-    """A convergence series cannot be fitted or extrapolated (zero modulus,
-    too few points, or missing doubling pairs)."""
+    """A convergence series cannot be fitted or extrapolated (zero modulus or too few points)."""
 
 
 class PossiblyMissedZeroWarning(UserWarning):

@@ -1,18 +1,19 @@
 """Critical-line zero location via the Hardy Z function.
 
-Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)] is real up to rounding leakage;
-its sign changes bracket the on-line zeros, which bisection then refines.
+Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)] is real up to rounding leakage.
+A bracket (t_lo, t_hi] holds a zero when Z(t_lo) != 0 and Z changes sign or
+vanishes on it (_holds_zero): the grid scan finds such brackets, and
+bisection refines them by the same rule.
 
 Z is evaluated over whole arrays of ordinates (hardy_z_array): theta, the
 Euler-Maclaurin reference and the leakage check each run once per array,
 and the partial sums of all ordinates share blocked numpy passes
-(series.zeta_partial_array). find_zeros builds the scan grid as one
-running sum of the step, bounded before any work, evaluates Z on it one call
-per block of _SCAN_BLOCK steps, then bisects every bracket in lockstep: each
-step is one call over the brackets still open, each bracket stops by its own
-rules, and one more call takes the residuals. A row's value never depends on
-the other rows of its array, so the scalar hardy_z (a one-element call) and
-the scan agree bit for bit.
+(series.zeta_partial_array). find_zeros builds the scan grid as one running
+sum of the step, bounded before any work, evaluates Z on it one call per
+block of _SCAN_BLOCK points, bisects every bracket in lockstep (one call per
+step over the open brackets) and takes the residuals in one more call. A
+row's value never depends on the other rows of its array, so the scalar
+hardy_z (a one-element call) and the scan agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ IM_LEAK_LIMIT = 1e-9
 #: so downstream identity checks are not limited by the zero residual)
 BRACKET_WIDTH = 1e-12
 
-#: scan steps per hardy_z_array call: bounds the scan's memory at any step
-#: while keeping the per-call cost of the remainder loop small (the partial
-#: sums inside a call are blocked separately, 32 rows at n = 128)
+#: scan points per hardy_z_array call: bounds each call's rows x (depth + 1)
+#: Bernoulli remainder table (the partial sums inside a call are blocked
+#: separately, 32 rows at n = 128)
 _SCAN_BLOCK = 256
 
 #: the most points a scan grid may hold: bounds the scan's work before it starts
@@ -103,37 +104,37 @@ def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
     return float(hardy_z_array([t], cfg)[0])
 
 
+def _holds_zero(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+    """Whether (t_lo, t_hi] holds a zero: Z(t_lo) != 0, and Z changes sign or vanishes."""
+    return (z_lo != 0) & ((z_hi == 0) | ((z_lo < 0) != (z_hi < 0)))
+
+
 def _bisect(
     t_lo: np.ndarray,
     z_lo: np.ndarray,
     t_hi: np.ndarray,
     cfg: EulerMaclaurinConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refine every sign-change bracket in lockstep; returns (lo, hi) arrays.
+    """Refine every bracket in lockstep; returns (lo, hi) arrays.
 
-    z_lo is Z at t_lo; Z changes sign or vanishes on each (t_lo, t_hi].
-    Each step evaluates Z once over the brackets still open. A bracket
-    closes when it is narrower than BRACKET_WIDTH, when its midpoint hits
-    float spacing, or when Z vanishes exactly at its midpoint (then it
-    becomes a small bracket around that midpoint).
+    z_lo is Z at t_lo, and each (t_lo, t_hi] holds a zero (_holds_zero).
+    Each step evaluates Z once at the midpoints of the open brackets and
+    keeps the half that holds the zero, (t_lo, mid] if Z(mid) = 0. A bracket
+    stops, for good, once it is no wider than BRACKET_WIDTH or its midpoint
+    hits float spacing.
     """
     t_lo, z_lo, t_hi = t_lo.copy(), z_lo.copy(), t_hi.copy()
-    open_ = t_hi - t_lo > BRACKET_WIDTH
     while True:
         mid = 0.5 * (t_lo + t_hi)
-        open_ &= (mid > t_lo) & (mid < t_hi)  # else: hit float spacing
-        rows = np.flatnonzero(open_)
+        rows = np.flatnonzero((t_hi - t_lo > BRACKET_WIDTH) & (mid > t_lo) & (mid < t_hi))
         if not rows.size:
             return t_lo, t_hi
         m = mid[rows]
         z_mid = hardy_z_array(m, cfg)
-        exact = z_mid == 0.0
-        half = np.maximum(BRACKET_WIDTH / 4, (t_hi[rows] - t_lo[rows]) * 1e-6)
-        left = (z_lo[rows] < 0) != (z_mid < 0)
-        t_hi[rows] = np.where(exact, m + half, np.where(left, m, t_hi[rows]))
-        t_lo[rows] = np.where(exact, m - half, np.where(left, t_lo[rows], m))
+        left = _holds_zero(z_lo[rows], z_mid)
+        t_hi[rows] = np.where(left, m, t_hi[rows])
+        t_lo[rows] = np.where(left, t_lo[rows], m)
         z_lo[rows] = np.where(left, z_lo[rows], z_mid)
-        open_[rows] = ~exact & (t_hi[rows] - t_lo[rows] > BRACKET_WIDTH)
 
 
 def _check_scan(t_min: float, t_max: float, step: float) -> int:
@@ -172,20 +173,18 @@ def find_zeros(
     step: float = 0.05,
     cfg: EulerMaclaurinConfig = DEFAULT_CONFIG,
 ) -> list[ZeroRecord]:
-    """Scan Z on a grid over (t_min, t_max), bracket sign changes, bisect.
+    """Scan Z on a grid over (t_min, t_max], bracket sign changes, bisect.
 
-    Returns records ordered and 1-indexed by increasing t. Deterministic for
-    identical inputs. Warns if found zeros sit suspiciously close relative
-    to the scan step (a coarser scan could have missed a pair).
+    A zero exactly at t_min is not reported. Returns records ordered and
+    1-indexed by increasing t. Deterministic for identical inputs. Warns if
+    found zeros sit suspiciously close relative to the scan step (a coarser
+    scan could have missed a pair).
     """
     t = _scan_grid(t_min, t_max, step)
     z = np.empty_like(t)
-    for start in range(0, t.size - 1, _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK + 1)
-        z[block] = hardy_z_array(t[block], cfg)
-    # a grid point exactly on a zero belongs to the bracket that ends there
-    prev, cur = z[:-1], z[1:]
-    i = np.flatnonzero((prev != 0.0) & ((cur == 0.0) | ((prev < 0) != (cur < 0))))
+    for s in range(0, t.size, _SCAN_BLOCK):
+        z[s : s + _SCAN_BLOCK] = hardy_z_array(t[s : s + _SCAN_BLOCK], cfg)
+    i = np.flatnonzero(_holds_zero(z[:-1], z[1:]))
     lo, hi = _bisect(t[i], z[i], t[i + 1], cfg)
     t_zero = 0.5 * (lo + hi)
     residual = np.abs(zeta_hat_reference_array(_at_height(0.5, t_zero), cfg))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from zetascope import convergence, zeros as zeros_mod
 from zetascope.cli import (
     EXIT_CLAIMS_FAILED,
     EXIT_MODULE_ERROR,
@@ -428,3 +429,39 @@ class TestBoundaryProbes:
         monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
         assert main(["eval", "--what", "zeta_hat", "--z", "2"]) == EXIT_USAGE
         assert f"n_base must be in [10, {2**24}], got {10**8}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["verify", "--zeros", "{latin1}", "--out", "{dir}/r.json"], False),
+            (["eval", "--what", "zeta_n", "--z", "2"], True),
+            (["report", "--in", "{latin1}"], False),
+        ],
+    )
+    def test_non_utf8_input_names_the_file(self, argv, config, tmp_path, monkeypatch, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b'{"n0": "caf\xe9"}\n')
+        if config:
+            monkeypatch.setenv("ZETASCOPE_CONFIG", str(latin1))
+        assert main([a.format(latin1=latin1, dir=tmp_path) for a in argv]) == EXIT_USAGE
+        assert str(latin1) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeros", "--out", "{out}"],
+            ["verify", "--zeros", "{csv}", "--out", "{out}"],
+        ],
+    )
+    @pytest.mark.parametrize("out", ["{absent}/out", "{dir}"])
+    def test_unwritable_output_is_refused_before_any_work(
+        self, argv, out, first_zero_csv, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the output was not checked first")
+
+        monkeypatch.setattr(zeros_mod, "find_zeros", no_work)
+        monkeypatch.setattr(convergence, "verify_claims", no_work)
+        out = out.format(absent=tmp_path / "absent", dir=tmp_path)
+        assert main([a.format(out=out, csv=first_zero_csv) for a in argv]) == EXIT_USAGE
+        assert out in capsys.readouterr().err

@@ -217,6 +217,14 @@ class TestVerifyClaims:
             "tolerance", "pass", "detail",
         }
 
+    def test_as_dict_is_the_report_row_in_field_order(self, claim_report):
+        row = claim_report[0]
+        d = row.as_dict()
+        assert list(d) == [
+            "zero_index", "claim", "expected", "measured", "tolerance", "pass", "detail",
+        ]
+        assert (d["claim"], d["pass"], d["detail"]) == (row.claim, row.passed, row.detail)
+
     def test_requires_zeros(self):
         with pytest.raises(DomainError):
             verify_claims([])

@@ -125,6 +125,32 @@ class TestHardyZArray:
         assert type(riemann_siegel_theta(20.0)) is float
 
 
+@st.composite
+def _dyadic_roots(draw):
+    """Per bracket (j, d, sign): a root j / 2^d into the unit bracket (0, 1]
+    and the sign of Z's slope there."""
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        d = draw(st.integers(1, 40))
+        out.append((draw(st.integers(1, 2**d)), d, draw(st.sampled_from([1.0, -1.0]))))
+    return out
+
+
+def _reference_bisect(lo: float, hi: float, z) -> tuple[float, float]:
+    """Bisect one bracket (lo, hi] of the scalar function z, a step at a time."""
+    z_lo = z(lo)
+    while hi - lo > BRACKET_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        z_mid = z(mid)
+        if z_lo != 0 and (z_mid == 0 or (z_lo < 0) != (z_mid < 0)):
+            hi = mid
+        else:
+            lo, z_lo = mid, z_mid
+    return lo, hi
+
+
 class TestLockstepBisection:
     def test_each_bracket_stops_by_its_own_rules(self):
         # a bracket already narrower than BRACKET_WIDTH is returned as is,
@@ -140,6 +166,39 @@ class TestLockstepBisection:
         empty = np.array([])
         lo, hi = _bisect(empty, empty, empty, DEFAULT_CONFIG)
         assert lo.size == hi.size == 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_at_a_midpoint_keeps_halving(self, sign, monkeypatch):
+        # Z = +-(t - 1.5) vanishes at the first midpoint of (1, 2]: the
+        # bracket keeps (1, 1.5] and ends as narrow as any other
+        monkeypatch.setattr(zeros, "hardy_z_array", lambda t, cfg: sign * (t - 1.5))
+        lo, hi = _bisect(np.array([1.0]), np.array([-0.5 * sign]), np.array([2.0]), DEFAULT_CONFIG)
+        assert lo[0] < 1.5 <= hi[0]
+        assert hi[0] - lo[0] <= BRACKET_WIDTH
+
+    @given(brackets=_dyadic_roots())
+    @settings(max_examples=50, deadline=None)
+    def test_lockstep_equals_one_bracket_at_a_time(self, brackets):
+        # bracket k is (10 + 2k, 11 + 2k] with one root on a dyadic point,
+        # which bisection reaches as a midpoint; Z is linear with either
+        # sign on [10 + 2k, 12 + 2k)
+        t_lo = 10.0 + 2.0 * np.arange(len(brackets))
+        t_hi = t_lo + 1.0
+        roots = t_lo + [j / 2.0**d for j, d, _ in brackets]
+        signs = np.array([s for _, _, s in brackets])
+
+        def z_of(t, cfg=None):
+            k = ((t - 10.0) // 2.0).astype(int)
+            return signs[k] * (t - roots[k])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeros, "hardy_z_array", z_of)
+            lo, hi = _bisect(t_lo, z_of(t_lo), t_hi, DEFAULT_CONFIG)
+        for k, (a, b) in enumerate(zip(t_lo.tolist(), t_hi.tolist())):
+            want = _reference_bisect(a, b, lambda t: float(z_of(np.array([t]))[0]))
+            assert (lo[k].hex(), hi[k].hex()) == (want[0].hex(), want[1].hex())
+            assert lo[k] < roots[k] <= hi[k]
+            assert hi[k] - lo[k] <= BRACKET_WIDTH
 
 
 def _loop_grid(t_min: float, t_max: float, step: float) -> list[float]:
@@ -237,6 +296,19 @@ class TestFindZeros:
     @settings(max_examples=200, deadline=None)
     def test_grid_is_the_one_step_loop(self, scan):
         assert zeros._scan_grid(*scan).tolist() == _loop_grid(*scan)
+
+    def test_scan_evaluates_each_grid_point_once(self, monkeypatch):
+        rows = []
+        hardy = zeros.hardy_z_array
+
+        def counted(t, cfg):
+            rows.append(len(t))
+            return hardy(t, cfg)
+
+        monkeypatch.setattr(zeros, "hardy_z_array", counted)
+        monkeypatch.setattr(zeros, "_bisect", lambda t_lo, z_lo, t_hi, cfg: (t_lo, t_hi))
+        find_zeros(10.0123, 100.0)
+        assert sum(rows) == zeros._scan_grid(10.0123, 100.0, 0.05).size == 1801
 
     def test_empty_window(self):
         # no zeros below t = 14; an empty scan is a valid result
