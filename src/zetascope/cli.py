@@ -74,7 +74,7 @@ class RunConfig:
     def __post_init__(self):
         try:
             convergence._check_grid(self.n0, self.doublings)
-            zeros_mod._check_scan(self.t_min, self.t_max, self.step)
+            zeros_mod._check_scan(self.t_min, self.t_max, self.step, self.em)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -146,7 +146,7 @@ def parse_complex(text: str) -> complex:
 def _format_real(x: float, signed: bool = False) -> str:
     sign = "+" if signed else ""
     if x == 0:
-        return "+0" if signed else "0"
+        return "0"
     if 1e-4 <= abs(x) < 1e16:
         return f"{x:{sign}.15f}"
     return f"{x:{sign}.15e}"

@@ -54,6 +54,13 @@ class EulerMaclaurinConfig:
         be an array)."""
         return TWO_PI * n / self.window_C
 
+    def reference_n(self, im):
+        """The n the reference evaluator starts from at |Im z| = |im|: the
+        window met with a 4x margin, at least n_base (im may be an array)."""
+        return np.maximum(
+            self.n_base, np.ceil(4.0 * self.window_C * np.abs(im) / TWO_PI)
+        ).astype(np.int64)
+
 
 DEFAULT_CONFIG = EulerMaclaurinConfig()
 
@@ -168,10 +175,7 @@ def zeta_hat_reference_array(z, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> n
         )
     if (z == 1).any():
         raise PoleError("zeta has its pole at z=1")
-    # meet the window with a 4x margin
-    n = np.maximum(
-        cfg.n_base, np.ceil(4.0 * cfg.window_C * np.abs(z.imag) / TWO_PI)
-    ).astype(np.int64)
+    n = cfg.reference_n(z.imag)
     rem = np.empty(z.shape, dtype=complex)
     rows = np.arange(z.size)
     while rows.size:
@@ -183,9 +187,8 @@ def zeta_hat_reference_array(z, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> n
         rows = rows[diverged]
         n[rows] *= 2
     ln_n = np.log(n.astype(np.float64))
-    tail = n * _pow_neg(ln_n, z) / (1.0 - z)
-    half = 0.5 * _pow_neg(ln_n, z)
-    return zeta_partial_array(z, n) - tail - half + rem
+    pow_neg = _pow_neg(ln_n, z)
+    return zeta_partial_array(z, n) - n * pow_neg / (1.0 - z) - 0.5 * pow_neg + rem
 
 
 def zeta_hat_reference(

@@ -30,7 +30,6 @@ registry in functional_eq.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Iterable, NamedTuple
 
@@ -101,43 +100,36 @@ def _chunk_prefix_sums(
     return p, np.cumsum(x, axis=2, out=x)
 
 
-def _sums(z: np.ndarray, row: np.ndarray, n: np.ndarray, components: int) -> np.ndarray:
-    """The first ``components`` real sums of z[row[i]] to n[i], for each i.
+def _sums(z: np.ndarray, n: np.ndarray, components: int) -> np.ndarray:
+    """The first ``components`` real sums of z[r] to n[r, j], as out[r, j].
 
-    Every row of the 1-d ``z`` has a pair; pairs come in row order, each
-    row's in n order. A block of several rows fits in one chunk, so the
-    pairs a chunk holds are the next run of that order. Raises
-    SumOverflowError (an OverflowError) if a sum leaves the finite floats.
+    ``z`` has shape (rows,) and ``n`` shape (rows, m); each row's n may come
+    in any order and repeat. Each chunk reads the entries whose n it holds
+    through one mask. Raises SumOverflowError (an OverflowError) naming the
+    z of the first row whose sum leaves the finite floats.
     """
     if not np.isfinite(z).all():
         raise DomainError(f"partial sums need a finite z, got {complex(z[~np.isfinite(z)][0])}")
     n_max = int(n.max(initial=1))
     if not (n.min(initial=1) >= 1 and n_max <= N_CAP):
         raise DomainError(f"each n must lie in [1, {N_CAP}], got {n.min()}..{n.max()}")
-    out = np.empty((n.size, components))
+    out = np.empty((*n.shape, components))
     rows = max(1, _CHUNK // min(n_max, _CHUNK))
-    block, local = np.divmod(row, rows)
-    blocks, ns = block.tolist(), n.tolist()
-    i = 0  # the next pair to read
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(-(-z.size // rows)):
-            zb = z[b * rows : (b + 1) * rows]
-            end = bisect.bisect_right(blocks, b, i)  # the block's pairs are i..end-1
-            top = max(ns[i:end])
+        for s in range(0, z.size, rows):
+            zb, nb = z[s : s + rows], n[s : s + rows]
+            top = int(nb.max())
             carry = np.zeros((2, zb.size, components))
             for lo in range(0, top, _CHUNK):
-                hi = min(lo + _CHUNK, top)
-                p, e = _chunk_prefix_sums(zb, lo, hi, *carry)
-                k = bisect.bisect_right(ns, hi, i, end)  # the pairs whose n this chunk holds
-                r, col = local[i:k], n[i:k] - lo
-                out[i:k] = p[r, :, col] + e[r, :, col]
-                i = k
+                p, e = _chunk_prefix_sums(zb, lo, min(lo + _CHUNK, top), *carry)
+                r, j = np.nonzero((lo < nb) & (nb <= lo + _CHUNK))  # the n this chunk holds
+                out[s + r, j] = p[r, :, nb[r, j] - lo] + e[r, :, nb[r, j] - lo]
                 # copies, so the next chunk is built with this one freed
                 carry = p[..., -1].copy(), e[..., -1].copy()
                 del p, e
-    if not np.isfinite(out).all():
-        bad = row[~np.isfinite(out).all(axis=1)][0]
-        raise SumOverflowError(f"partial sum overflowed at z={complex(z[bad])}")
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if bad.any():
+        raise SumOverflowError(f"partial sum overflowed at z={complex(z[bad][0])}")
     return out
 
 
@@ -157,7 +149,7 @@ def raw_sums_at(
     for n in ns:
         _check_n(n)
     components = 6 if include_derivative else 4
-    v = _sums(np.array([z]), np.zeros(len(ns), dtype=np.int64), np.array(ns), components)
+    v = _sums(np.array([z]), np.array([ns]), components)[0]
     return {
         n: RawSums(
             zeta=complex(s[0], s[1]),
@@ -176,8 +168,8 @@ def zeta_partial_array(z, n) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     n = np.asarray(n, dtype=np.int64)
-    # each row of the (rows, 2) result is one complex: (real, imag) in memory
-    return _sums(z, np.arange(z.size), n, 2).view(complex).reshape(z.shape)
+    # each (real, imag) pair of the (rows, 1, 2) result is one complex in memory
+    return _sums(z, n[:, None], 2).view(complex).reshape(z.shape)
 
 
 def _pow_n(n: int, z: complex) -> complex:

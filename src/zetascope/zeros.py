@@ -43,6 +43,11 @@ _SCAN_BLOCK = 256
 #: the most points a scan grid may hold: bounds the scan's work before it starts
 _MAX_SCAN_POINTS = 2**20
 
+#: the most terms a scan grid may sum, points x the reference's n at t_max:
+#: 128 is that n at t = 100 under the default config, so every scan the
+#: defaults allow fits, and a large n_base or window_C cannot hang a scan
+_MAX_SCAN_TERMS = _MAX_SCAN_POINTS * 128
+
 #: warn when consecutive zeros sit closer than this many scan steps
 _MIN_SEPARATION_STEPS = 4
 
@@ -137,13 +142,16 @@ def _bisect(
         z_lo[rows] = np.where(left, z_lo[rows], z_mid)
 
 
-def _check_scan(t_min: float, t_max: float, step: float) -> int:
+def _check_scan(
+    t_min: float, t_max: float, step: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
+) -> int:
     """A bound on the scan grid's points; DomainError unless 0 < t_min <
     t_max <= 100, 0 < step <= 0.25 (a NaN fails the comparisons), the step is
-    at least twice the float spacing u at t_max, and the bound is at most
-    _MAX_SCAN_POINTS. An add that stays below t_max rounds by at most u / 2,
-    so it moves t by more than step - u; the second extra point absorbs the
-    bound's own rounding."""
+    at least twice the float spacing u at t_max, the bound is at most
+    _MAX_SCAN_POINTS and the bound times the reference's n at t_max is at
+    most _MAX_SCAN_TERMS. An add that stays below t_max rounds by at most
+    u / 2, so it moves t by more than step - u; the second extra point
+    absorbs the bound's own rounding."""
     if not 0 < t_min < t_max <= 100:
         raise DomainError(f"need 0 < t_min < t_max <= 100, got ({t_min}, {t_max})")
     if not 0 < step <= 0.25:
@@ -155,13 +163,20 @@ def _check_scan(t_min: float, t_max: float, step: float) -> int:
         raise DomainError(
             f"scan step {step} from {t_min} to {t_max} may need over {_MAX_SCAN_POINTS} points"
         )
+    n = int(cfg.reference_n(t_max))
+    if points * n > _MAX_SCAN_TERMS:
+        raise DomainError(
+            f"a scan of {points} points at n={n} may sum over {_MAX_SCAN_TERMS} terms"
+        )
     return points
 
 
-def _scan_grid(t_min: float, t_max: float, step: float) -> np.ndarray:
+def _scan_grid(
+    t_min: float, t_max: float, step: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
+) -> np.ndarray:
     """t_min, t_min + step, ... as running sums, cut before the first that
     reaches t_max, then t_max: the points of adding step one at a time."""
-    t = np.full(_check_scan(t_min, t_max, step), step)
+    t = np.full(_check_scan(t_min, t_max, step, cfg), step)
     t[0] = t_min
     np.cumsum(t, out=t)
     return np.append(t[: np.argmax(t >= t_max)], t_max)
@@ -180,7 +195,7 @@ def find_zeros(
     found zeros sit suspiciously close relative to the scan step (a coarser
     scan could have missed a pair).
     """
-    t = _scan_grid(t_min, t_max, step)
+    t = _scan_grid(t_min, t_max, step, cfg)
     z = np.empty_like(t)
     for s in range(0, t.size, _SCAN_BLOCK):
         z[s : s + _SCAN_BLOCK] = hardy_z_array(t[s : s + _SCAN_BLOCK], cfg)

@@ -430,6 +430,37 @@ class TestBoundaryProbes:
         assert main(["eval", "--what", "zeta_hat", "--z", "2"]) == EXIT_USAGE
         assert f"n_base must be in [10, {2**24}], got {10**8}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [{"em.n_base": 2**24}, {"em.window_C": 1e5}])
+    def test_unbounded_scan_work_is_config_error_at_once(
+        self, config, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the scan's work was not bounded first")
+
+        monkeypatch.setattr(zeros_mod, "find_zeros", no_work)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        out = tmp_path / "zeros.csv"
+        assert main(["zeros", "--out", str(out)]) == EXIT_USAGE
+        assert "may sum over 134217728 terms" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_holding_an_array_is_config_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_zeros_csv_lacking_a_column_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        path.write_text("index,t,re_rho,im_rho,bracket_lo,bracket_hi\n1,14.1,0.5,14.1,14.1,14.1\n")
+        report = tmp_path / "r.json"
+        assert main(["verify", "--zeros", str(path), "--out", str(report)]) == EXIT_USAGE
+        assert "lacks the columns residual" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "argv,config",
         [

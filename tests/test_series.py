@@ -11,6 +11,7 @@ import numpy as np
 from zetascope.errors import DomainError, PoleError, SumOverflowError
 from zetascope.series import (
     N_CAP,
+    _sums,
     raw_sums_at,
     xi_partial,
     zeta_hat_partial,
@@ -265,6 +266,37 @@ class TestZetaPartialArray:
             zeta_partial_array([2.0], [0])
         with pytest.raises(DomainError):
             zeta_partial_array([2.0], [N_CAP + 1])
+
+
+class TestSumsByMask:
+    @given(
+        data=st.data(),
+        # n_max 128 puts 32 rows in a block, 300 puts 13, 9000 puts 1 (past 2^12)
+        n_max=st.sampled_from((128, 300, 9000)),
+        rows=st.integers(1, 40),
+        m=st.integers(1, 5),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_unsorted_repeated_n_equal_one_row_sums_bit_for_bit(self, data, n_max, rows, m):
+        rows = min(rows, 3) if n_max > 4096 else rows
+        z = np.array(data.draw(st.lists(strip_z, min_size=rows, max_size=rows)))
+        each_n = st.integers(1, n_max) | st.sampled_from([k for k in _STRADDLE if k <= n_max])
+        n = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(each_n, min_size=m, max_size=m),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            )
+        )
+        n = np.concatenate((n, n[:, :1]), axis=1)  # a repeated n in every row
+        got = _sums(z, n, 6)
+        assert got.shape == (rows, m + 1, 6)
+        for r, zr in enumerate(z.tolist()):
+            for j, nj in enumerate(n[r].tolist()):
+                alone = raw_sums_at(zr, (nj,), include_derivative=True)[nj]
+                assert tuple(x.hex() for x in got[r, j].tolist()) == _bits(alone)
 
 
 class TestSum2AgainstFsum:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zetascope import zeros
 from zetascope.errors import DomainError, PrecisionError
-from zetascope.euler_maclaurin import DEFAULT_CONFIG
+from zetascope.euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig
 from zetascope.zeros import (
     BRACKET_WIDTH,
     ZeroRecord,
@@ -289,6 +289,27 @@ class TestFindZeros:
         # called on the check alone: a regression must not start the scan
         with pytest.raises(DomainError, match="float spacing|points"):
             zeros._check_scan(*args)
+
+    @pytest.mark.parametrize(
+        "cfg", [EulerMaclaurinConfig(n_base=2**24), EulerMaclaurinConfig(window_C=1e5)]
+    )
+    def test_unbounded_scan_work_refused(self, cfg, monkeypatch):
+        # 803 points, each summing 2^24 or about 3.2e6 terms
+        with pytest.raises(DomainError, match="may sum over 134217728 terms"):
+            zeros._check_scan(10.0, 50.0, 0.05, cfg)
+
+        def no_work(t, cfg):
+            raise AssertionError("the scan's work was not bounded first")
+
+        monkeypatch.setattr(zeros, "hardy_z_array", no_work)
+        with pytest.raises(DomainError, match="terms"):
+            find_zeros(10.0, 50.0, 0.05, cfg)
+
+    def test_largest_default_scan_work_allowed(self):
+        # 2^20 points at n = 128, the reference's n at t = 100
+        assert DEFAULT_CONFIG.reference_n(100.0) == 128
+        step = 0.25 / 2**18
+        assert zeros._check_scan(100.0 - step * (2**20 - 3), 100.0, step) == 2**20
 
     @given(scan=_scans())
     @example(scan=(100.0 - 1e-11, 100.0, 4 * math.ulp(100.0)))
