@@ -1,68 +1,59 @@
 """Desk-scale numerical workbench for zeta partial sums, the functional
-equation, critical-line zeros, and convergence-order measurement."""
+equation, critical-line zeros, and convergence-order measurement.
 
-from .convergence import (
-    ConvergenceSeries,
-    DerivativeRatioLimit,
-    RatioLimit,
-    SlopeFit,
-    SweepPlan,
-    derivative_ratio_limit,
-    fit_power_law,
-    ratio_limit,
-    sweep,
-    verify_claims,
-)
-from .euler_maclaurin import (
-    EulerMaclaurinConfig,
-    remainder,
-    remainder_with_bound,
-    zeta_hat_reference,
-)
-from .functional_eq import Quantity, h_hat_exact, h_hat_n, h_n, small_g_2n, small_h_2n
-from .series import (
-    xi_partial,
-    zeta_hat_partial,
-    zeta_hat_partial_derivative,
-    zeta_partial,
-    zeta_partial_derivative,
-)
-from .special import bernoulli_numbers, complex_pow_base_real, log_gamma
-from .zeros import ZeroRecord, find_zeros, hardy_z, riemann_siegel_theta
+The package loads on use: ``import zetascope`` imports no module (and no
+numpy), and each public name below imports its defining module the first
+time it is read (PEP 562), so a process pays only for what it calls.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceSeries",
-    "DerivativeRatioLimit",
-    "EulerMaclaurinConfig",
-    "Quantity",
-    "RatioLimit",
-    "SlopeFit",
-    "SweepPlan",
-    "ZeroRecord",
-    "bernoulli_numbers",
-    "complex_pow_base_real",
-    "derivative_ratio_limit",
-    "find_zeros",
-    "fit_power_law",
-    "h_hat_exact",
-    "h_hat_n",
-    "h_n",
-    "hardy_z",
-    "log_gamma",
-    "ratio_limit",
-    "remainder",
-    "remainder_with_bound",
-    "riemann_siegel_theta",
-    "small_g_2n",
-    "small_h_2n",
-    "sweep",
-    "verify_claims",
-    "xi_partial",
-    "zeta_hat_partial",
-    "zeta_hat_partial_derivative",
-    "zeta_hat_reference",
-    "zeta_partial",
-    "zeta_partial_derivative",
-]
+#: public name -> the module that defines it
+_EXPORTS = {
+    "ConvergenceSeries": "convergence",
+    "DerivativeRatioLimit": "convergence",
+    "RatioLimit": "convergence",
+    "SlopeFit": "convergence",
+    "SweepPlan": "convergence",
+    "derivative_ratio_limit": "convergence",
+    "fit_power_law": "convergence",
+    "ratio_limit": "convergence",
+    "sweep": "convergence",
+    "verify_claims": "convergence",
+    "EulerMaclaurinConfig": "euler_maclaurin",
+    "remainder": "euler_maclaurin",
+    "remainder_with_bound": "euler_maclaurin",
+    "zeta_hat_reference": "euler_maclaurin",
+    "Quantity": "functional_eq",
+    "h_hat_exact": "functional_eq",
+    "h_hat_n": "functional_eq",
+    "h_n": "functional_eq",
+    "small_g_2n": "functional_eq",
+    "small_h_2n": "functional_eq",
+    "xi_partial": "series",
+    "zeta_hat_partial": "series",
+    "zeta_hat_partial_derivative": "series",
+    "zeta_partial": "series",
+    "zeta_partial_derivative": "series",
+    "bernoulli_numbers": "special",
+    "complex_pow_base_real": "special",
+    "log_gamma": "special",
+    "ZeroRecord": "zeros",
+    "find_zeros": "zeros",
+    "hardy_z": "zeros",
+    "riemann_siegel_theta": "zeros",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import convergence, functional_eq, series, zeros as zeros_mod
+import zetascope
+
+from . import series, zeros as zeros_mod
 from .errors import ConfigError, DomainError, ZetascopeError
 from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
 from .zeros import ZeroRecord
@@ -35,17 +39,18 @@ class UsageError(ZetascopeError):
 
 
 #: eval --what name -> (value at (z, n, Euler-Maclaurin config), the multiple
-#: of n it sums to: 0 if it does not depend on n)
+#: of n it sums to: 0 if it does not depend on n); the functional_eq names are
+#: read from the package, so only eval loads that module
 _QUANTITIES = {
     "zeta_n": (lambda z, n, em: series.zeta_partial(z, n), 1),
     "xi_n": (lambda z, n, em: series.xi_partial(z, n), 1),
     "zeta_hat_n": (lambda z, n, em: series.zeta_hat_partial(z, n), 1),
     "zeta_hat": (lambda z, n, em: zeta_hat_reference(z, em), 0),
-    "H_hat": (lambda z, n, em: functional_eq.h_hat_exact(z), 0),
-    "H_hat_n": (lambda z, n, em: functional_eq.h_hat_n(z, n), 1),
-    "H_n": (lambda z, n, em: functional_eq.h_n(z, n), 1),
-    "h_2n": (lambda z, n, em: functional_eq.small_h_2n(z, n), 2),
-    "g_2n": (lambda z, n, em: functional_eq.small_g_2n(z, n), 2),
+    "H_hat": (lambda z, n, em: zetascope.h_hat_exact(z), 0),
+    "H_hat_n": (lambda z, n, em: zetascope.h_hat_n(z, n), 1),
+    "H_n": (lambda z, n, em: zetascope.h_n(z, n), 1),
+    "h_2n": (lambda z, n, em: zetascope.small_h_2n(z, n), 2),
+    "g_2n": (lambda z, n, em: zetascope.small_g_2n(z, n), 2),
     "R_n": (lambda z, n, em: remainder(z, n, em), 1),
 }
 
@@ -73,10 +78,15 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            convergence._check_grid(self.n0, self.doublings)
-            zeros_mod._check_scan(self.t_min, self.t_max, self.step, self.em)
+            series._check_grid(self.n0, self.doublings)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
+        try:
+            zeros_mod._check_scan(self.t_min, self.t_max, self.step, self.em)
+        except DomainError as exc:
+            raise UsageError(
+                f"{exc} (the scan is set by t_min, t_max, step, em.n_base and em.window_C)"
+            ) from exc
 
 
 #: the keys a config file may set: the em. keys set EulerMaclaurinConfig fields
@@ -228,6 +238,21 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     records = read_zeros_csv(zeros_path)
     if not records:
         raise UsageError(f"zeros file {zeros_path} holds no zeros")
+    from . import convergence
+
+    # each zero's sweep, n0 shifted up to the validity window as verify_claims
+    # shifts it, must stay within N_CAP: checked before any work
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # verify_claims warns of the shift
+        for r in records:
+            try:
+                n0 = convergence._window_n0(r.rho, cfg.n0, cfg.em, 1)
+                series._check_grid(n0, cfg.doublings)
+            except DomainError as exc:
+                raise UsageError(
+                    f"zero {r.index} at t={r.t}, n0={cfg.n0} shifted to the validity "
+                    f"window: {exc} (the sweep is set by n0, doublings and em.window_C)"
+                ) from exc
     plan = convergence.SweepPlan(n0=cfg.n0, doublings=cfg.doublings, cfg=cfg.em)
     rows = convergence.verify_claims(records, plan)
     report = {
@@ -348,5 +373,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MODULE_ERROR
 
 
+def run() -> None:
+    """The `zetascope` command: main, then exit. The collector's generations
+    are frozen first, so the interpreter's last collection skips the objects
+    numpy and the package left alive; main itself stays free of that
+    process-wide step, so it can be called in process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

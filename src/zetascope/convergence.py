@@ -37,7 +37,7 @@ from .functional_eq import (
     _value,
     h_hat_exact,
 )
-from .series import N_CAP, RawSums, raw_sums_at
+from .series import N_CAP, RawSums, _check_grid, raw_sums_at
 from .special import complex_pow_base_real
 from .zeros import ZeroRecord
 
@@ -101,17 +101,6 @@ IDENTITY_NS = (2**8, 2**10, 2**12)
 #: the identity checks keep the remainder truncation shallow, so its reported
 #: bound dominates rounding and zero-residual floors
 IDENTITY_CFG = EulerMaclaurinConfig(depth=1, target_rel_error=0.5)
-
-
-def _check_grid(n0: int, doublings: int) -> None:
-    """DomainError unless n0 is a positive int, doublings an int >= 4 and
-    n0 * 2^doublings <= N_CAP; 2^doublings is never built."""
-    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
-        raise DomainError(f"n0 must be a positive integer, got {n0!r}")
-    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 4:
-        raise DomainError(f"a sweep needs at least 4 doublings, got {doublings!r}")
-    if n0 > N_CAP >> doublings:
-        raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
 
 
 def _pow_1_minus_2rho(n: int, rho: complex) -> complex:

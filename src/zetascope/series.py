@@ -61,6 +61,18 @@ def _check_n(n: int) -> None:
         raise DomainError(f"n={n} exceeds the configured cap {N_CAP}")
 
 
+def _check_grid(n0: int, doublings: int) -> None:
+    """DomainError unless n0 is a positive int, doublings an int >= 4 and
+    n0 * 2^doublings <= N_CAP, the dyadic grid a sweep sums to; 2^doublings
+    is never built."""
+    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
+        raise DomainError(f"n0 must be a positive integer, got {n0!r}")
+    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 4:
+        raise DomainError(f"a sweep needs at least 4 doublings, got {doublings!r}")
+    if n0 > N_CAP >> doublings:
+        raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
+
+
 def _chunk_prefix_sums(
     z: np.ndarray, lo: int, hi: int, p0: np.ndarray, e0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +180,8 @@ def zeta_partial_array(z, n) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     n = np.asarray(n, dtype=np.int64)
+    if z.ndim != 1 or n.shape != z.shape:
+        raise DomainError(f"z and n must be 1-d of equal length, got {z.shape} and {n.shape}")
     # each (real, imag) pair of the (rows, 1, 2) result is one complex in memory
     return _sums(z, n[:, None], 2).view(complex).reshape(z.shape)
 

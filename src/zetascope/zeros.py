@@ -2,15 +2,15 @@
 
 Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)] is real up to rounding leakage.
 A bracket (t_lo, t_hi] holds a zero when Z(t_lo) != 0 and Z changes sign or
-vanishes on it (_holds_zero): the grid scan finds such brackets, and
-bisection refines them by the same rule.
+vanishes on it (_holds_zero): the grid scan finds such brackets, and ITP
+(_bisect) refines them by the same rule.
 
 Z is evaluated over whole arrays of ordinates (hardy_z_array): theta, the
 Euler-Maclaurin reference and the leakage check each run once per array,
 and the partial sums of all ordinates share blocked numpy passes
 (series.zeta_partial_array). find_zeros builds the scan grid as one running
 sum of the step, bounded before any work, evaluates Z on it one call per
-block of _SCAN_BLOCK points, bisects every bracket in lockstep (one call per
+block of _SCAN_BLOCK points, refines every bracket in lockstep (one call per
 step over the open brackets) and takes the residuals in one more call. A
 row's value never depends on the other rows of its array, so the scalar
 hardy_z (a one-element call) and the scan agree bit for bit.
@@ -31,9 +31,14 @@ from .special import log_gamma_array
 #: maximum tolerated |Im(exp(i theta) zeta)| before hardy_z refuses the value
 IM_LEAK_LIMIT = 1e-9
 
-#: bisection refines brackets below this width (tighter than strictly needed,
+#: _bisect refines brackets below this width (tighter than strictly needed,
 #: so downstream identity checks are not limited by the zero residual)
 BRACKET_WIDTH = 1e-12
+
+#: ITP's truncation factor kappa_1 and slack steps n_0, with kappa_2 = 2 and
+#: epsilon = BRACKET_WIDTH / 2; DESIGN.md records the measured choice
+_ITP_K1 = 0.01
+_ITP_N0 = 1
 
 #: scan points per hardy_z_array call: bounds each call's rows x (depth + 1)
 #: Bernoulli remainder table (the partial sums inside a call are blocked
@@ -118,28 +123,45 @@ def _bisect(
     t_lo: np.ndarray,
     z_lo: np.ndarray,
     t_hi: np.ndarray,
+    z_hi: np.ndarray,
     cfg: EulerMaclaurinConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refine every bracket in lockstep; returns (lo, hi) arrays.
+    """Refine every bracket in lockstep by ITP; returns (lo, hi) arrays.
 
-    z_lo is Z at t_lo, and each (t_lo, t_hi] holds a zero (_holds_zero).
-    Each step evaluates Z once at the midpoints of the open brackets and
-    keeps the half that holds the zero, (t_lo, mid] if Z(mid) = 0. A bracket
-    stops, for good, once it is no wider than BRACKET_WIDTH or its midpoint
-    hits float spacing.
+    z_lo and z_hi are Z at t_lo and t_hi, and each (t_lo, t_hi] holds a zero
+    (_holds_zero). Each step evaluates Z once at one point of every open
+    bracket and keeps the part that holds the zero, (t_lo, x] if Z(x) = 0.
+    The point is ITP's (Oliveira and Takahashi, ACM TOMS 47(1), 2020): the
+    regula falsi point, moved _ITP_K1 * width^2 towards the midpoint and
+    kept within r of it, where r lets no bracket take more than bisection's
+    steps plus _ITP_N0 (one more where rounding leaves a width a few ulps
+    over BRACKET_WIDTH); then clipped strictly inside the bracket. A bracket
+    stops, for good, once it is no wider than BRACKET_WIDTH or holds no
+    float inside.
     """
-    t_lo, z_lo, t_hi = t_lo.copy(), z_lo.copy(), t_hi.copy()
+    t_lo, z_lo, t_hi, z_hi = t_lo.copy(), z_lo.copy(), t_hi.copy(), z_hi.copy()
+    # bisection's step count to BRACKET_WIDTH, plus the slack ITP may spend
+    n_max = np.ceil(np.log2((t_hi - t_lo) / BRACKET_WIDTH)) + _ITP_N0
+    step = 0
     while True:
-        mid = 0.5 * (t_lo + t_hi)
-        rows = np.flatnonzero((t_hi - t_lo > BRACKET_WIDTH) & (mid > t_lo) & (mid < t_hi))
+        rows = np.flatnonzero((t_hi - t_lo > BRACKET_WIDTH) & (np.nextafter(t_lo, t_hi) < t_hi))
         if not rows.size:
             return t_lo, t_hi
-        m = mid[rows]
-        z_mid = hardy_z_array(m, cfg)
-        left = _holds_zero(z_lo[rows], z_mid)
-        t_hi[rows] = np.where(left, m, t_hi[rows])
-        t_lo[rows] = np.where(left, t_lo[rows], m)
-        z_lo[rows] = np.where(left, z_lo[rows], z_mid)
+        a, b, za, zb = t_lo[rows], t_hi[rows], z_lo[rows], z_hi[rows]
+        width = b - a
+        mid = 0.5 * (a + b)
+        falsi = a + width * (za / (za - zb))
+        sigma = np.sign(mid - falsi)
+        delta = _ITP_K1 * width * width
+        x = np.where(delta <= np.abs(mid - falsi), falsi + sigma * delta, mid)
+        r = 0.5 * BRACKET_WIDTH * 2.0 ** (n_max[rows] - step) - 0.5 * width
+        x = np.where(np.abs(x - mid) <= r, x, mid - sigma * r)
+        x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
+        zx = hardy_z_array(x, cfg)
+        left = _holds_zero(za, zx)
+        t_hi[rows], z_hi[rows] = np.where(left, x, b), np.where(left, zx, zb)
+        t_lo[rows], z_lo[rows] = np.where(left, a, x), np.where(left, za, zx)
+        step += 1
 
 
 def _check_scan(
@@ -188,7 +210,7 @@ def find_zeros(
     step: float = 0.05,
     cfg: EulerMaclaurinConfig = DEFAULT_CONFIG,
 ) -> list[ZeroRecord]:
-    """Scan Z on a grid over (t_min, t_max], bracket sign changes, bisect.
+    """Scan Z on a grid over (t_min, t_max], bracket sign changes, refine them.
 
     A zero exactly at t_min is not reported. Returns records ordered and
     1-indexed by increasing t. Deterministic for identical inputs. Warns if
@@ -200,7 +222,7 @@ def find_zeros(
     for s in range(0, t.size, _SCAN_BLOCK):
         z[s : s + _SCAN_BLOCK] = hardy_z_array(t[s : s + _SCAN_BLOCK], cfg)
     i = np.flatnonzero(_holds_zero(z[:-1], z[1:]))
-    lo, hi = _bisect(t[i], z[i], t[i + 1], cfg)
+    lo, hi = _bisect(t[i], z[i], t[i + 1], z[i + 1], cfg)
     t_zero = 0.5 * (lo + hi)
     residual = np.abs(zeta_hat_reference_array(_at_height(0.5, t_zero), cfg))
     records = [

@@ -41,6 +41,40 @@ def _spawn(args, cwd, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProc
     )
 
 
+class TestProcess:
+    def test_zeros_loads_no_claim_modules(self, tmp_path):
+        # a scan needs neither the claims nor the functional equation
+        argv = ["zeros", "--t-min", "14", "--t-max", "15", "--out", str(tmp_path / "z.csv")]
+        code = (
+            "import json, sys; from zetascope import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(json.dumps([code, sorted(sys.modules)]))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        code, modules = json.loads(child.stdout.splitlines()[-1])
+        assert code == EXIT_OK
+        assert "zetascope.zeros" in modules
+        assert "zetascope.convergence" not in modules
+        assert "zetascope.functional_eq" not in modules
+
+    def test_run_freezes_the_collector_and_exits_with_main_code(self, monkeypatch):
+        from zetascope import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_CLAIMS_FAILED)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == EXIT_CLAIMS_FAILED
+        assert calls == ["main", "freeze"]
+
+
 class TestParsing:
     @pytest.mark.parametrize(
         "text,expected",
@@ -445,6 +479,55 @@ class TestBoundaryProbes:
         assert main(["zeros", "--out", str(out)]) == EXIT_USAGE
         assert "may sum over 134217728 terms" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scan_work_error_names_the_keys_that_set_it(self, tmp_path, monkeypatch, capsys):
+        # verify does not scan, but its config is checked whole: the message
+        # says which keys to change
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"em.window_C": 1e5}))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        csv_path = tmp_path / "zeros.csv"
+        csv_path.write_text("index,t,re_rho,im_rho,residual,bracket_lo,bracket_hi\n")
+        report = tmp_path / "r.json"
+        assert main(["verify", "--zeros", str(csv_path), "--out", str(report)]) == EXIT_USAGE
+        assert "t_min, t_max, step, em.n_base and em.window_C" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,argv",
+        [
+            # the window shifts n0 past what the doublings allow: 64 to 2^18 or
+            # more under window_C = 1e5, and 2 to 8 at t = 14.1 with 23 doublings
+            ({"em.window_C": 1e5, "t_min": 10, "t_max": 11}, []),
+            ({}, ["--n0", "2", "--doublings", "23"]),
+        ],
+    )
+    def test_window_shift_past_the_cap_is_usage_error_at_once(
+        self, config, argv, first_zero_csv, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweeps' reach was not checked first")
+
+        monkeypatch.setattr(convergence, "verify_claims", no_work)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        report = tmp_path / "r.json"
+        argv = ["verify", "--zeros", str(first_zero_csv), "--out", str(report), *argv]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "zero 1 at t=14.13" in err and "exceeds the cap" in err
+        assert "n0, doublings and em.window_C" in err
+        assert not report.exists()
+
+    def test_non_finite_ordinate_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        path.write_text(
+            "index,t,re_rho,im_rho,residual,bracket_lo,bracket_hi\n"
+            "1,nan,0.5,nan,0.0,nan,nan\n"
+        )
+        report = tmp_path / "r.json"
+        assert main(["verify", "--zeros", str(path), "--out", str(report)]) == EXIT_USAGE
+        assert "validity window" in capsys.readouterr().err
 
     def test_config_file_holding_an_array_is_config_error(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"

@@ -1,0 +1,40 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zetascope
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_import_loads_no_module():
+    code = (
+        "import sys, zetascope; "
+        "print(sorted(m for m in sys.modules if m.startswith(('zetascope.', 'numpy'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_each_name_is_the_defining_module_object():
+    for name in zetascope.__all__:
+        obj = getattr(zetascope, name)
+        assert obj.__module__.startswith("zetascope."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+        assert name in dir(zetascope), name
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        zetascope.nope
+    assert not hasattr(zetascope, "_bisect")

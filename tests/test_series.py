@@ -261,6 +261,11 @@ class TestZetaPartialArray:
         with pytest.raises(SumOverflowError, match=r"-800"):
             zeta_partial_array([2.0, -800.0], [10, 10**5])
 
+    @pytest.mark.parametrize("z,n", [([2, 3], [4, 4, 4]), ([2, 3, 4], [4, 4])])
+    def test_unequal_lengths_rejected(self, z, n):
+        with pytest.raises(DomainError, match=rf"\({len(z)},\) and \({len(n)},\)"):
+            zeta_partial_array(z, n)
+
     def test_n_validation(self):
         with pytest.raises(DomainError):
             zeta_partial_array([2.0], [0])

@@ -126,29 +126,55 @@ class TestHardyZArray:
 
 
 @st.composite
-def _dyadic_roots(draw):
-    """Per bracket (j, d, sign): a root j / 2^d into the unit bracket (0, 1]
-    and the sign of Z's slope there."""
+def _roots(draw):
+    """Per bracket (j, d, sign, odd power): a root j / 2^d into the unit
+    bracket (0, 1], the sign of Z's slope there and Z's power of (t - root)."""
     out = []
     for _ in range(draw(st.integers(1, 8))):
         d = draw(st.integers(1, 40))
-        out.append((draw(st.integers(1, 2**d)), d, draw(st.sampled_from([1.0, -1.0]))))
+        out.append(
+            (
+                draw(st.integers(1, 2**d)),
+                d,
+                draw(st.sampled_from([1.0, -1.0])),
+                draw(st.sampled_from([1, 3, 5])),
+            )
+        )
     return out
 
 
-def _reference_bisect(lo: float, hi: float, z) -> tuple[float, float]:
-    """Bisect one bracket (lo, hi] of the scalar function z, a step at a time."""
-    z_lo = z(lo)
-    while hi - lo > BRACKET_WIDTH:
+def _reference_itp(lo: float, hi: float, z) -> tuple[float, float]:
+    """ITP on one bracket (lo, hi] of the scalar function z, a step at a time,
+    in Python floats, with _bisect's constants and bracket rule."""
+    z_lo, z_hi = z(lo), z(hi)
+    n_max = math.ceil(math.log2((hi - lo) / BRACKET_WIDTH)) + zeros._ITP_N0
+    step = 0
+    while hi - lo > BRACKET_WIDTH and math.nextafter(lo, hi) < hi:
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        z_mid = z(mid)
-        if z_lo != 0 and (z_mid == 0 or (z_lo < 0) != (z_mid < 0)):
-            hi = mid
+        falsi = lo + width * (z_lo / (z_lo - z_hi))
+        sigma = float((mid > falsi) - (mid < falsi))
+        delta = zeros._ITP_K1 * width * width
+        x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        r = 0.5 * BRACKET_WIDTH * 2.0 ** (n_max - step) - 0.5 * width
+        if not abs(x - mid) <= r:
+            x = mid - sigma * r
+        x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        z_x = z(x)
+        if z_lo != 0 and (z_x == 0 or (z_lo < 0) != (z_x < 0)):
+            hi, z_hi = x, z_x
         else:
-            lo, z_lo = mid, z_mid
+            lo, z_lo = x, z_x
+        step += 1
     return lo, hi
+
+
+def _scan_brackets(t_min: float, t_max: float):
+    """The scan's brackets over (t_min, t_max] as find_zeros hands them to _bisect."""
+    t = zeros._scan_grid(t_min, t_max, 0.05)
+    z = hardy_z_array(t)
+    i = np.flatnonzero(zeros._holds_zero(z[:-1], z[1:]))
+    return t[i], z[i], t[i + 1], z[i + 1]
 
 
 class TestLockstepBisection:
@@ -157,48 +183,102 @@ class TestLockstepBisection:
         # while its neighbour is refined around the first zero
         t_lo = np.array([14.0, 20.0])
         t_hi = np.array([14.3, 20.0 + BRACKET_WIDTH / 2])
-        lo, hi = _bisect(t_lo, hardy_z_array(t_lo), t_hi, DEFAULT_CONFIG)
+        lo, hi = _bisect(t_lo, hardy_z_array(t_lo), t_hi, hardy_z_array(t_hi), DEFAULT_CONFIG)
         assert (lo[1], hi[1]) == (t_lo[1], t_hi[1])
         assert hi[0] - lo[0] <= BRACKET_WIDTH
         assert 0.5 * (lo[0] + hi[0]) == pytest.approx(KNOWN_ZERO_T[0], abs=1e-9)
 
     def test_no_brackets(self):
         empty = np.array([])
-        lo, hi = _bisect(empty, empty, empty, DEFAULT_CONFIG)
+        lo, hi = _bisect(empty, empty, empty, empty, DEFAULT_CONFIG)
         assert lo.size == hi.size == 0
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_zero_at_a_midpoint_keeps_halving(self, sign, monkeypatch):
-        # Z = +-(t - 1.5) vanishes at the first midpoint of (1, 2]: the
-        # bracket keeps (1, 1.5] and ends as narrow as any other
+        # Z = +-(t - 1.5) vanishes at the first point of (1, 2], its midpoint
+        # and its regula falsi point: the bracket keeps (1, 1.5] and ends as
+        # narrow as any other
         monkeypatch.setattr(zeros, "hardy_z_array", lambda t, cfg: sign * (t - 1.5))
-        lo, hi = _bisect(np.array([1.0]), np.array([-0.5 * sign]), np.array([2.0]), DEFAULT_CONFIG)
+        lo, hi = _bisect(
+            np.array([1.0]),
+            np.array([-0.5 * sign]),
+            np.array([2.0]),
+            np.array([0.5 * sign]),
+            DEFAULT_CONFIG,
+        )
         assert lo[0] < 1.5 <= hi[0]
         assert hi[0] - lo[0] <= BRACKET_WIDTH
 
-    @given(brackets=_dyadic_roots())
+    @given(brackets=_roots())
     @settings(max_examples=50, deadline=None)
     def test_lockstep_equals_one_bracket_at_a_time(self, brackets):
-        # bracket k is (10 + 2k, 11 + 2k] with one root on a dyadic point,
-        # which bisection reaches as a midpoint; Z is linear with either
-        # sign on [10 + 2k, 12 + 2k)
+        # bracket k is (10 + 2k, 11 + 2k] with one root on a dyadic point;
+        # Z is an odd power of (t - root) with either sign on [10 + 2k, 12 + 2k),
+        # so the brackets close after different numbers of steps
         t_lo = 10.0 + 2.0 * np.arange(len(brackets))
         t_hi = t_lo + 1.0
-        roots = t_lo + [j / 2.0**d for j, d, _ in brackets]
-        signs = np.array([s for _, _, s in brackets])
+        roots = t_lo + [j / 2.0**d for j, d, _, _ in brackets]
+        signs = np.array([s for _, _, s, _ in brackets])
+        powers = np.array([p for _, _, _, p in brackets])
 
         def z_of(t, cfg=None):
             k = ((t - 10.0) // 2.0).astype(int)
-            return signs[k] * (t - roots[k])
+            d = t - roots[k]
+            odd = np.where(powers[k] == 1, 1.0, np.where(powers[k] == 3, d * d, d * d * d * d))
+            return signs[k] * d * odd
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros, "hardy_z_array", z_of)
-            lo, hi = _bisect(t_lo, z_of(t_lo), t_hi, DEFAULT_CONFIG)
+            lo, hi = _bisect(t_lo, z_of(t_lo), t_hi, z_of(t_hi), DEFAULT_CONFIG)
         for k, (a, b) in enumerate(zip(t_lo.tolist(), t_hi.tolist())):
-            want = _reference_bisect(a, b, lambda t: float(z_of(np.array([t]))[0]))
+            want = _reference_itp(a, b, lambda t: float(z_of(np.array([t]))[0]))
             assert (lo[k].hex(), hi[k].hex()) == (want[0].hex(), want[1].hex())
             assert lo[k] < roots[k] <= hi[k]
             assert hi[k] - lo[k] <= BRACKET_WIDTH
+
+    def test_few_steps_on_the_scan_brackets(self, monkeypatch):
+        # bisection takes 36 lockstep calls to narrow the 0.05-wide brackets
+        # below t = 100 to BRACKET_WIDTH
+        t_lo, z_lo, t_hi, z_hi = _scan_brackets(10.0123, 100.0)
+        assert t_lo.size == 29
+        calls = []
+        hardy = zeros.hardy_z_array
+
+        def counted(t, cfg):
+            calls.append(len(t))
+            return hardy(t, cfg)
+
+        monkeypatch.setattr(zeros, "hardy_z_array", counted)
+        lo, hi = _bisect(t_lo, z_lo, t_hi, z_hi, DEFAULT_CONFIG)
+        assert len(calls) <= 12
+        assert (hi - lo <= BRACKET_WIDTH).all()
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            lambda t: np.where(t < 1.3, -1e-300, 1.0),
+            lambda t: (t - 1.3) ** 3,
+            lambda t: np.expm1(40.0 * (t - 1.9)),
+        ],
+        ids=["step", "cube", "exp"],
+    )
+    def test_steps_bounded_where_interpolation_fails(self, z, monkeypatch):
+        # regula falsi crawls on these; ITP's projection keeps each bracket
+        # to bisection's 40 steps on (1, 2] plus _ITP_N0, plus one step where
+        # rounding leaves the last width a few ulps above BRACKET_WIDTH
+        calls = []
+
+        def counted(t, cfg):
+            calls.append(len(t))
+            if len(calls) > 100:
+                raise AssertionError("regula falsi crawls: the projection does not bound it")
+            return z(t)
+
+        monkeypatch.setattr(zeros, "hardy_z_array", counted)
+        t_lo, t_hi = np.array([1.0]), np.array([2.0])
+        lo, hi = _bisect(t_lo, z(t_lo), t_hi, z(t_hi), DEFAULT_CONFIG)
+        assert len(calls) <= 40 + zeros._ITP_N0 + 1
+        assert lo[0] < hi[0] and hi[0] - lo[0] <= BRACKET_WIDTH
 
 
 def _loop_grid(t_min: float, t_max: float, step: float) -> list[float]:
@@ -327,7 +407,7 @@ class TestFindZeros:
             return hardy(t, cfg)
 
         monkeypatch.setattr(zeros, "hardy_z_array", counted)
-        monkeypatch.setattr(zeros, "_bisect", lambda t_lo, z_lo, t_hi, cfg: (t_lo, t_hi))
+        monkeypatch.setattr(zeros, "_bisect", lambda t_lo, z_lo, t_hi, z_hi, cfg: (t_lo, t_hi))
         find_zeros(10.0123, 100.0)
         assert sum(rows) == zeros._scan_grid(10.0123, 100.0, 0.05).size == 1801
 
