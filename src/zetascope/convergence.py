@@ -4,15 +4,20 @@ claim-verification report.
 Each sweep evaluates one named quantity at n = n0, 2 n0, ..., n0 2^d from a
 table of partial sums built by one compensated pass per argument point, then
 the fitting/extrapolation helpers quantify the convergence order or limit.
-verify_claims runs one claim loop per zero: ``_claims_for_zero`` builds every
-report row, each of the nine checks returns only what it measured (expected,
-measured, tolerance, pass, detail), and an exception inside a check becomes
-that claim's failed row. All nine read one table per zero.
+One rule, ``_sweep_ns``, sets a sweep's reach for ``sweep``,
+``derivative_ratio_limit`` and ``verify_claims`` alike: n0 doubled until the
+Hardy-Littlewood window |Im rho| <= 2 pi n0 / C holds, then doubled d times,
+refused before any work if that passes N_CAP.
+
+verify_claims sets every zero's sweep first, then runs one claim loop per
+zero: ``_claims_for_zero`` builds every report row, each of the nine checks
+returns only what it measured (expected, measured, tolerance, pass, detail),
+and an exception inside a check becomes that claim's failed row. All nine
+read one table per zero.
 
 No quantity's formula lives here: ``Quantity``, ``_tables`` and ``_value``
-are the registry in ``functional_eq``. This module owns the n grid and its
-check, the validity-window shift, the n^(1-2 rho) normalization, the fits
-and the claims.
+are the registry in ``functional_eq``. This module owns the sweep's reach,
+the n^(1-2 rho) normalization, the fits and the claims.
 """
 
 from __future__ import annotations
@@ -148,32 +153,31 @@ def _derivative_ratio(
     )
 
 
-def _window_n0(rho: complex, n0: int, cfg: EulerMaclaurinConfig, stacklevel: int) -> int:
-    """Smallest n0 * 2^j that meets the validity window at rho, with one
-    warning when j > 0. ``stacklevel`` counts the frames from here to the
-    caller of the public function, so the warning names the caller's line.
+def _sweep_ns(rho: complex, plan: SweepPlan) -> list[int]:
+    """The n of a sweep at rho: n0 doubled until |Im rho| <= 2 pi n0 / C, the
+    validity window, then doubled ``plan.doublings`` times.
 
-    Raises DomainError if no such n stays within N_CAP (as for a NaN or
-    infinite Im rho).
+    Raises DomainError, before any work, once the shifted n0 passes
+    N_CAP >> doublings (as it does for a NaN or infinite Im rho). Warns once
+    when n0 moves; only the public functions call this, so the warning names
+    their caller's line.
     """
-    n = n0
-    while not abs(rho.imag) <= cfg.max_im(n):
-        n *= 2
-        if n > N_CAP:
+    n0 = plan.n0
+    while not abs(rho.imag) <= plan.cfg.max_im(n0):
+        n0 *= 2
+        if n0 > N_CAP >> plan.doublings:
             raise DomainError(
-                f"no n0 * 2^j <= {N_CAP} meets the validity window for Im z={rho.imag}"
+                f"n0={plan.n0} must shift to at least n0={n0} to meet the validity "
+                f"window for Im z={rho.imag}; doubled {plan.doublings} times that "
+                f"exceeds the cap {N_CAP}"
             )
-    if n != n0:
+    if n0 != plan.n0:
         warnings.warn(
-            f"n0={n0} violates the validity window for Im z={rho.imag}; "
-            f"shifted to n0={n}",
-            stacklevel=stacklevel,
+            f"n0={plan.n0} violates the validity window for Im z={rho.imag}; "
+            f"shifted to n0={n0}",
+            stacklevel=3,
         )
-    return n
-
-
-def _dyadic_ns(n0: int, doublings: int) -> list[int]:
-    return [n0 * 2**k for k in range(doublings + 1)]
+    return [n0 << k for k in range(plan.doublings + 1)]
 
 
 def _series_from_table(
@@ -198,24 +202,9 @@ def sweep(
     cfg: EulerMaclaurinConfig | None = None,
 ) -> ConvergenceSeries:
     """Evaluate ``quantity`` at n = n0 * 2^k for k = 0..doublings."""
-    return _series_from_table(quantity, *_sweep_table(quantity, rho, n0, doublings, cfg))
-
-
-def _sweep_table(
-    quantity: Quantity,
-    rho: complex,
-    n0: int,
-    doublings: int,
-    cfg: EulerMaclaurinConfig | None,
-) -> tuple[complex, list[int], dict[int, RawSums], dict[int, RawSums] | None]:
-    """rho, the window-shifted dyadic ns, and the sums tables ``quantity``
-    reads at rho and, if it needs them, at 1 - rho."""
-    _check_grid(n0, doublings)
     rho = complex(rho)
-    # the warning's frames: _window_n0, _sweep_table, sweep (or
-    # derivative_ratio_limit) and its caller
-    ns = _dyadic_ns(_window_n0(rho, n0, cfg or EulerMaclaurinConfig(), 4), doublings)
-    return (rho, ns, *_tables(quantity, rho, ns))
+    ns = _sweep_ns(rho, SweepPlan(n0, doublings, cfg or EulerMaclaurinConfig()))
+    return _series_from_table(quantity, rho, ns, *_tables(quantity, rho, ns))
 
 
 def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
@@ -263,9 +252,9 @@ def derivative_ratio_limit(
     before the ratio is formed; without it the ratio at n carries an
     O((ln n) n^(-1/2)) error, about 1e-2 at n = 2^16.
     """
-    return _derivative_ratio(
-        *_sweep_table(Quantity.DERIV_RATIO_CORRECTED, rho, n0, doublings, cfg)
-    )
+    rho = complex(rho)
+    ns = _sweep_ns(rho, SweepPlan(n0, doublings, cfg or EulerMaclaurinConfig()))
+    return _derivative_ratio(rho, ns, *_tables(Quantity.DERIV_RATIO_CORRECTED, rho, ns))
 
 
 @dataclass(frozen=True)
@@ -315,34 +304,33 @@ def verify_claims(
 ) -> list[ClaimResult]:
     """Run the nine convergence/identity claims at every supplied zero.
 
-    Any error inside one claim becomes a failed row carrying the message;
-    it never aborts the rest of the report.
+    Every zero's sweep is checked first: one that no sweep within N_CAP
+    reaches raises DomainError naming the zero, before any work. After that,
+    any error inside one claim becomes a failed row carrying the message; it
+    never aborts the rest of the report.
     """
     if not zeros:
         raise DomainError("verify_claims needs at least one zero")
     plan = plan or SweepPlan()
-    results: list[ClaimResult] = []
-    for zr in zeros:
-        results.extend(_claims_for_zero(zr, plan))
-    return results
+    sweeps = []
+    for zr in zeros:  # not a comprehension: before 3.12 it adds a frame to the warning's stack
+        try:
+            sweeps.append(_sweep_ns(zr.rho, plan))
+        except DomainError as exc:
+            raise DomainError(f"zero {zr.index} at t={zr.t}: {exc}") from exc
+    return [row for zr, ns in zip(zeros, sweeps) for row in _claims_for_zero(zr, ns)]
 
 
-def _zero_table(
-    rho: complex, plan: SweepPlan
-) -> tuple[int, dict[int, RawSums], dict[int, RawSums]]:
-    """The window-shifted n0 and every partial sum the claims read at one zero.
+def _zero_table(rho: complex, ns: list[int]) -> tuple[dict[int, RawSums], dict[int, RawSums]]:
+    """Every partial sum the claims read at one zero, whose sweep is ``ns``.
 
-    One pass at rho, with the derivative, reaches the dyadic ns and the 2n
-    of the C1 fit points (n <= C1_FIT_MAX_N) and of the identity checks;
-    the table at 1 - rho (``_mirror``) covers the ns.
+    One pass at rho, with the derivative, reaches the ns and the 2n of the
+    C1 fit points (n <= C1_FIT_MAX_N) and of the identity checks; the table
+    at 1 - rho (``_mirror``) covers the ns.
     """
-    # the warning's frames: _window_n0, _zero_table, _claims_for_zero,
-    # verify_claims and its caller
-    n0 = _window_n0(rho, plan.n0, plan.cfg, 5)
-    ns = _dyadic_ns(n0, plan.doublings)
     doubled = [n for n in ns if n <= C1_FIT_MAX_N] + list(IDENTITY_NS)
     at_rho = raw_sums_at(rho, {*ns, *(2 * n for n in doubled)}, True)
-    return n0, at_rho, _mirror(rho, at_rho, ns, True)
+    return at_rho, _mirror(rho, at_rho, ns, True)
 
 
 #: what one check measured: expected, measured, tolerance, passed, detail
@@ -354,38 +342,33 @@ def _within(target: complex | float, value: complex | float, detail: str) -> _Me
     return _fmt(target), _fmt(value), LIMIT_TOL, abs(value - target) <= LIMIT_TOL, detail
 
 
-def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
+def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
     rho = zr.rho
     try:
-        built = _zero_table(rho, plan)
+        built = _zero_table(rho, ns)
     except Exception as exc:  # every check that reads the table reports it
         built = exc
 
-    def table() -> tuple[int, dict[int, RawSums], dict[int, RawSums]]:
+    def table() -> tuple[dict[int, RawSums], dict[int, RawSums]]:
         if isinstance(built, Exception):
             raise built
         return built
 
-    def series(quantity: Quantity, doublings: int) -> ConvergenceSeries:
-        n0, at_rho, at_mirror = table()
-        return _series_from_table(quantity, rho, _dyadic_ns(n0, doublings), at_rho, at_mirror)
+    def series(quantity: Quantity, over: list[int] = ns) -> ConvergenceSeries:
+        return _series_from_table(quantity, rho, over, *table())
 
     def c1() -> _Measured:
-        n0, at_rho, at_mirror = table()
-        ns = [n for n in _dyadic_ns(n0, plan.doublings) if n <= C1_FIT_MAX_N]
-        fit = fit_power_law(
-            _series_from_table(Quantity.SMALL_H_2N, rho, ns, at_rho, at_mirror)
-        )
+        fit = fit_power_law(series(Quantity.SMALL_H_2N, [n for n in ns if n <= C1_FIT_MAX_N]))
         lo, hi = C1_EXPONENT_RANGE
         detail = f"|h_2n| decay exponent over n<=2^14; max fit residual {fit.max_abs_residual:.2e}"
         return "-1.5", _fmt(fit.exponent), 0.15, lo <= fit.exponent <= hi, detail
 
     def c2() -> _Measured:
-        n_last, v_last = series(Quantity.H_HAT_DOUBLING_RATIO, plan.doublings - 1).points[-1]
+        n_last, v_last = series(Quantity.H_HAT_DOUBLING_RATIO, ns[:-1]).points[-1]
         return _within(1.0, abs(v_last), f"|H_hat_2n/H_hat_n| at n={n_last}")
 
     def c3() -> _Measured:
-        ser = _normalized(series(Quantity.H_HAT_N, plan.doublings))
+        ser = _normalized(series(Quantity.H_HAT_N))
         devs = [abs(v - 1.0) for v in ser.values()]
         n_last, v_last = ser.points[-1]
         ok = devs[-1] <= LIMIT_TOL and _monotone_final_decrease(devs)
@@ -396,19 +379,18 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
         return "1", _fmt(v_last), LIMIT_TOL, ok, detail
 
     def c4() -> _Measured:
-        ser = series(Quantity.H_N, plan.doublings)
+        ser = series(Quantity.H_N)
         lim = ratio_limit(_normalized(ser))
         detail = f"H_n/n^(1-2rho) at n={ser.points[-1][0]}; last_delta {lim.last_delta:.3e}"
         return _within(rho / (1.0 - rho), lim.limit, detail)
 
     def c5() -> _Measured:
-        n_last, v_last = series(Quantity.H_N, plan.doublings).points[-1]  # n_last is 2n
+        n_last, v_last = series(Quantity.H_N).points[-1]  # n_last is 2n
         target = rho / (1.0 - rho) * _pow_1_minus_2rho(n_last, rho)
         return _within(target, v_last, f"H_2n vs (rho/(1-rho))(2n)^(1-2rho) at 2n={n_last}")
 
     def c6() -> _Measured:
-        n0, at_rho, at_mirror = table()
-        lim = _derivative_ratio(rho, _dyadic_ns(n0, plan.doublings), at_rho, at_mirror)
+        lim = _derivative_ratio(rho, ns, *table())
         target = -h_hat_exact(rho)
         detail = (
             f"boundary-corrected zeta_hat_n'(rho)/zeta_hat_n'(1-rho) at n={lim.n}; "
@@ -431,7 +413,7 @@ def _claims_for_zero(zr: ZeroRecord, plan: SweepPlan) -> list[ClaimResult]:
     def identity(quantity: Quantity, weight: int) -> _Measured:
         """quantity(n) = -weight R_2n + 2^(1-rho) R_n at each identity n."""
         values, bounds = remainders()
-        _, at_rho, at_mirror = table()
+        at_rho, at_mirror = table()
         two_pow = complex_pow_base_real(2.0, rho - 1.0)  # 2^(1-rho)
         worst = 0.0
         details = []

@@ -17,6 +17,8 @@ from .errors import ConfigError, DomainError, PoleError
 
 TWO_PI = 2.0 * math.pi
 LN_TWO_PI = math.log(TWO_PI)
+#: the most unit steps log_gamma_array lifts an element by; bounds its work
+_MAX_LIFT = 2**12
 
 # Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set).
 # Gives ~14 significant digits for Re z >= 0.5, |z| <= a few hundred.
@@ -64,17 +66,22 @@ def log_gamma_array(z) -> np.ndarray:
 
     Each element with Re z < 0.5 is lifted by its own m = ceil(0.5 - Re z)
     through Gamma(z) = Gamma(z+m) / [z (z+1) ... (z+m-1)], which keeps the
-    branch consistent for the desk-scale domain |z| <= 100 used here.
-    Raises PoleError at a non-positive integer and DomainError when a lift
-    would be infinite.
+    branch consistent for the desk-scale domain |z| <= 100 used here. A lift
+    takes one step per unit of m, so m is bounded by 2^12: an element with
+    Re z < 0.5 - 2^12 (or an infinite one) raises DomainError before any
+    work. Raises PoleError at a non-positive integer.
     """
     z = np.asarray(z, dtype=complex)
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
     if pole.any():
         raise PoleError(f"log_gamma pole at non-positive integer z={z.real[pole][0]}")
     lift = np.where(z.real < 0.5, np.ceil(0.5 - z.real), 0.0)
-    if not np.isfinite(lift).all():
-        raise DomainError(f"log_gamma needs a finite real part, got {z[~np.isfinite(lift)][0]}")
+    far = lift > _MAX_LIFT
+    if far.any():
+        raise DomainError(
+            f"log_gamma needs Re z >= {0.5 - _MAX_LIFT} (a lift of at most {_MAX_LIFT} "
+            f"steps), got z={z[far][0]}"
+        )
     m = lift.astype(np.int64)
     shift = np.zeros(z.shape, dtype=complex)
     for j in range(int(m.max(initial=0))):

@@ -387,6 +387,13 @@ class TestBoundaryProbes:
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == ""
 
+    def test_h_hat_far_right_is_numerical_error_at_once(self, tmp_path):
+        # Gamma(1 - z) would be lifted 1e9 unit steps; a child process, so a
+        # hang fails on the timeout
+        proc = _spawn(["eval", "--what", "H_hat", "--z", "1e9+1i"], tmp_path)
+        assert proc.returncode == EXIT_MODULE_ERROR
+        assert proc.stderr.startswith("error: log_gamma needs Re z >= -4095.5")
+
     def test_h_hat_beyond_the_sine_overflow_evaluates(self, capsys):
         assert main(["eval", "--what", "H_hat", "--z", "0.5+500i"]) == EXIT_OK
         # on the critical line |H_hat| = 1
@@ -507,7 +514,7 @@ class TestBoundaryProbes:
         def no_work(*args, **kwargs):
             raise AssertionError("the sweeps' reach was not checked first")
 
-        monkeypatch.setattr(convergence, "verify_claims", no_work)
+        monkeypatch.setattr(convergence, "_claims_for_zero", no_work)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))

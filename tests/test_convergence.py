@@ -18,9 +18,9 @@ from zetascope.convergence import (
     sweep,
     verify_claims,
     _claims_for_zero,
-    _dyadic_ns,
     _normalized,
     _series_from_table,
+    _sweep_ns,
     _value,
     _zero_table,
 )
@@ -95,7 +95,7 @@ class TestSweep:
 
     def test_grid_reaching_the_cap_is_accepted(self):
         assert SweepPlan(n0=64, doublings=18).doublings == 18
-        assert _dyadic_ns(N_CAP >> 4, 4)[-1] == N_CAP
+        assert _sweep_ns(RHO_1, SweepPlan(n0=N_CAP >> 4, doublings=4))[-1] == N_CAP
 
 
 class TestFitting:
@@ -231,7 +231,7 @@ class TestVerifyClaims:
 
     def test_error_containment(self, scanned_zeros, monkeypatch):
         # a table build that raises must yield failed rows, not an exception
-        def broken(rho, plan):
+        def broken(rho, ns):
             raise DomainError("table build failed")
 
         monkeypatch.setattr(convergence, "_zero_table", broken)
@@ -276,7 +276,9 @@ def _count_passes(monkeypatch) -> list[complex]:
 class TestSharedTable:
     def test_table_series_equal_standalone_sweeps(self):
         plan = SweepPlan()
-        n0, at_rho, at_mirror = _zero_table(RHO_1, plan)
+        ns = _sweep_ns(RHO_1, plan)
+        at_rho, at_mirror = _zero_table(RHO_1, ns)
+        n0 = ns[0]
         assert max(at_rho) == n0 * 2**plan.doublings
         ratios = (Quantity.H_HAT_DOUBLING_RATIO, Quantity.H_DOUBLING_RATIO)
         doubled = (Quantity.SMALL_H_2N, Quantity.SMALL_G_2N)
@@ -288,7 +290,7 @@ class TestSharedTable:
                 last = (C1_FIT_MAX_N // n0).bit_length() - 1
             for doublings in (last - 1, last):
                 shared = _series_from_table(
-                    quantity, RHO_1, _dyadic_ns(n0, doublings), at_rho, at_mirror
+                    quantity, RHO_1, ns[: doublings + 1], at_rho, at_mirror
                 )
                 alone = sweep(quantity, RHO_1, plan.n0, doublings, plan.cfg)
                 assert shared == alone, (quantity, doublings)
@@ -296,8 +298,8 @@ class TestSharedTable:
     @pytest.mark.parametrize("t", [14.134725141734694, 49.773832477672302, 77.1448400688748])
     def test_mirror_table_is_the_conjugate_bit_for_bit(self, t):
         rho = complex(0.5, t)
-        n0, at_rho, at_mirror = _zero_table(rho, SweepPlan())
-        ns = _dyadic_ns(n0, SweepPlan().doublings)
+        ns = _sweep_ns(rho, SweepPlan())
+        at_rho, at_mirror = _zero_table(rho, ns)
         alone = raw_sums_at(1 - rho, ns, True)
         assert sorted(at_mirror) == ns
         for n in ns:
@@ -307,7 +309,7 @@ class TestSharedTable:
     @pytest.mark.parametrize("rho,passes", [(RHO_1, 1), (complex(0.6, 20.0), 2)])
     def test_passes_per_zero(self, monkeypatch, rho, passes):
         calls = _count_passes(monkeypatch)
-        _, at_rho, at_mirror = _zero_table(rho, SweepPlan())
+        at_rho, at_mirror = _zero_table(rho, _sweep_ns(rho, SweepPlan()))
         assert calls == [rho, 1.0 - rho][:passes]
         assert at_mirror[1024] == raw_sums_at(1.0 - rho, (1024,), True)[1024]
 
@@ -333,13 +335,12 @@ class TestSharedTable:
             return _remainder_rows(z, n, cfg)
 
         monkeypatch.setattr(convergence, "_remainder_rows", counting)
-        rows = _claims_for_zero(_zero(RHO_1.imag), SweepPlan())
+        rows = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))
         assert calls == [[256, 512, 1024, 2048, 4096, 8192]]
         assert [r.passed for r in rows if r.claim in ("C7", "C8")] == [True, True]
 
     def test_identity_sums_equal_standalone(self):
-        plan = SweepPlan()
-        _, at_rho, at_mirror = _zero_table(RHO_1, plan)
+        at_rho, at_mirror = _zero_table(RHO_1, _sweep_ns(RHO_1, SweepPlan()))
         for n in IDENTITY_NS:
             g = _value(Quantity.SMALL_G_2N, RHO_1, n, at_rho, at_mirror)
             h = _value(Quantity.SMALL_H_2N, RHO_1, n, at_rho, at_mirror)
@@ -365,23 +366,36 @@ class TestSharedTable:
         shifts = [w for w in caught if "validity window" in str(w.message)]
         assert [w.filename for w in shifts] == [__file__] * 3
 
-    def test_non_finite_zero_gives_failed_rows(self):
-        rows = _claims_for_zero(_zero(math.nan), SweepPlan())
-        assert [r.claim for r in rows] == list(CLAIM_IDS)
-        assert all(not r.passed for r in rows)
-        assert all("DomainError" in r.detail for r in rows[:6])
-        # C7/C8 ask for the remainders before the table
-        assert all(r.detail.startswith("WindowError: ") for r in rows[6:8])
-        assert all(
-            (r.expected, r.measured, math.isnan(r.tolerance)) == ("", "error", True)
-            for r in rows[:8]
-        )
-        assert rows[8].measured == "nan"
+    @pytest.mark.parametrize("t,n0,doublings", [(14.13, 2, 23), (math.nan, 64, 10)])
+    @pytest.mark.parametrize("call", ["sweep", "derivative_ratio", "verify_claims"])
+    def test_unreachable_sweep_refused(self, monkeypatch, call, t, n0, doublings):
+        # refused before any work: n0 shifted to the window at t passes
+        # N_CAP >> doublings (a NaN t never meets the window); verify_claims
+        # checks every zero before its first pass, so the reachable zero 1 is
+        # not summed either
+        calls = _count_passes(monkeypatch)
+        rho = complex(0.5, t)
+        runs = {
+            "sweep": lambda: sweep(Quantity.H_HAT_N, rho, n0, doublings),
+            "derivative_ratio": lambda: derivative_ratio_limit(rho, n0, doublings),
+            "verify_claims": lambda: verify_claims(
+                [_zero(5.0, 1), _zero(t, 2)], SweepPlan(n0=n0, doublings=doublings)
+            ),
+        }
+        with pytest.raises(DomainError, match="validity window") as refused:
+            runs[call]()
+        assert calls == []
+        message = str(refused.value)
+        assert f"n0={n0} must shift to at least n0=" in message
+        assert message.endswith(f"doubled {doublings} times that exceeds the cap {N_CAP}")
+        if call == "verify_claims":
+            assert message.startswith(f"zero 2 at t={t}: ")
 
     def test_off_line_point_fails_all_but_c2(self):
+        rho = complex(0.6, 20.0)
         rows = _claims_for_zero(
-            ZeroRecord(index=7, t=20.0, rho=complex(0.6, 20.0), bracket=(20.0, 20.0), residual=0.0),
-            SweepPlan(),
+            ZeroRecord(index=7, t=20.0, rho=rho, bracket=(20.0, 20.0), residual=0.0),
+            _sweep_ns(rho, SweepPlan()),
         )
         assert [r.claim for r in rows if r.passed] == ["C2"]
         assert all(r.zero_index == 7 for r in rows)

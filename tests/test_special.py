@@ -115,6 +115,20 @@ class TestLogGammaArray:
         with pytest.raises(PoleError, match="-2.0"):
             log_gamma_array([complex(1.0, 3.0), complex(-2.0, 0.0)])
 
+    @pytest.mark.parametrize("re", [-4095.6, -1e5, -math.inf])
+    def test_lift_past_two_to_the_twelve_is_refused_at_once(self, re):
+        # one Python step per unit of lift: at -1e9 that would be hours
+        with pytest.raises(DomainError, match=r"Re z >= -4095.5"):
+            log_gamma_array([complex(1.0, 3.0), complex(re, 1.0)])
+
+    def test_longest_lift_meets_the_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = complex(-4095.5, 1.0)  # m = 2^12 exactly
+        got = log_gamma(z)
+        with mpmath.workdps(30):
+            ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+            assert abs(mpmath.mpc(got.real, got.imag) - ref) <= 1e-14 * abs(ref)
+
 
 #: the strip of the mpmath oracle test: Re z in [-5, 5], |Im z| <= 1000
 wide_z = st.builds(complex, st.floats(-5.0, 5.0), st.floats(-1000.0, 1000.0))
