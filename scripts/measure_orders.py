@@ -35,7 +35,7 @@ def main() -> None:
     args = parser.parse_args()
 
     cfg = EulerMaclaurinConfig()
-    zeros = find_zeros(10, 50, 0.05, cfg)
+    zeros = find_zeros(10, 50, cfg)
     ns = [args.n0 * 2**k for k in range(args.doublings + 1)]
 
     print(f"{'t':>12}  {'|zeta_hat_n| (-0.5)':>20}  {'|h_2n| (-1.5)':>14}  "

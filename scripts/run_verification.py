@@ -18,10 +18,7 @@ def run(t_max: float, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     zeros_csv = out_dir / "zeros.csv"
     report_json = out_dir / "report.json"
-    rc = cli_main(
-        ["zeros", "--t-min", "10", "--t-max", str(t_max), "--step", "0.05",
-         "--out", str(zeros_csv)]
-    )
+    rc = cli_main(["zeros", "--t-min", "10", "--t-max", str(t_max), "--out", str(zeros_csv)])
     if rc != 0:
         return rc
     rc = cli_main(["verify", "--zeros", str(zeros_csv), "--out", str(report_json)])

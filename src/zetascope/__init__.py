@@ -44,6 +44,7 @@ _EXPORTS = {
     "find_zeros": "zeros",
     "hardy_z": "zeros",
     "riemann_siegel_theta": "zeros",
+    "zero_count": "zeros",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import zetascope
 
-from . import series, zeros as zeros_mod
+from . import zeros as zeros_mod
 from .errors import ConfigError, DomainError, ZetascopeError
 from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
+from .special import N_CAP, _check_grid
 from .zeros import ZeroRecord
 
 EXIT_OK = 0
@@ -38,12 +39,13 @@ class UsageError(ZetascopeError):
 
 
 #: eval --what name -> (value at (z, n, Euler-Maclaurin config), the multiple
-#: of n it sums to: 0 if it does not depend on n); the functional_eq names are
-#: read from the package, so only eval loads that module
+#: of n it sums to: 0 if it does not depend on n); the series and
+#: functional_eq names are read from the package, so only eval loads those
+#: modules (and numpy)
 _QUANTITIES = {
-    "zeta_n": (lambda z, n, em: series.zeta_partial(z, n), 1),
-    "xi_n": (lambda z, n, em: series.xi_partial(z, n), 1),
-    "zeta_hat_n": (lambda z, n, em: series.zeta_hat_partial(z, n), 1),
+    "zeta_n": (lambda z, n, em: zetascope.zeta_partial(z, n), 1),
+    "xi_n": (lambda z, n, em: zetascope.xi_partial(z, n), 1),
+    "zeta_hat_n": (lambda z, n, em: zetascope.zeta_hat_partial(z, n), 1),
     "zeta_hat": (lambda z, n, em: zeta_hat_reference(z, em), 0),
     "H_hat": (lambda z, n, em: zetascope.h_hat_exact(z), 0),
     "H_hat_n": (lambda z, n, em: zetascope.h_hat_n(z, n), 1),
@@ -73,18 +75,17 @@ class RunConfig:
     doublings: int = 10
     t_min: float = 10.0
     t_max: float = 50.0
-    step: float = 0.05
 
     def __post_init__(self):
         try:
-            series._check_grid(self.n0, self.doublings)
+            _check_grid(self.n0, self.doublings)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
         try:
-            zeros_mod._check_scan(self.t_min, self.t_max, self.step, self.em)
+            zeros_mod._check_scan(self.t_min, self.t_max, self.em)
         except DomainError as exc:
             raise UsageError(
-                f"{exc} (the scan is set by t_min, t_max, step, em.n_base and em.window_C)"
+                f"{exc} (the scan is set by t_min, t_max, em.n_base and em.window_C)"
             ) from exc
 
 
@@ -182,7 +183,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             f"unknown quantity {args.what!r}; choose from " + ", ".join(_QUANTITIES)
         )
     fn, reach = _QUANTITIES[args.what]
-    cap = series.N_CAP // max(reach, 1)
+    cap = N_CAP // max(reach, 1)
     if not 1 <= args.n <= cap:
         raise UsageError(f"--n must lie in [1, {cap}], got {args.n}")
     print(format_value(fn(z, args.n, cfg.em)))
@@ -225,7 +226,7 @@ def read_zeros_csv(path: Path) -> list[ZeroRecord]:
 
 def cmd_zeros(args, cfg: RunConfig) -> int:
     out = _output(args.out)
-    records = zeros_mod.find_zeros(cfg.t_min, cfg.t_max, cfg.step, cfg.em)
+    records = zeros_mod.find_zeros(cfg.t_min, cfg.t_max, cfg.em)
     write_zeros_csv(records, out)
     print(len(records))
     return EXIT_OK
@@ -317,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeros = sub.add_parser("zeros", help="scan for critical-line zeros")
     p_zeros.add_argument("--t-min", type=float, dest="t_min")
     p_zeros.add_argument("--t-max", type=float, dest="t_max")
-    p_zeros.add_argument("--step", type=float)
     p_zeros.add_argument("--out", default="zeros.csv")
 
     p_verify = sub.add_parser("verify", help="run the claim checks at each zero")

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSeriesError, DomainError
-from .euler_maclaurin import EulerMaclaurinConfig, _diverged_error, _remainder_rows
+from .euler_maclaurin import EulerMaclaurinConfig, RemainderResult, remainder_with_bound
 from .functional_eq import (
     Quantity,
     _corrected_prime,
@@ -42,8 +42,8 @@ from .functional_eq import (
     _value,
     h_hat_exact,
 )
-from .series import N_CAP, RawSums, _check_grid, raw_sums_at
-from .special import complex_pow_base_real
+from .series import RawSums, raw_sums_at
+from .special import N_CAP, _check_grid, complex_pow_base_real
 from .zeros import ZeroRecord
 
 
@@ -400,27 +400,24 @@ def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
         )
         return _within(target, lim.limit, detail)
 
-    @functools.cache  # C7 and C8 share one remainder pass over the (n, 2n) rows
-    def remainders() -> tuple[list[list[complex]], list[list[float]]]:
-        ns = [m for n in IDENTITY_NS for m in (n, 2 * n)]
-        acc, bound, terms, diverged = _remainder_rows(
-            np.full(len(ns), rho), np.array(ns), IDENTITY_CFG
-        )
-        if diverged.any():
-            raise _diverged_error(np.flatnonzero(diverged)[0], acc, bound, terms)
-        return acc.reshape(-1, 2).tolist(), bound.reshape(-1, 2).tolist()
+    @functools.cache  # C7 and C8 share the remainders at each (n, 2n) pair
+    def remainders() -> list[tuple[RemainderResult, ...]]:
+        return [
+            tuple(remainder_with_bound(rho, m, IDENTITY_CFG) for m in (n, 2 * n))
+            for n in IDENTITY_NS
+        ]
 
     def identity(quantity: Quantity, weight: int) -> _Measured:
         """quantity(n) = -weight R_2n + 2^(1-rho) R_n at each identity n."""
-        values, bounds = remainders()
+        pairs = remainders()
         at_rho, at_mirror = table()
         two_pow = complex_pow_base_real(2.0, rho - 1.0)  # 2^(1-rho)
         worst = 0.0
         details = []
-        for n, (r_n, r_2n), (b_n, b_2n) in zip(IDENTITY_NS, values, bounds):
+        for n, (r_n, r_2n) in zip(IDENTITY_NS, pairs):
             lhs = _value(quantity, rho, n, at_rho, at_mirror)
-            rhs = -weight * r_2n + two_pow * r_n
-            tol = IDENTITY_BOUND_FACTOR * (b_2n + abs(two_pow) * b_n)
+            rhs = -weight * r_2n.value + two_pow * r_n.value
+            tol = IDENTITY_BOUND_FACTOR * (r_2n.bound + abs(two_pow) * r_n.bound)
             err = abs(lhs - rhs)
             worst = max(worst, err / tol)
             details.append(f"n={n}: err {err:.2e} vs tol {tol:.2e}")

@@ -48,7 +48,3 @@ class DegenerateRatioError(ZetascopeError, ZeroDivisionError):
 
 class DegenerateSeriesError(ZetascopeError, ValueError):
     """A convergence series cannot be fitted or extrapolated (zero modulus or too few points)."""
-
-
-class PossiblyMissedZeroWarning(UserWarning):
-    """The scan step may have been too coarse to separate close zeros."""

@@ -14,8 +14,8 @@ depends neither on the other n of its row nor on the other rows of its
 block; a row shorter than its block is just not read past its n. Memory is
 a few chunk-sized arrays at any n. Everything is a pure function of (z, n)
 and safe to call concurrently. raw_sums_at reads one row at many n, as the
-sweeps and claims need; zeta_partial_array reads many rows at one n each, as
-the zero scan does.
+sweeps and claims need. The zero scan does not come here: its short sums
+are plain Python (euler_maclaurin), so a scan never loads numpy.
 
 The pass is sign-symmetric: numpy's cos is even and its sin odd, and Sum2
 commutes with negation, so the sums at conj(z) are the conjugates of the
@@ -36,10 +36,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, PoleError, SumOverflowError
-from .special import complex_pow_base_real
-
-#: hard cap on n; keeps every sum at desk scale
-N_CAP = 2**24
+from .special import N_CAP, complex_pow_base_real
 
 
 class RawSums(NamedTuple):
@@ -59,18 +56,6 @@ def _check_n(n: int) -> None:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if n > N_CAP:
         raise DomainError(f"n={n} exceeds the configured cap {N_CAP}")
-
-
-def _check_grid(n0: int, doublings: int) -> None:
-    """DomainError unless n0 is a positive int, doublings an int >= 4 and
-    n0 * 2^doublings <= N_CAP, the dyadic grid a sweep sums to; 2^doublings
-    is never built."""
-    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
-        raise DomainError(f"n0 must be a positive integer, got {n0!r}")
-    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 4:
-        raise DomainError(f"a sweep needs at least 4 doublings, got {doublings!r}")
-    if n0 > N_CAP >> doublings:
-        raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
 
 
 def _chunk_prefix_sums(
@@ -170,20 +155,6 @@ def raw_sums_at(
         )
         for n, s in zip(ns, v.tolist())
     }
-
-
-def zeta_partial_array(z, n) -> np.ndarray:
-    """Sum_{k=1..n_i} k**(-z_i) for each pair of two equal-length 1-d arrays.
-
-    Each row's value is bit-identical to ``zeta_partial(z_i, n_i)``,
-    whatever rows share its block.
-    """
-    z = np.asarray(z, dtype=complex)
-    n = np.asarray(n, dtype=np.int64)
-    if z.ndim != 1 or n.shape != z.shape:
-        raise DomainError(f"z and n must be 1-d of equal length, got {z.shape} and {n.shape}")
-    # each (real, imag) pair of the (rows, 1, 2) result is one complex in memory
-    return _sums(z, n[:, None], 2).view(complex).reshape(z.shape)
 
 
 def _pow_n(n: int, z: complex) -> complex:

@@ -2,6 +2,9 @@
 
 Everything here is a pure function of its arguments: complex powers of a
 positive real base, the log-gamma function, and exact Bernoulli numbers.
+It also holds N_CAP, the cap on every n, with the check of the dyadic grid
+a sweep sums to, so that modules without numpy (the zero scan, the CLI's
+config check) read them without loading the partial sums.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, PoleError
+
+#: hard cap on n; keeps every sum at desk scale
+N_CAP = 2**24
 
 TWO_PI = 2.0 * math.pi
 LN_TWO_PI = math.log(TWO_PI)
-#: the most unit steps log_gamma_array lifts an element by; bounds its work
+#: the most unit steps log_gamma lifts a point by; bounds its work
 _MAX_LIFT = 2**12
 
 # Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set).
@@ -42,6 +46,18 @@ _LANCZOS_C = (
 )
 
 
+def _check_grid(n0: int, doublings: int) -> None:
+    """DomainError unless n0 is a positive int, doublings an int >= 4 and
+    n0 * 2^doublings <= N_CAP, the dyadic grid a sweep sums to; 2^doublings
+    is never built."""
+    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
+        raise DomainError(f"n0 must be a positive integer, got {n0!r}")
+    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 4:
+        raise DomainError(f"a sweep needs at least 4 doublings, got {doublings!r}")
+    if n0 > N_CAP >> doublings:
+        raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
+
+
 def complex_pow_base_real(k: float, z: complex) -> complex:
     """k**(-z) for real k > 0, via exp(-z ln k) on the principal branch."""
     if k <= 0:
@@ -52,47 +68,36 @@ def complex_pow_base_real(k: float, z: complex) -> complex:
     return cmath.exp(-z * math.log(k))
 
 
-def _lanczos_log_gamma(z: np.ndarray) -> np.ndarray:
-    # valid for Re z >= 0.5
-    s = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (z - 1.0 + i)
-    t = z + (_LANCZOS_G - 0.5)
-    return 0.5 * LN_TWO_PI + (z - 0.5) * np.log(t) - t + np.log(s)
+def log_gamma(z: complex) -> complex:
+    """log Gamma(z) on the standard branch, by a 15-term Lanczos sum.
 
-
-def log_gamma_array(z) -> np.ndarray:
-    """log Gamma(z) elementwise over a 1-d array, on the standard branch.
-
-    Each element with Re z < 0.5 is lifted by its own m = ceil(0.5 - Re z)
-    through Gamma(z) = Gamma(z+m) / [z (z+1) ... (z+m-1)], which keeps the
-    branch consistent for the desk-scale domain |z| <= 100 used here. A lift
-    takes one step per unit of m, so m is bounded by 2^12: an element with
-    Re z < 0.5 - 2^12 (or an infinite one) raises DomainError before any
-    work. Raises PoleError at a non-positive integer.
+    A point with Re z < 0.5 is lifted by m = ceil(0.5 - Re z) through
+    Gamma(z) = Gamma(z+m) / [z (z+1) ... (z+m-1)], which keeps the branch
+    consistent for the desk-scale domain |z| <= 100 used here. A lift takes
+    one step per unit of m, so m is bounded by 2^12: z with Re z < 0.5 - 2^12
+    raises DomainError before any work, as does z with a NaN or infinite
+    part. Raises PoleError at a non-positive integer.
     """
-    z = np.asarray(z, dtype=complex)
-    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-    if pole.any():
-        raise PoleError(f"log_gamma pole at non-positive integer z={z.real[pole][0]}")
-    lift = np.where(z.real < 0.5, np.ceil(0.5 - z.real), 0.0)
-    far = lift > _MAX_LIFT
-    if far.any():
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log_gamma needs a finite z, got {z}")
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+        raise PoleError(f"log_gamma pole at non-positive integer z={z.real}")
+    m = math.ceil(0.5 - z.real) if z.real < 0.5 else 0
+    if m > _MAX_LIFT:
         raise DomainError(
             f"log_gamma needs Re z >= {0.5 - _MAX_LIFT} (a lift of at most {_MAX_LIFT} "
-            f"steps), got z={z[far][0]}"
+            f"steps), got z={z}"
         )
-    m = lift.astype(np.int64)
-    shift = np.zeros(z.shape, dtype=complex)
-    for j in range(int(m.max(initial=0))):
-        lifted = j < m
-        shift[lifted] += np.log(z[lifted] + j)
-    return _lanczos_log_gamma(z + m) - shift
-
-
-def log_gamma(z: complex) -> complex:
-    """log Gamma(z) at one point; see log_gamma_array."""
-    return complex(log_gamma_array([complex(z)])[0])
+    shift = 0j
+    for j in range(m):
+        shift += cmath.log(z + j)
+    w = z + m
+    s = _LANCZOS_C[0]
+    for i in range(1, len(_LANCZOS_C)):
+        s += _LANCZOS_C[i] / (w - 1.0 + i)
+    t = w + (_LANCZOS_G - 0.5)
+    return 0.5 * LN_TWO_PI + (w - 0.5) * cmath.log(t) - t + cmath.log(s) - shift
 
 
 @lru_cache(maxsize=None)

@@ -1,34 +1,34 @@
-"""Critical-line zero location via the Hardy Z function.
+"""Critical-line zero location via the Hardy Z function, checked by a zero count.
 
 Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)] is real up to rounding leakage.
-A bracket (t_lo, t_hi] holds a zero when Z(t_lo) != 0 and Z changes sign or
-vanishes on it (_holds_zero): the grid scan finds such brackets, and ITP
-(_bisect) refines them by the same rule.
+find_zeros evaluates Z at t_min, at each Gram point inside the window and at
+t_max. The Gram points g_j solve theta(g_j) = j pi on theta's rising branch,
+t > 6.29; below t = 100 each Gram interval holds exactly one zero (Gram's law
+first fails at g_126, near t = 282.5; Brent, Math. Comp. 33, 1979), so about
+30 points stand in for a grid. Nothing rests on Gram's law, though: the
+sign changes found must number N(t_max) - N(t_min), where N is the zero
+count by the argument principle (zero_count; Backlund, see Edwards,
+Riemann's Zeta Function, ch. 6), and a mismatch raises DomainError. So a
+close pair of zeros inside one interval, or a lost sign change, fails
+loudly instead of going missing. ITP (_bisect) then refines each bracket
+(t_lo, t_hi] that holds a zero (_holds_zero), one bracket at a time.
 
-Z is evaluated over whole arrays of ordinates (hardy_z_array): theta, the
-Euler-Maclaurin reference and the leakage check each run once per array,
-and the partial sums of all ordinates share blocked numpy passes
-(series.zeta_partial_array). find_zeros builds the scan grid as one running
-sum of the step, bounded before any work, evaluates Z on it one call per
-block of _SCAN_BLOCK points, refines every bracket in lockstep (one call per
-step over the open brackets) and takes the residuals in one more call. A
-row's value never depends on the other rows of its array, so the scalar
-hardy_z (a one-element call) and the scan agree bit for bit.
+Everything here is plain math/cmath code at one t, so a scan never loads
+numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import DomainError, PrecisionError
+from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference
+from .special import TWO_PI, log_gamma
 
-from .errors import DomainError, PossiblyMissedZeroWarning, PrecisionError
-from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference_array
-from .special import log_gamma_array
-
-#: maximum tolerated |Im(exp(i theta) zeta)| before hardy_z refuses the value
+#: maximum tolerated |Im(exp(i theta) zeta)| before hardy_z refuses the value;
+#: a scan point whose |Z| is not above it has no sign that a count could back
 IM_LEAK_LIMIT = 1e-9
 
 #: _bisect refines brackets below this width (tighter than strictly needed,
@@ -40,21 +40,30 @@ BRACKET_WIDTH = 1e-12
 _ITP_K1 = 0.01
 _ITP_N0 = 1
 
-#: scan points per hardy_z_array call: bounds each call's rows x (depth + 1)
-#: Bernoulli remainder table (the partial sums inside a call are blocked
-#: separately, 32 rows at n = 128)
-_SCAN_BLOCK = 256
+#: theta falls to its minimum near t = 6.2898, then rises and is convex:
+#: above this, theta(t) = j pi has one root per j
+_THETA_RISES = 6.29
 
-#: the most points a scan grid may hold: bounds the scan's work before it starts
-_MAX_SCAN_POINTS = 2**20
+#: Newton on theta stops once a step is this small, or after _GRAM_STEPS
+_GRAM_TOL = 1e-12
+_GRAM_STEPS = 32
 
-#: the most terms a scan grid may sum, points x the reference's n at t_max:
-#: 128 is that n at t = 100 under the default config, so every scan the
-#: defaults allow fits, and a large n_base or window_C cannot hang a scan
-_MAX_SCAN_TERMS = _MAX_SCAN_POINTS * 128
+#: the zero count's sigma path runs from 2, where Re zeta > 0, to 1/2 in
+#: _COUNT_STEPS equal steps; a step whose change of argument exceeds
+#: _COUNT_ARG_STEP is halved, and a count may evaluate zeta at most
+#: _COUNT_EVALS times. Five steps put no point at sigma = 1, where the
+#: reference's tail n^(1-z)/(1-z) overflows for a subnormal t
+_COUNT_STEPS = 5
+_COUNT_ARG_STEP = math.pi / 4
+_COUNT_EVALS = 64
 
-#: warn when consecutive zeros sit closer than this many scan steps
-_MIN_SEPARATION_STEPS = 4
+#: a zero count farther than this from an integer is refused
+_COUNT_TOL = 1e-6
+
+#: the most terms a scan may sum: its Z and zeta evaluations (_check_scan)
+#: times the reference's n at t_max. The widest scan under the default
+#: config needs under 2^18, and a large n_base or window_C cannot hang one
+_MAX_SCAN_TERMS = 2**27
 
 
 @dataclass(frozen=True)
@@ -68,177 +77,226 @@ class ZeroRecord:
     residual: float
 
 
-def _at_height(sigma: float, t: np.ndarray) -> np.ndarray:
-    """sigma + i t for each t, set part by part."""
-    z = np.empty(t.shape, dtype=complex)
-    z.real, z.imag = sigma, t
-    return z
-
-
-def riemann_siegel_theta_array(t) -> np.ndarray:
-    """theta(t) = Im log Gamma(1/4 + i t / 2) - (t / 2) ln pi, for each t > 0."""
-    t = np.asarray(t, dtype=np.float64)
-    bad = ~(t > 0)
-    if bad.any():
-        raise DomainError(f"theta requires t > 0, got {t[bad][0]}")
-    return log_gamma_array(_at_height(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
-
-
 def riemann_siegel_theta(t: float) -> float:
-    """theta at one t; see riemann_siegel_theta_array."""
-    return float(riemann_siegel_theta_array([t])[0])
+    """theta(t) = Im log Gamma(1/4 + i t / 2) - (t / 2) ln pi, for t > 0."""
+    if not t > 0:
+        raise DomainError(f"theta requires t > 0, got {t}")
+    return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
 
 
-def hardy_z_array(t, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)] for each t, leakage checked.
+def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
+    """Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)], leakage checked.
 
-    Raises DomainError or PrecisionError naming the first offending t.
+    Raises DomainError unless 0 < t <= 100, and PrecisionError if the
+    imaginary part exceeds IM_LEAK_LIMIT.
     """
-    t = np.asarray(t, dtype=np.float64)
-    bad = ~((t > 0) & (t <= 100))
-    if bad.any():
-        raise DomainError(f"hardy_z is supported for t in (0, 100], got {t[bad][0]}")
-    zeta_val = zeta_hat_reference_array(_at_height(0.5, t), cfg)
-    w = np.exp(1j * riemann_siegel_theta_array(t)) * zeta_val
-    leak = np.abs(w.imag) > IM_LEAK_LIMIT
-    if leak.any():
-        i = np.flatnonzero(leak)[0]
+    if not 0 < t <= 100:
+        raise DomainError(f"hardy_z is supported for t in (0, 100], got {t}")
+    w = cmath.exp(1j * riemann_siegel_theta(t)) * zeta_hat_reference(complex(0.5, t), cfg)
+    if abs(w.imag) > IM_LEAK_LIMIT:
         raise PrecisionError(
-            f"imaginary leakage {abs(w[i].imag):.3e} exceeds {IM_LEAK_LIMIT} at t={t[i]}"
+            f"imaginary leakage {abs(w.imag):.3e} exceeds {IM_LEAK_LIMIT} at t={t}"
         )
     return w.real
 
 
-def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
-    """Z at one t; see hardy_z_array."""
-    return float(hardy_z_array([t], cfg)[0])
+def zero_count(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
+    """N(t), the number of zeros with 0 < Im rho <= t, unrounded.
+
+    N(t) = theta(t) / pi + 1 + arg zeta(1/2 + i t) / pi, the argument
+    followed continuously along sigma + i t from sigma = 2, where Re zeta > 0
+    so it starts at the principal value, to sigma = 1/2. The path follows
+    f = (z - 1) zeta(z), which has no pole, so a small t costs no more steps
+    than a large one, and takes arg(z - 1), which stays in (0, pi), back out
+    exactly. Each step's change of argument is the principal argument of
+    f(next) / f(previous), and a step is halved while that exceeds
+    _COUNT_ARG_STEP. The result is an integer up to rounding wherever
+    zeta(1/2 + i t) != 0. Raises DomainError unless 0 < t <= 100, if zeta
+    vanishes on the path, or if the steps need more than _COUNT_EVALS
+    evaluations.
+    """
+    if not 0 < t <= 100:
+        raise DomainError(f"the zero count is supported for t in (0, 100], got {t}")
+
+    def f(sigma: float) -> complex:
+        z = complex(sigma, t)
+        value = (z - 1.0) * zeta_hat_reference(z, cfg)
+        if value == 0:
+            raise DomainError(f"zeta vanishes on the zero count's path at z={z}")
+        return value
+
+    width = (2.0 - 0.5) / _COUNT_STEPS
+    pending = [(0.5 + width * k, None) for k in range(_COUNT_STEPS)]  # next on top
+    sigma, value = 2.0, f(2.0)
+    evals, arg = 1, cmath.phase(value)
+    while pending:
+        s, v = pending.pop()
+        if v is None:
+            if evals == _COUNT_EVALS:
+                raise DomainError(
+                    f"the zero count at t={t} needs over {_COUNT_EVALS} evaluations"
+                )
+            v, evals = f(s), evals + 1
+        step = cmath.phase(v / value)
+        if abs(step) > _COUNT_ARG_STEP:
+            pending += [(s, v), (0.5 * (sigma + s), None)]
+            continue
+        sigma, value, arg = s, v, arg + step
+    arg_zeta = arg - math.atan2(t, -0.5)
+    return riemann_siegel_theta(t) / math.pi + 1.0 + arg_zeta / math.pi
 
 
-def _holds_zero(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+def _checked_count(t: float, cfg: EulerMaclaurinConfig) -> int:
+    """zero_count(t), refused with DomainError unless within _COUNT_TOL of an integer."""
+    count = zero_count(t, cfg)
+    if not (math.isfinite(count) and abs(count - round(count)) <= _COUNT_TOL):
+        raise DomainError(f"the zero count at t={t} is {count!r}, not an integer")
+    return round(count)
+
+
+def _theta_slope(t: float) -> float:
+    """theta'(t) by its asymptotic series, accurate to about 1e-9 from t = 9."""
+    return 0.5 * math.log(t / TWO_PI) - 1.0 / (48.0 * t**2) - 7.0 / (1920.0 * t**4)
+
+
+def _gram_indices(t_min: float, t_max: float) -> range:
+    """The j whose Gram point g_j lies in (t_min, t_max): j pi strictly
+    between theta's values at the window's ends on the rising branch."""
+    lo = max(t_min, _THETA_RISES)
+    if not lo < t_max:
+        return range(0)
+    j_first = math.floor(riemann_siegel_theta(lo) / math.pi) + 1
+    return range(j_first, math.ceil(riemann_siegel_theta(t_max) / math.pi))
+
+
+def _gram_points(t_min: float, t_max: float) -> list[float]:
+    """The Gram points in (t_min, t_max), increasing: theta(g_j) = j pi on
+    theta's rising branch, each by Newton from the one above it (the highest
+    from t_max). theta is convex there, so every Newton step from the right
+    stays right of its root; a point that does not land strictly between
+    t_min and the point above it is left out."""
+    points, t = [], t_max
+    for j in reversed(_gram_indices(t_min, t_max)):
+        for _ in range(_GRAM_STEPS):
+            dt = (riemann_siegel_theta(t) - j * math.pi) / _theta_slope(t)
+            t -= dt
+            if abs(dt) <= _GRAM_TOL:
+                break
+        if t_min < t < (points[-1] if points else t_max):
+            points.append(t)
+    return points[::-1]
+
+
+def _holds_zero(z_lo: float, z_hi: float) -> bool:
     """Whether (t_lo, t_hi] holds a zero: Z(t_lo) != 0, and Z changes sign or vanishes."""
-    return (z_lo != 0) & ((z_hi == 0) | ((z_lo < 0) != (z_hi < 0)))
+    return z_lo != 0 and (z_hi == 0 or (z_lo < 0) != (z_hi < 0))
+
+
+def _itp_steps(width: float) -> int:
+    """The most Z evaluations _bisect takes on a bracket of this width:
+    bisection's steps to BRACKET_WIDTH, plus _ITP_N0, plus one for rounding."""
+    return max(0, math.ceil(math.log2(width / BRACKET_WIDTH)) + _ITP_N0 + 1)
 
 
 def _bisect(
-    t_lo: np.ndarray,
-    z_lo: np.ndarray,
-    t_hi: np.ndarray,
-    z_hi: np.ndarray,
-    cfg: EulerMaclaurinConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine every bracket in lockstep by ITP; returns (lo, hi) arrays.
+    t_lo: float, z_lo: float, t_hi: float, z_hi: float, cfg: EulerMaclaurinConfig
+) -> tuple[float, float]:
+    """Refine one bracket by ITP; returns (lo, hi).
 
-    z_lo and z_hi are Z at t_lo and t_hi, and each (t_lo, t_hi] holds a zero
-    (_holds_zero). Each step evaluates Z once at one point of every open
-    bracket and keeps the part that holds the zero, (t_lo, x] if Z(x) = 0.
-    The point is ITP's (Oliveira and Takahashi, ACM TOMS 47(1), 2020): the
-    regula falsi point, moved _ITP_K1 * width^2 towards the midpoint and
-    kept within r of it, where r lets no bracket take more than bisection's
-    steps plus _ITP_N0 (one more where rounding leaves a width a few ulps
-    over BRACKET_WIDTH); then clipped strictly inside the bracket. A bracket
-    stops, for good, once it is no wider than BRACKET_WIDTH or holds no
-    float inside.
+    z_lo and z_hi are Z at t_lo and t_hi, and (t_lo, t_hi] holds a zero
+    (_holds_zero). Each step evaluates Z once and keeps the part that holds
+    the zero, (t_lo, x] if Z(x) = 0. The point is ITP's (Oliveira and
+    Takahashi, ACM TOMS 47(1), 2020): the regula falsi point, moved
+    _ITP_K1 * width^2 towards the midpoint and kept within r of it, where r
+    lets the bracket take no more than bisection's steps plus _ITP_N0 (one
+    more where rounding leaves a width a few ulps over BRACKET_WIDTH; see
+    _itp_steps); then clipped strictly inside the bracket. The bracket
+    stops once it is no wider than BRACKET_WIDTH or holds no float inside.
     """
-    t_lo, z_lo, t_hi, z_hi = t_lo.copy(), z_lo.copy(), t_hi.copy(), z_hi.copy()
-    # bisection's step count to BRACKET_WIDTH, plus the slack ITP may spend
-    n_max = np.ceil(np.log2((t_hi - t_lo) / BRACKET_WIDTH)) + _ITP_N0
+    # bisection's step count to BRACKET_WIDTH, plus the slack _ITP_N0
+    n_max = _itp_steps(t_hi - t_lo) - 1
     step = 0
-    while True:
-        rows = np.flatnonzero((t_hi - t_lo > BRACKET_WIDTH) & (np.nextafter(t_lo, t_hi) < t_hi))
-        if not rows.size:
-            return t_lo, t_hi
-        a, b, za, zb = t_lo[rows], t_hi[rows], z_lo[rows], z_hi[rows]
-        width = b - a
-        mid = 0.5 * (a + b)
-        falsi = a + width * (za / (za - zb))
-        sigma = np.sign(mid - falsi)
+    while t_hi - t_lo > BRACKET_WIDTH and math.nextafter(t_lo, t_hi) < t_hi:
+        width = t_hi - t_lo
+        mid = 0.5 * (t_lo + t_hi)
+        falsi = t_lo + width * (z_lo / (z_lo - z_hi))
+        sigma = float((mid > falsi) - (mid < falsi))
         delta = _ITP_K1 * width * width
-        x = np.where(delta <= np.abs(mid - falsi), falsi + sigma * delta, mid)
-        r = 0.5 * BRACKET_WIDTH * 2.0 ** (n_max[rows] - step) - 0.5 * width
-        x = np.where(np.abs(x - mid) <= r, x, mid - sigma * r)
-        x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
-        zx = hardy_z_array(x, cfg)
-        left = _holds_zero(za, zx)
-        t_hi[rows], z_hi[rows] = np.where(left, x, b), np.where(left, zx, zb)
-        t_lo[rows], z_lo[rows] = np.where(left, a, x), np.where(left, za, zx)
+        x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        r = 0.5 * BRACKET_WIDTH * 2.0 ** (n_max - step) - 0.5 * width
+        if not abs(x - mid) <= r:
+            x = mid - sigma * r
+        x = min(max(x, math.nextafter(t_lo, t_hi)), math.nextafter(t_hi, t_lo))
+        z_x = hardy_z(x, cfg)
+        if _holds_zero(z_lo, z_x):
+            t_hi, z_hi = x, z_x
+        else:
+            t_lo, z_lo = x, z_x
         step += 1
+    return t_lo, t_hi
 
 
-def _check_scan(
-    t_min: float, t_max: float, step: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
-) -> int:
-    """A bound on the scan grid's points; DomainError unless 0 < t_min <
-    t_max <= 100, 0 < step <= 0.25 (a NaN fails the comparisons), the step is
-    at least twice the float spacing u at t_max, the bound is at most
-    _MAX_SCAN_POINTS and the bound times the reference's n at t_max is at
-    most _MAX_SCAN_TERMS. An add that stays below t_max rounds by at most
-    u / 2, so it moves t by more than step - u; the second extra point
-    absorbs the bound's own rounding."""
+def _check_scan(t_min: float, t_max: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> int:
+    """A bound on the scan's Z and zeta evaluations; DomainError unless
+    0 < t_min < t_max <= 100 (a NaN fails the comparisons) and the bound
+    times the reference's n at t_max is at most _MAX_SCAN_TERMS.
+
+    The bound counts the two ends, the Gram points, ITP's steps plus the
+    residual for each bracket (a bracket lies between neighbouring scan
+    points, so it is at most t_max - t_min wide, and there is at most one
+    per gap) and the step limit of both zero counts. It reads theta but
+    evaluates no Z.
+    """
     if not 0 < t_min < t_max <= 100:
         raise DomainError(f"need 0 < t_min < t_max <= 100, got ({t_min}, {t_max})")
-    if not 0 < step <= 0.25:
-        raise DomainError(f"scan step must be in (0, 0.25], got {step}")
-    if not step >= 2 * math.ulp(t_max):
-        raise DomainError(f"scan step {step} is below twice the float spacing at t_max={t_max}")
-    points = math.ceil((t_max - t_min) / (step - math.ulp(t_max))) + 2
-    if points > _MAX_SCAN_POINTS:
+    gram = len(_gram_indices(t_min, t_max))
+    evaluations = 2 + gram + (gram + 1) * (_itp_steps(t_max - t_min) + 1) + 2 * _COUNT_EVALS
+    n = cfg.reference_n(t_max)
+    if evaluations * n > _MAX_SCAN_TERMS:
         raise DomainError(
-            f"scan step {step} from {t_min} to {t_max} may need over {_MAX_SCAN_POINTS} points"
+            f"a scan of up to {evaluations} evaluations at n={n} may sum over "
+            f"{_MAX_SCAN_TERMS} terms"
         )
-    n = int(cfg.reference_n(t_max))
-    if points * n > _MAX_SCAN_TERMS:
-        raise DomainError(
-            f"a scan of {points} points at n={n} may sum over {_MAX_SCAN_TERMS} terms"
-        )
-    return points
-
-
-def _scan_grid(
-    t_min: float, t_max: float, step: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """t_min, t_min + step, ... as running sums, cut before the first that
-    reaches t_max, then t_max: the points of adding step one at a time."""
-    t = np.full(_check_scan(t_min, t_max, step, cfg), step)
-    t[0] = t_min
-    np.cumsum(t, out=t)
-    return np.append(t[: np.argmax(t >= t_max)], t_max)
+    return evaluations
 
 
 def find_zeros(
-    t_min: float,
-    t_max: float,
-    step: float = 0.05,
-    cfg: EulerMaclaurinConfig = DEFAULT_CONFIG,
+    t_min: float, t_max: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
 ) -> list[ZeroRecord]:
-    """Scan Z on a grid over (t_min, t_max], bracket sign changes, refine them.
+    """The zeros rho = 1/2 + i t with t in (t_min, t_max], each refined by ITP.
 
-    A zero exactly at t_min is not reported. Returns records ordered and
-    1-indexed by increasing t. Deterministic for identical inputs. Warns if
-    found zeros sit suspiciously close relative to the scan step (a coarser
-    scan could have missed a pair).
+    Z is evaluated at t_min, the Gram points between and t_max. Each sign
+    change between neighbours is a bracket, and there must be
+    N(t_max) - N(t_min) of them (zero_count). Raises DomainError, before
+    any Z evaluation, for a window or config _check_scan refuses, and after
+    the scan if |Z| at a scan point is not above IM_LEAK_LIMIT (its sign
+    backs no count), if a count is not an integer or if the brackets do not
+    match the count. Returns records ordered and 1-indexed by increasing t.
+    Deterministic for identical inputs.
     """
-    t = _scan_grid(t_min, t_max, step, cfg)
-    z = np.empty_like(t)
-    for s in range(0, t.size, _SCAN_BLOCK):
-        z[s : s + _SCAN_BLOCK] = hardy_z_array(t[s : s + _SCAN_BLOCK], cfg)
-    i = np.flatnonzero(_holds_zero(z[:-1], z[1:]))
-    lo, hi = _bisect(t[i], z[i], t[i + 1], z[i + 1], cfg)
-    t_zero = 0.5 * (lo + hi)
-    residual = np.abs(zeta_hat_reference_array(_at_height(0.5, t_zero), cfg))
-    records = [
-        ZeroRecord(index=k, t=tz, rho=complex(0.5, tz), bracket=(a, b), residual=r)
-        for k, (tz, a, b, r) in enumerate(
-            zip(t_zero.tolist(), lo.tolist(), hi.tolist(), residual.tolist()), start=1
-        )
-    ]
-
-    for a, b in zip(records, records[1:]):
-        if b.t - a.t < _MIN_SEPARATION_STEPS * step:
-            warnings.warn(
-                f"zeros at t={a.t:.4f} and t={b.t:.4f} are within "
-                f"{_MIN_SEPARATION_STEPS} scan steps; a coarser feature may "
-                "have been missed",
-                PossiblyMissedZeroWarning,
+    _check_scan(t_min, t_max, cfg)
+    t = [t_min, *_gram_points(t_min, t_max), t_max]
+    z = [hardy_z(x, cfg) for x in t]
+    for x, z_x in zip(t, z):
+        if not abs(z_x) > IM_LEAK_LIMIT:
+            raise DomainError(
+                f"|Z({x})| = {abs(z_x):.3e} is not above the leakage limit "
+                f"{IM_LEAK_LIMIT}, so its sign backs no zero count"
             )
-            break
+    brackets = [
+        (a, z_a, b, z_b) for a, z_a, b, z_b in zip(t, z, t[1:], z[1:]) if _holds_zero(z_a, z_b)
+    ]
+    count = _checked_count(t_max, cfg) - _checked_count(t_min, cfg)
+    if len(brackets) != count:
+        raise DomainError(
+            f"Z changes sign {len(brackets)} times on ({t_min}, {t_max}], but the "
+            f"zero count N(t_max) - N(t_min) is {count}"
+        )
+    records = []
+    for k, bracket in enumerate(brackets, start=1):
+        lo, hi = _bisect(*bracket, cfg)
+        t_zero = 0.5 * (lo + hi)
+        rho = complex(0.5, t_zero)
+        residual = abs(zeta_hat_reference(rho, cfg))
+        records.append(ZeroRecord(k, t_zero, rho, (lo, hi), residual))
     return records

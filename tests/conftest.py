@@ -26,7 +26,7 @@ RHO_1 = complex(0.5, KNOWN_ZERO_T[0])
 def scanned_zeros():
     """The (10, 50) scan used by most integration checks, with its runtime."""
     start = time.perf_counter()
-    records = find_zeros(10.0, 50.0, 0.05)
+    records = find_zeros(10.0, 50.0)
     elapsed = time.perf_counter() - start
     return records, elapsed
 

@@ -43,7 +43,8 @@ def _spawn(args, cwd, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProc
 
 class TestProcess:
     def test_zeros_loads_no_claim_modules(self, tmp_path):
-        # a scan needs neither the claims nor the functional equation
+        # a scan needs neither the claims nor the functional equation, nor
+        # the numpy partial sums
         argv = ["zeros", "--t-min", "14", "--t-max", "15", "--out", str(tmp_path / "z.csv")]
         code = (
             "import json, sys; from zetascope import cli; "
@@ -62,6 +63,8 @@ class TestProcess:
         assert "zetascope.zeros" in modules
         assert "zetascope.convergence" not in modules
         assert "zetascope.functional_eq" not in modules
+        assert "zetascope.series" not in modules
+        assert "numpy" not in modules
 
     def test_run_freezes_the_collector_and_exits_with_main_code(self, monkeypatch):
         from zetascope import cli
@@ -123,11 +126,11 @@ class TestConfig:
 
     def test_dotted_keys_overlay(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"em.depth": 6, "n0": 128, "step": 0.1}))
+        path.write_text(json.dumps({"em.depth": 6, "n0": 128, "t_max": 60.0}))
         cfg = load_config(env={"ZETASCOPE_CONFIG": str(path)})
         assert cfg.em.depth == 6
         assert cfg.n0 == 128
-        assert cfg.step == 0.1
+        assert cfg.t_max == 60.0
         assert cfg.doublings == 10  # untouched keys keep defaults
 
     def test_invalid_file_exits_usage(self, tmp_path, monkeypatch, capsys):
@@ -184,8 +187,7 @@ class TestEval:
 def first_zero_csv(tmp_path, capsys):
     path = tmp_path / "zeros.csv"
     code = main(
-        ["zeros", "--t-min", "14.0", "--t-max", "14.3", "--step", "0.05",
-         "--out", str(path)]
+        ["zeros", "--t-min", "14.0", "--t-max", "14.3", "--out", str(path)]
     )
     capsys.readouterr()
     assert code == EXIT_OK
@@ -206,8 +208,7 @@ class TestZeros:
 
     def test_deterministic_bytes(self, first_zero_csv, tmp_path, capsys):
         again = tmp_path / "again.csv"
-        main(["zeros", "--t-min", "14.0", "--t-max", "14.3", "--step", "0.05",
-              "--out", str(again)])
+        main(["zeros", "--t-min", "14.0", "--t-max", "14.3", "--out", str(again)])
         capsys.readouterr()
         assert again.read_bytes() == first_zero_csv.read_bytes()
 
@@ -347,8 +348,8 @@ class TestBoundaryProbes:
             ["--t-min", "50", "--t-max", "10"],
             ["--t-max", "200"],
             ["--t-min", "-1"],
-            ["--step", "0"],
-            ["--step", "nan"],
+            ["--t-min", "nan"],
+            ["--t-max", "inf"],
         ],
     )
     def test_bad_scan_range_is_usage_error(self, flags, tmp_path, capsys):
@@ -357,18 +358,20 @@ class TestBoundaryProbes:
         assert flags[-1] in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "flags,named",
-        [
-            (["--t-min", "10", "--t-max", "11", "--step", "1e-300"], "float spacing"),
-            (["--step", "1e-9"], "over 1048576 points"),
-        ],
-    )
-    def test_unbounded_scan_is_usage_error_at_once(self, flags, named, tmp_path):
-        proc = _spawn(["zeros", *flags], tmp_path)
-        assert proc.returncode == EXIT_USAGE
-        assert named in proc.stderr
-        assert not (tmp_path / "zeros.csv").exists()
+    def test_step_is_gone(self, tmp_path, monkeypatch, capsys):
+        # the scan has no step grid: the flag is a malformed command line and
+        # the config key an unknown key, and both exit 1
+        out = tmp_path / "zeros.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", "--step", "0.05", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --step" in capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"step": 0.05}))
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        assert main(["zeros", "--out", str(out)]) == EXIT_USAGE
+        assert "unknown keys step" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "-5", str(2**24 + 1)])
     def test_n_out_of_range_is_usage_error(self, n, capsys):
@@ -436,7 +439,7 @@ class TestBoundaryProbes:
         "argv",
         [
             ["eval", "--what", "zeta_n", "--z", "2", "--n", "abc"],
-            ["zeros", "--step", "x"],
+            ["zeros", "--t-min", "x"],
             ["eval", "--z", "2"],
             ["frobnicate"],
             [],
@@ -497,7 +500,7 @@ class TestBoundaryProbes:
         csv_path.write_text("index,t,re_rho,im_rho,residual,bracket_lo,bracket_hi\n")
         report = tmp_path / "r.json"
         assert main(["verify", "--zeros", str(csv_path), "--out", str(report)]) == EXIT_USAGE
-        assert "t_min, t_max, step, em.n_base and em.window_C" in capsys.readouterr().err
+        assert "t_min, t_max, em.n_base and em.window_C" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config,argv",

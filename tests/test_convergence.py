@@ -26,7 +26,7 @@ from zetascope.convergence import (
 )
 from zetascope import convergence, functional_eq, series
 from zetascope.errors import DegenerateRatioError, DegenerateSeriesError, DomainError
-from zetascope.euler_maclaurin import _remainder_rows
+from zetascope.euler_maclaurin import remainder_with_bound
 from zetascope.functional_eq import h_hat_exact, h_hat_n, small_g_2n, small_h_2n
 from zetascope.series import N_CAP, raw_sums_at, zeta_hat_partial
 from zetascope.zeros import ZeroRecord
@@ -328,15 +328,16 @@ class TestSharedTable:
             assert (v.real.hex(), v.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_identity_claims_share_one_remainder_call(self, monkeypatch):
+        # C7 and C8 share one remainder per (n, 2n) identity point
         calls = []
 
         def counting(z, n, cfg):
-            calls.append(n.tolist())
-            return _remainder_rows(z, n, cfg)
+            calls.append(n)
+            return remainder_with_bound(z, n, cfg)
 
-        monkeypatch.setattr(convergence, "_remainder_rows", counting)
+        monkeypatch.setattr(convergence, "remainder_with_bound", counting)
         rows = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))
-        assert calls == [[256, 512, 1024, 2048, 4096, 8192]]
+        assert calls == [256, 512, 1024, 2048, 4096, 8192]
         assert [r.passed for r in rows if r.claim in ("C7", "C8")] == [True, True]
 
     def test_identity_sums_equal_standalone(self):

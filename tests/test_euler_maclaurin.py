@@ -2,7 +2,6 @@ import cmath
 import math
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,10 +16,10 @@ from zetascope.errors import (
 from zetascope import euler_maclaurin
 from zetascope.euler_maclaurin import (
     EulerMaclaurinConfig,
+    RemainderResult,
     remainder,
     remainder_with_bound,
     zeta_hat_reference,
-    zeta_hat_reference_array,
 )
 from zetascope.series import xi_partial, zeta_hat_partial, zeta_partial
 from zetascope.special import bernoulli_numbers, complex_pow_base_real
@@ -176,58 +175,54 @@ class TestReference:
 
 
 class TestReferenceArray:
-    def test_rows_equal_scalar_bit_for_bit(self):
-        z = np.array([2.0 + 0j, complex(0.75, 33.3), complex(0.5, -90.0), 0.1 + 0j])
-        got = zeta_hat_reference_array(z)
-        assert [complex(g) for g in got] == [zeta_hat_reference(complex(v)) for v in z]
+    """The reference's errors and its n-doubling where the remainder diverges."""
 
     def test_errors_name_the_row(self):
         with pytest.raises(DomainError, match=r"-0\.2"):
-            zeta_hat_reference_array([2.0, complex(-0.2, 5.0)])
+            zeta_hat_reference(complex(-0.2, 5.0))
         with pytest.raises(DomainError, match="nan"):
-            zeta_hat_reference_array([complex(0.5, math.nan)])
+            zeta_hat_reference(complex(0.5, math.nan))
         with pytest.raises(PoleError):
-            zeta_hat_reference_array([2.0, 1.0])
+            zeta_hat_reference(1.0)
 
     def test_diverged_row_doubles_its_own_n(self, monkeypatch):
-        # the remainder is flagged diverged for the second row on the first
-        # try only: that row alone is redone, at twice its n
-        rows = euler_maclaurin._remainder_rows
+        # the remainder diverges on the first try only: the reference is
+        # redone at twice its n, 51 at t = 40
+        remainder_at = euler_maclaurin.remainder_with_bound
         seen = []
 
-        def flag_once(z, n, cfg):
-            acc, bound, terms, diverged = rows(z, n, cfg)
-            seen.append(n.tolist())
+        def diverge_once(z, n, cfg):
+            seen.append(n)
             if len(seen) == 1:
-                diverged[1] = True
-            return acc, bound, terms, diverged
+                raise PrecisionNotReachedError("diverged", value=0j, bound=1.0)
+            return remainder_at(z, n, cfg)
 
-        monkeypatch.setattr(euler_maclaurin, "_remainder_rows", flag_once)
-        z = [complex(0.5, 14.0), complex(0.5, 40.0), complex(0.5, 60.0)]
-        got = zeta_hat_reference_array(z)
-        assert seen == [[50, 51, 77], [102]]
-        assert got[1] == pytest.approx(zeta_hat_reference(z[1]), rel=1e-11)
+        monkeypatch.setattr(euler_maclaurin, "remainder_with_bound", diverge_once)
+        z = complex(0.5, 40.0)
+        got = zeta_hat_reference(z)
+        assert seen == [51, 102]
+        monkeypatch.undo()
+        assert got == pytest.approx(zeta_hat_reference(z), rel=1e-11)
 
     def test_diverged_row_at_the_cap_raises(self, monkeypatch):
         def always(z, n, cfg):
-            return np.zeros_like(z), np.ones(z.shape), np.zeros(z.shape, int), n > 60
+            if n > 60:
+                raise PrecisionNotReachedError("diverged", value=0j, bound=1.0)
+            return RemainderResult(0j, 1.0, 0)
 
-        monkeypatch.setattr(euler_maclaurin, "_remainder_rows", always)
+        monkeypatch.setattr(euler_maclaurin, "remainder_with_bound", always)
         monkeypatch.setattr(euler_maclaurin, "N_CAP", 200)
+        zeta_hat_reference(complex(0.5, 14.0))  # n = 50: no doubling
         with pytest.raises(PrecisionNotReachedError):
-            zeta_hat_reference_array([complex(0.5, 14.0), complex(0.5, 60.0)])
+            zeta_hat_reference(complex(0.5, 60.0))  # 77, 154, then 308 > 200
 
     def test_window_error_names_the_row(self):
         with pytest.raises(WindowError, match=r"2\*pi\*10/"):
-            euler_maclaurin._remainder_rows(
-                np.array([complex(0.5, 1.0), complex(0.5, 90.0)]),
-                np.array([100, 10]),
-                EulerMaclaurinConfig(),
-            )
+            remainder_with_bound(complex(0.5, 90.0), 10)
 
 
 def _loop_remainder(z: complex, n: int, cfg: EulerMaclaurinConfig):
-    """The scalar recurrence, one term at a time: (value, bound, terms, diverged)."""
+    """The recurrence written out, one term at a time: (value, bound, terms, diverged)."""
     b2k = bernoulli_numbers(cfg.depth + 1)
     acc, poch, prev_mod, k = 0j, z, math.inf, 1
     while True:
@@ -244,32 +239,14 @@ def _loop_remainder(z: complex, n: int, cfg: EulerMaclaurinConfig):
         k += 1
 
 
-def _lockstep_remainder(z: np.ndarray, n: np.ndarray, cfg: EulerMaclaurinConfig):
-    """The same recurrence over arrays, one term per step for every row still
-    adding: (value, bound, terms, diverged)."""
-    b2k = bernoulli_numbers(cfg.depth + 1)
-    ln_n = np.log(n.astype(np.float64))
-    acc, poch = np.zeros(z.shape, dtype=complex), z.copy()
-    prev_mod, bound = np.full(z.shape, math.inf), np.zeros(z.shape)
-    terms, diverged = np.zeros(z.shape, dtype=np.int64), np.zeros(z.shape, dtype=bool)
-    active = np.ones(z.shape, dtype=bool)
-    k = 1
-    while active.any():
-        term = b2k[k - 1] / math.factorial(2 * k) * poch * np.exp(-(z + (2 * k - 1)) * ln_n)
-        mod = np.abs(term)
-        growing = active & (mod >= prev_mod)
-        stop = growing | (active & (k > cfg.depth))
-        diverged |= growing & (mod > cfg.target_rel_error * np.abs(acc))
-        bound[stop], terms[stop] = mod[stop], k - 1
-        active &= ~stop
-        acc = np.where(active, acc + term, acc)
-        prev_mod = mod
-        met = active & (mod <= cfg.target_rel_error * np.abs(acc))
-        bound[met], terms[met] = mod[met], k
-        active &= ~met
-        poch = poch * ((z + (2 * k - 1)) * (z + 2 * k))
-        k += 1
-    return acc, bound, terms, diverged
+def _remainder_parts(z: complex, n: int, cfg: EulerMaclaurinConfig):
+    """remainder_with_bound as (value, bound, terms, diverged); a diverged
+    sum carries no terms count, so it reports the loop's."""
+    try:
+        r = remainder_with_bound(z, n, cfg)
+    except PrecisionNotReachedError as exc:
+        return exc.value, exc.bound, _loop_remainder(z, n, cfg)[2], True
+    return r.value, r.bound, r.terms_used, False
 
 
 class TestRemainderRowsAgainstLoop:
@@ -290,16 +267,12 @@ class TestRemainderRowsAgainstLoop:
     def test_each_row_follows_its_own_stopping_rule(self, rows, depth, target):
         cfg = EulerMaclaurinConfig(depth=depth, target_rel_error=target)
         rows = [(complex(re, im), n) for re, im, n in rows if abs(im) <= math.pi * n]
-        if not rows:
-            return
-        z = np.array([r[0] for r in rows])
-        n = np.array([r[1] for r in rows])
-        acc, bound, terms, diverged = euler_maclaurin._remainder_rows(z, n, cfg)
-        for i, (zi, ni) in enumerate(rows):
+        for zi, ni in rows:
+            got = _remainder_parts(zi, ni, cfg)
             want = _loop_remainder(zi, ni, cfg)
-            assert (terms[i], diverged[i]) == (want[2], want[3])
-            assert acc[i] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
-            assert bound[i] == pytest.approx(want[1], rel=1e-13)
+            assert got[2:] == want[2:]
+            assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
+            assert got[1] == pytest.approx(want[1], rel=1e-13)
 
     @given(
         rows=st.lists(
@@ -316,41 +289,16 @@ class TestRemainderRowsAgainstLoop:
     @example(rows=[(0.5, 1.0, 10), (0.5, -1.0, 4096), (3.0, 1.0, 2**16)], target=1e-12)
     @settings(max_examples=30, deadline=None)
     def test_window_edge_rows_at_full_depth(self, rows, target):
-        """At |Im z| = pi n and depth 30 the columns past a row's stop
-        overflow from n = 2^16 on; no warning escapes, and each row stops
-        as the scalar loop does."""
+        """At |Im z| = pi n and depth 30 the Pochhammer product grows fast
+        from n = 2^16 on; no warning escapes, and each sum stops as the
+        written-out loop does."""
         cfg = EulerMaclaurinConfig(depth=30, target_rel_error=target)
-        z = np.array([complex(re, sign * cfg.max_im(n)) for re, sign, n in rows])
-        n = np.array([r[2] for r in rows])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            acc, bound, terms, diverged = euler_maclaurin._remainder_rows(z, n, cfg)
-        for i, (zi, ni) in enumerate(zip(z.tolist(), n.tolist())):
-            want = _loop_remainder(zi, ni, cfg)
-            assert (terms[i], diverged[i]) == (want[2], want[3])
-            assert acc[i] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
-            assert bound[i] == pytest.approx(want[1], rel=1e-13)
-
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.floats(0.05, 3.0),
-                st.floats(-1.0, 1.0),
-                st.sampled_from((10, 20, 50, 64, 128, 4096, 2**16)),
-            ),
-            min_size=1,
-            max_size=16,
-        ),
-        depth=st.integers(1, 30),
-        target=st.sampled_from((1e-12, 1e-6, 0.5)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_table_equals_the_lockstep_loop_bit_for_bit(self, rows, depth, target):
-        cfg = EulerMaclaurinConfig(depth=depth, target_rel_error=target)
-        z = np.array([complex(re, frac * cfg.max_im(n)) for re, frac, n in rows])
-        n = np.array([r[2] for r in rows])
-        got = euler_maclaurin._remainder_rows(z, n, cfg)
-        with np.errstate(over="ignore", invalid="ignore"):  # the loop grows stopped rows too
-            want = _lockstep_remainder(z, n, cfg)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+        for re, sign, n in rows:
+            z = complex(re, sign * cfg.max_im(n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _remainder_parts(z, n, cfg)
+            want = _loop_remainder(z, n, cfg)
+            assert got[2:] == want[2:]
+            assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
+            assert got[1] == pytest.approx(want[1], rel=1e-13)

@@ -17,7 +17,6 @@ from zetascope.series import (
     zeta_hat_partial,
     zeta_hat_partial_derivative,
     zeta_partial,
-    zeta_partial_array,
     zeta_partial_derivative,
 )
 from zetascope.special import complex_pow_base_real
@@ -229,12 +228,11 @@ class TestCheckpointIndependence:
             alone = raw_sums_at(z, (m,), include_derivative=True)[m]
             assert _bits(shared[m]) == _bits(alone)
             assert _bits(raw_sums_at(z, (m,))[m]) == _bits(alone)[:4]
-            # the array wrapper reads the same chunked sums: the same bits for zeta
-            (row,) = zeta_partial_array([z], [m]).tolist()
-            assert (row.real.hex(), row.imag.hex()) == _bits(alone)[:2]
 
 
 class TestZetaPartialArray:
+    """_sums over many rows of z, one n each."""
+
     @given(
         rows=st.lists(
             st.tuples(strip_z, st.sampled_from((1, 50, 128, 4095, 4097, 9000))),
@@ -245,32 +243,27 @@ class TestZetaPartialArray:
     @settings(max_examples=20, deadline=None)
     def test_rows_equal_scalar_sums_bit_for_bit(self, rows):
         z = np.array([r[0] for r in rows])
-        n = np.array([r[1] for r in rows])
-        got = zeta_partial_array(z, n)
-        for zi, ni, gi in zip(z.tolist(), n.tolist(), got.tolist()):
-            assert gi.real.hex() == zeta_partial(zi, ni).real.hex()
-            assert gi.imag.hex() == zeta_partial(zi, ni).imag.hex()
+        n = np.array([[r[1]] for r in rows])
+        got = _sums(z, n, 2)
+        for zi, (ni,), (gi,) in zip(z.tolist(), n.tolist(), got.tolist()):
+            assert gi[0].hex() == zeta_partial(zi, ni).real.hex()
+            assert gi[1].hex() == zeta_partial(zi, ni).imag.hex()
 
     def test_non_finite_z_rejected(self):
         with pytest.raises(DomainError, match="nan"):
-            zeta_partial_array([2.0, complex(math.nan, 1.0)], [4, 4])
+            _sums(np.array([2.0, complex(math.nan, 1.0)]), np.array([[4], [4]]), 2)
         with pytest.raises(DomainError):
             raw_sums_at(complex(0.5, math.inf), (4,))
 
     def test_overflow_names_the_row(self):
         with pytest.raises(SumOverflowError, match=r"-800"):
-            zeta_partial_array([2.0, -800.0], [10, 10**5])
-
-    @pytest.mark.parametrize("z,n", [([2, 3], [4, 4, 4]), ([2, 3, 4], [4, 4])])
-    def test_unequal_lengths_rejected(self, z, n):
-        with pytest.raises(DomainError, match=rf"\({len(z)},\) and \({len(n)},\)"):
-            zeta_partial_array(z, n)
+            _sums(np.array([2.0, -800.0 + 0j]), np.array([[10], [10**5]]), 2)
 
     def test_n_validation(self):
         with pytest.raises(DomainError):
-            zeta_partial_array([2.0], [0])
+            _sums(np.array([2.0 + 0j]), np.array([[0]]), 2)
         with pytest.raises(DomainError):
-            zeta_partial_array([2.0], [N_CAP + 1])
+            _sums(np.array([2.0 + 0j]), np.array([[N_CAP + 1]]), 2)
 
 
 class TestSumsByMask:

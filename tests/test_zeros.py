@@ -1,11 +1,12 @@
+import cmath
 import math
 
-import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetascope import zeros
+from zetascope.cli import EXIT_MODULE_ERROR, main
 from zetascope.errors import DomainError, PrecisionError
 from zetascope.euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig
 from zetascope.zeros import (
@@ -14,8 +15,8 @@ from zetascope.zeros import (
     _bisect,
     find_zeros,
     hardy_z,
-    hardy_z_array,
     riemann_siegel_theta,
+    zero_count,
 )
 
 from conftest import KNOWN_ZERO_T
@@ -54,6 +55,11 @@ class TestTheta:
         with pytest.raises(DomainError):
             riemann_siegel_theta(0.0)
 
+    def test_infinite_t_is_refused(self):
+        # log_gamma refuses a non-finite point before any work
+        with pytest.raises(DomainError, match="finite"):
+            riemann_siegel_theta(math.inf)
+
 
 class TestHardyZ:
     def test_frozen_value_at_twenty(self):
@@ -71,58 +77,74 @@ class TestHardyZ:
             hardy_z(t)
 
 
-ordinates = st.floats(10.0, 100.0)
-
-
 class TestHardyZArray:
-    @given(
-        t=st.lists(ordinates, min_size=1, max_size=40),
-        pad=st.lists(ordinates, max_size=90),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_equals_scalar_bit_for_bit(self, t, pad, seed):
-        # any length, order and padding: a row never depends on its block-mates
-        arr = np.array(t + pad)
-        order = np.random.default_rng(seed).permutation(arr.size)
-        got = hardy_z_array(arr[order])
-        scalar = {v: hardy_z(v).hex() for v in t}
-        for v, g in zip(arr[order].tolist(), got.tolist()):
-            if v in scalar:
-                assert g.hex() == scalar[v], v
+    """hardy_z point by point: oracle, errors naming the offending t, types."""
 
     @given(t=st.lists(st.floats(1.0, 100.0), min_size=1, max_size=8))
     @settings(max_examples=20, deadline=None)
     def test_against_mpmath_siegelz(self, t):
         mpmath = pytest.importorskip("mpmath")
-        got = hardy_z_array(t)
         with mpmath.workdps(30):
-            for v, g in zip(t, got.tolist()):
+            for v in t:
+                g = hardy_z(v)
                 ref = float(mpmath.siegelz(v))
                 assert abs(g - ref) <= 1e-13 * (1.0 + abs(g)), v
 
     def test_domain_error_names_the_row(self):
         with pytest.raises(DomainError, match="100.5"):
-            hardy_z_array([20.0, 100.5, 30.0])
+            hardy_z(100.5)
         with pytest.raises(DomainError, match="got 0.0"):
-            hardy_z_array([0.0, 20.0])
+            hardy_z(0.0)
 
     def test_leakage_error_names_the_row(self, monkeypatch):
-        reference = zeros.zeta_hat_reference_array
+        reference = zeros.zeta_hat_reference
 
         def leaky(z, cfg):
-            values = reference(z, cfg)
-            values[z.imag == 30.0] *= 1.0 + 1e-6j
-            return values
+            value = reference(z, cfg)
+            return value * (1.0 + 1e-6j) if z.imag == 30.0 else value
 
-        monkeypatch.setattr(zeros, "zeta_hat_reference_array", leaky)
+        monkeypatch.setattr(zeros, "zeta_hat_reference", leaky)
         with pytest.raises(PrecisionError, match=r"at t=30\.0$"):
-            hardy_z_array([20.0, 30.0, 40.0])
-        assert hardy_z_array([20.0, 40.0]).shape == (2,)
+            hardy_z(30.0)
+        assert type(hardy_z(20.0)) is float
 
     def test_scalar_keeps_its_type(self):
         assert type(hardy_z(20.0)) is float
         assert type(riemann_siegel_theta(20.0)) is float
+
+
+class TestZeroCount:
+    @pytest.mark.parametrize("t", [14.0, 20.0, 50.0, 60.0, 99.9, 100.0])
+    def test_against_mpmath_nzeros(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        count = zero_count(t)
+        assert abs(count - round(count)) < 1e-6
+        assert round(count) == mpmath.nzeros(t)
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-300, 1e-3, 0.5, 6.29, 13.9])
+    def test_nothing_below_the_first_zero(self, t):
+        # the path follows (z - 1) zeta(z), so passing the pole at z = 1 as
+        # close as t costs no extra steps, and no step lands on sigma = 1
+        count = zero_count(t)
+        assert abs(count) < 1e-6
+
+    def test_count_off_an_integer_is_refused(self, monkeypatch):
+        # a stubbed count half-way between 9 and 10 at t_max, and a NaN one
+        for stub in (9.5, math.nan):
+            monkeypatch.setattr(zeros, "zero_count", lambda t, cfg, stub=stub: stub if t == 50 else 0.0)
+            with pytest.raises(DomainError, match="not an integer"):
+                find_zeros(10.0, 50.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, 100.5, math.nan, math.inf])
+    def test_domain_enforced(self, t):
+        with pytest.raises(DomainError):
+            zero_count(t)
+
+    def test_steps_are_limited(self, monkeypatch):
+        # an argument that turns faster than any step can follow
+        monkeypatch.setattr(zeros, "zeta_hat_reference", lambda z, cfg: cmath.exp(1e3j * z.real**2))
+        with pytest.raises(DomainError, match="needs over 64 evaluations"):
+            zero_count(20.0)
 
 
 @st.composite
@@ -171,133 +193,194 @@ def _reference_itp(lo: float, hi: float, z) -> tuple[float, float]:
 
 def _scan_brackets(t_min: float, t_max: float):
     """The scan's brackets over (t_min, t_max] as find_zeros hands them to _bisect."""
-    t = zeros._scan_grid(t_min, t_max, 0.05)
-    z = hardy_z_array(t)
-    i = np.flatnonzero(zeros._holds_zero(z[:-1], z[1:]))
-    return t[i], z[i], t[i + 1], z[i + 1]
+    t = [t_min, *zeros._gram_points(t_min, t_max), t_max]
+    z = [hardy_z(x) for x in t]
+    return [
+        (a, z_a, b, z_b)
+        for a, z_a, b, z_b in zip(t, z, t[1:], z[1:])
+        if zeros._holds_zero(z_a, z_b)
+    ]
+
+
+def _counted(monkeypatch, z):
+    """Replace Z by z, recording each point it is evaluated at."""
+    calls = []
+
+    def counted(t, cfg=DEFAULT_CONFIG):
+        calls.append(t)
+        return z(t)
+
+    monkeypatch.setattr(zeros, "hardy_z", counted)
+    return calls
 
 
 class TestLockstepBisection:
+    """ITP on one bracket at a time: the stopping rules and the step bound."""
+
     def test_each_bracket_stops_by_its_own_rules(self):
         # a bracket already narrower than BRACKET_WIDTH is returned as is,
-        # while its neighbour is refined around the first zero
-        t_lo = np.array([14.0, 20.0])
-        t_hi = np.array([14.3, 20.0 + BRACKET_WIDTH / 2])
-        lo, hi = _bisect(t_lo, hardy_z_array(t_lo), t_hi, hardy_z_array(t_hi), DEFAULT_CONFIG)
-        assert (lo[1], hi[1]) == (t_lo[1], t_hi[1])
-        assert hi[0] - lo[0] <= BRACKET_WIDTH
-        assert 0.5 * (lo[0] + hi[0]) == pytest.approx(KNOWN_ZERO_T[0], abs=1e-9)
+        # while another is refined around the first zero
+        narrow = (20.0, 20.0 + BRACKET_WIDTH / 2)
+        assert _bisect(narrow[0], hardy_z(narrow[0]), narrow[1], hardy_z(narrow[1]),
+                       DEFAULT_CONFIG) == narrow
+        lo, hi = _bisect(14.0, hardy_z(14.0), 14.3, hardy_z(14.3), DEFAULT_CONFIG)
+        assert hi - lo <= BRACKET_WIDTH
+        assert 0.5 * (lo + hi) == pytest.approx(KNOWN_ZERO_T[0], abs=1e-9)
 
-    def test_no_brackets(self):
-        empty = np.array([])
-        lo, hi = _bisect(empty, empty, empty, empty, DEFAULT_CONFIG)
-        assert lo.size == hi.size == 0
+    def test_no_brackets(self, monkeypatch):
+        # no zero below t = 14: the scan hands nothing to _bisect
+
+        def no_bracket(*args):
+            raise AssertionError("a window without a sign change was refined")
+
+        monkeypatch.setattr(zeros, "_bisect", no_bracket)
+        assert find_zeros(2.0, 13.0) == []
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_zero_at_a_midpoint_keeps_halving(self, sign, monkeypatch):
         # Z = +-(t - 1.5) vanishes at the first point of (1, 2], its midpoint
         # and its regula falsi point: the bracket keeps (1, 1.5] and ends as
         # narrow as any other
-        monkeypatch.setattr(zeros, "hardy_z_array", lambda t, cfg: sign * (t - 1.5))
-        lo, hi = _bisect(
-            np.array([1.0]),
-            np.array([-0.5 * sign]),
-            np.array([2.0]),
-            np.array([0.5 * sign]),
-            DEFAULT_CONFIG,
-        )
-        assert lo[0] < 1.5 <= hi[0]
-        assert hi[0] - lo[0] <= BRACKET_WIDTH
+        _counted(monkeypatch, lambda t: sign * (t - 1.5))
+        lo, hi = _bisect(1.0, -0.5 * sign, 2.0, 0.5 * sign, DEFAULT_CONFIG)
+        assert lo < 1.5 <= hi
+        assert hi - lo <= BRACKET_WIDTH
 
     @given(brackets=_roots())
     @settings(max_examples=50, deadline=None)
     def test_lockstep_equals_one_bracket_at_a_time(self, brackets):
-        # bracket k is (10 + 2k, 11 + 2k] with one root on a dyadic point;
-        # Z is an odd power of (t - root) with either sign on [10 + 2k, 12 + 2k),
-        # so the brackets close after different numbers of steps
-        t_lo = 10.0 + 2.0 * np.arange(len(brackets))
-        t_hi = t_lo + 1.0
-        roots = t_lo + [j / 2.0**d for j, d, _, _ in brackets]
-        signs = np.array([s for _, _, s, _ in brackets])
-        powers = np.array([p for _, _, _, p in brackets])
+        # bracket k is (10 + 2k, 11 + 2k] with one root on a dyadic point; Z
+        # is an odd power of (t - root) with either sign there, so brackets
+        # close after different numbers of steps. _bisect takes the same
+        # points as the reference ITP loop, bit for bit
+        for k, (j, d, sign, power) in enumerate(brackets):
+            a = 10.0 + 2.0 * k
+            root = a + j / 2.0**d
 
-        def z_of(t, cfg=None):
-            k = ((t - 10.0) // 2.0).astype(int)
-            d = t - roots[k]
-            odd = np.where(powers[k] == 1, 1.0, np.where(powers[k] == 3, d * d, d * d * d * d))
-            return signs[k] * d * odd
+            def z_of(t, cfg=None, root=root, sign=sign, power=power):
+                return sign * (t - root) ** power
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zeros, "hardy_z_array", z_of)
-            lo, hi = _bisect(t_lo, z_of(t_lo), t_hi, z_of(t_hi), DEFAULT_CONFIG)
-        for k, (a, b) in enumerate(zip(t_lo.tolist(), t_hi.tolist())):
-            want = _reference_itp(a, b, lambda t: float(z_of(np.array([t]))[0]))
-            assert (lo[k].hex(), hi[k].hex()) == (want[0].hex(), want[1].hex())
-            assert lo[k] < roots[k] <= hi[k]
-            assert hi[k] - lo[k] <= BRACKET_WIDTH
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(zeros, "hardy_z", z_of)
+                lo, hi = _bisect(a, z_of(a), a + 1.0, z_of(a + 1.0), DEFAULT_CONFIG)
+            want = _reference_itp(a, a + 1.0, z_of)
+            assert (lo.hex(), hi.hex()) == (want[0].hex(), want[1].hex())
+            assert lo < root <= hi
+            assert hi - lo <= BRACKET_WIDTH
 
     def test_few_steps_on_the_scan_brackets(self, monkeypatch):
-        # bisection takes 36 lockstep calls to narrow the 0.05-wide brackets
-        # below t = 100 to BRACKET_WIDTH
-        t_lo, z_lo, t_hi, z_hi = _scan_brackets(10.0123, 100.0)
-        assert t_lo.size == 29
-        calls = []
-        hardy = zeros.hardy_z_array
-
-        def counted(t, cfg):
-            calls.append(len(t))
-            return hardy(t, cfg)
-
-        monkeypatch.setattr(zeros, "hardy_z_array", counted)
-        lo, hi = _bisect(t_lo, z_lo, t_hi, z_hi, DEFAULT_CONFIG)
-        assert len(calls) <= 12
-        assert (hi - lo <= BRACKET_WIDTH).all()
+        # bisection takes 42 or 43 steps to narrow the 2.3-7.8 wide Gram
+        # brackets below t = 100 to BRACKET_WIDTH; ITP takes at most 10
+        brackets = _scan_brackets(10.0123, 100.0)
+        assert len(brackets) == 29
+        calls = _counted(monkeypatch, hardy_z)
+        for bracket in brackets:
+            del calls[:]
+            lo, hi = _bisect(*bracket, DEFAULT_CONFIG)
+            assert len(calls) <= 10
+            assert hi - lo <= BRACKET_WIDTH
 
     @pytest.mark.parametrize(
         "z",
         [
-            lambda t: np.where(t < 1.3, -1e-300, 1.0),
+            lambda t: -1e-300 if t < 1.3 else 1.0,
             lambda t: (t - 1.3) ** 3,
-            lambda t: np.expm1(40.0 * (t - 1.9)),
+            lambda t: math.expm1(40.0 * (t - 1.9)),
         ],
         ids=["step", "cube", "exp"],
     )
     def test_steps_bounded_where_interpolation_fails(self, z, monkeypatch):
-        # regula falsi crawls on these; ITP's projection keeps each bracket
+        # regula falsi crawls on these; ITP's projection keeps the bracket
         # to bisection's 40 steps on (1, 2] plus _ITP_N0, plus one step where
-        # rounding leaves the last width a few ulps above BRACKET_WIDTH
-        calls = []
-
-        def counted(t, cfg):
-            calls.append(len(t))
+        # rounding leaves the last width a few ulps above BRACKET_WIDTH: the
+        # bound _itp_steps gives the scan's work cap
+        def bounded(t):
             if len(calls) > 100:
                 raise AssertionError("regula falsi crawls: the projection does not bound it")
             return z(t)
 
-        monkeypatch.setattr(zeros, "hardy_z_array", counted)
-        t_lo, t_hi = np.array([1.0]), np.array([2.0])
-        lo, hi = _bisect(t_lo, z(t_lo), t_hi, z(t_hi), DEFAULT_CONFIG)
-        assert len(calls) <= 40 + zeros._ITP_N0 + 1
-        assert lo[0] < hi[0] and hi[0] - lo[0] <= BRACKET_WIDTH
+        calls = _counted(monkeypatch, bounded)
+        lo, hi = _bisect(1.0, z(1.0), 2.0, z(2.0), DEFAULT_CONFIG)
+        assert len(calls) <= 40 + zeros._ITP_N0 + 1 == zeros._itp_steps(1.0)
+        assert lo < hi and hi - lo <= BRACKET_WIDTH
 
 
-def _loop_grid(t_min: float, t_max: float, step: float) -> list[float]:
-    """The scan grid one step at a time: t_min, t_min + step, ... capped at t_max."""
-    grid = [t_min]
-    while grid[-1] < t_max:
-        grid.append(min(grid[-1] + step, t_max))
-    return grid
+def _with_pair(monkeypatch, a: float, b: float) -> None:
+    """Z times (t - a)(t - b), two more zeros on the line, and the zero count
+    that sees them."""
+    hardy, count = zeros.hardy_z, zeros.zero_count
+    monkeypatch.setattr(
+        zeros, "hardy_z", lambda t, cfg=DEFAULT_CONFIG: hardy(t, cfg) * (t - a) * (t - b)
+    )
+    monkeypatch.setattr(
+        zeros, "zero_count", lambda t, cfg=DEFAULT_CONFIG: count(t, cfg) + (t > a) + (t > b)
+    )
 
 
-@st.composite
-def _scans(draw):
-    """(t_min, t_max, step) with steps from 4 ulp(t_max), twice the smallest
-    step _check_scan accepts, and at most a few thousand points."""
-    t_max = draw(st.floats(1e-3, 100.0))
-    step = min(0.25, 4 * math.ulp(t_max) * 2.0 ** draw(st.floats(0.0, 60.0)))
-    t_min = t_max - step * draw(st.floats(0.5, 3000.0))
-    assume(t_min > 0)
-    return t_min, t_max, step
+def _with_lost_sign_change(monkeypatch) -> None:
+    """Z with its sign flipped above t = 24, inside (g_1, g_2), which holds
+    the zero at 25.01: the Gram points see one sign change fewer."""
+    hardy = zeros.hardy_z
+    monkeypatch.setattr(
+        zeros, "hardy_z", lambda t, cfg=DEFAULT_CONFIG: hardy(t, cfg) * (1 if t < 24 else -1)
+    )
+
+
+class TestGramScan:
+    def test_gram_points_solve_theta(self):
+        points = zeros._gram_points(10.0123, 100.0)
+        assert len(points) == 29
+        assert all(a < b for a, b in zip(points, points[1:]))
+        for j, g in enumerate(points):
+            assert riemann_siegel_theta(g) == pytest.approx(j * math.pi, abs=1e-11)
+            # Gram's law holds below t = 100: (-1)^j Z(g_j) > 0
+            assert (-1) ** j * hardy_z(g) > 0
+
+    def test_first_gram_point_on_the_rising_branch(self):
+        # theta = -pi also near t = 3.4, on its falling branch; only the
+        # rising branch's g_-1 near 9.667 is a scan point
+        points = zeros._gram_points(0.5, 20.0)
+        assert [round(g, 3) for g in points] == [9.667, 17.846]
+
+    def test_close_pair_in_one_gram_interval_is_refused(self, monkeypatch):
+        # 20 and 20.01 sit with the zero at 21.02 in (g_0, g_1) = (17.85, 23.17):
+        # no sign change at the Gram points shows them, but the count does
+        _with_pair(monkeypatch, 20.0, 20.01)
+        with pytest.raises(DomainError, match="changes sign 10 times .* count .* is 12"):
+            find_zeros(10.0, 50.0)
+
+    def test_pair_in_two_scan_gaps_is_found(self, monkeypatch):
+        # (2, 13] has no zero and one Gram point, g_-1 = 9.667: a pair split
+        # across it adds one sign change to each gap, and the count agrees
+        _with_pair(monkeypatch, 8.0, 11.0)
+        records = find_zeros(2.0, 13.0)
+        assert [r.t for r in records] == [pytest.approx(8.0, abs=1e-11), pytest.approx(11.0, abs=1e-11)]
+
+    def test_lost_sign_change_is_refused(self, monkeypatch):
+        _with_lost_sign_change(monkeypatch)
+        with pytest.raises(DomainError, match="changes sign 9 times .* count .* is 10"):
+            find_zeros(10.0, 50.0)
+
+    @pytest.mark.parametrize("stub", ["pair", "lost"])
+    def test_cli_exits_2_on_a_count_mismatch(self, stub, monkeypatch, tmp_path, capsys):
+        if stub == "pair":
+            _with_pair(monkeypatch, 20.0, 20.01)
+        else:
+            _with_lost_sign_change(monkeypatch)
+        out = tmp_path / "zeros.csv"
+        code = main(["zeros", "--t-min", "10", "--t-max", "50", "--out", str(out)])
+        assert code == EXIT_MODULE_ERROR
+        assert "zero count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbacked_sign_is_refused(self, monkeypatch):
+        # |Z| at a scan point within the leakage limit backs no count
+        hardy = zeros.hardy_z
+        monkeypatch.setattr(
+            zeros, "hardy_z", lambda t, cfg=DEFAULT_CONFIG: 1e-10 if t == 50.0 else hardy(t, cfg)
+        )
+        with pytest.raises(DomainError, match=r"\|Z\(50.0\)\| = 1.000e-10 is not above"):
+            find_zeros(10.0, 50.0)
 
 
 class TestFindZeros:
@@ -330,13 +413,13 @@ class TestFindZeros:
 
     def test_deterministic(self, scanned_zeros):
         records, _ = scanned_zeros
-        again = find_zeros(10.0, 50.0, 0.05)
+        again = find_zeros(10.0, 50.0)
         assert [r.t for r in again] == [r.t for r in records]
         assert [r.bracket for r in again] == [r.bracket for r in records]
 
     def test_sub_interval_consistency(self, scanned_zeros):
         records, _ = scanned_zeros
-        some = find_zeros(20.0, 35.0, 0.05)
+        some = find_zeros(20.0, 35.0)
         inside = [r for r in records if 20.0 < r.t < 35.0]
         assert len(some) == len(inside)
         for a, b in zip(some, inside):
@@ -345,11 +428,11 @@ class TestFindZeros:
     @pytest.mark.parametrize(
         "args",
         [
-            (0.0, 50.0, 0.05),
-            (50.0, 10.0, 0.05),
-            (10.0, 101.0, 0.05),
-            (10.0, 50.0, 0.0),
-            (10.0, 50.0, 0.3),
+            (0.0, 50.0),
+            (50.0, 10.0),
+            (10.0, 101.0),
+            (math.nan, 50.0),
+            (10.0, math.nan),
         ],
     )
     def test_argument_validation(self, args):
@@ -359,61 +442,56 @@ class TestFindZeros:
     @pytest.mark.parametrize(
         "args",
         [
-            (10.0, 11.0, 1e-300),
-            (10.0, 11.0, math.ulp(11.0)),
-            (10.0, 50.0, 1e-9),
-            (10.0, 12.0, 1e-6),
+            (10.0, math.inf),
+            (-math.inf, 50.0),
+            (10.0, 1e300),
+            (-1e300, 50.0),
         ],
     )
-    def test_unbounded_grid_refused(self, args):
-        # called on the check alone: a regression must not start the scan
-        with pytest.raises(DomainError, match="float spacing|points"):
+    def test_unbounded_grid_refused(self, args, monkeypatch):
+        # a window no scan can cover is refused on the check alone, before
+        # theta or Z is evaluated
+        def no_work(*args):
+            raise AssertionError("the window was not checked first")
+
+        monkeypatch.setattr(zeros, "riemann_siegel_theta", no_work)
+        with pytest.raises(DomainError, match=r"need 0 < t_min < t_max <= 100"):
             zeros._check_scan(*args)
 
     @pytest.mark.parametrize(
         "cfg", [EulerMaclaurinConfig(n_base=2**24), EulerMaclaurinConfig(window_C=1e5)]
     )
     def test_unbounded_scan_work_refused(self, cfg, monkeypatch):
-        # 803 points, each summing 2^24 or about 3.2e6 terms
+        # up to 629 evaluations, each summing 2^24 or about 3.2e6 terms
         with pytest.raises(DomainError, match="may sum over 134217728 terms"):
-            zeros._check_scan(10.0, 50.0, 0.05, cfg)
+            zeros._check_scan(10.0, 50.0, cfg)
 
         def no_work(t, cfg):
             raise AssertionError("the scan's work was not bounded first")
 
-        monkeypatch.setattr(zeros, "hardy_z_array", no_work)
+        monkeypatch.setattr(zeros, "hardy_z", no_work)
         with pytest.raises(DomainError, match="terms"):
-            find_zeros(10.0, 50.0, 0.05, cfg)
+            find_zeros(10.0, 50.0, cfg)
 
     def test_largest_default_scan_work_allowed(self):
-        # 2^20 points at n = 128, the reference's n at t = 100
+        # the widest window: 30 Gram points and 31 gaps, each bracket up to
+        # 49 ITP steps and a residual, two counts of up to 64 evaluations,
+        # at n = 128, the reference's n at t = 100
         assert DEFAULT_CONFIG.reference_n(100.0) == 128
-        step = 0.25 / 2**18
-        assert zeros._check_scan(100.0 - step * (2**20 - 3), 100.0, step) == 2**20
-
-    @given(scan=_scans())
-    @example(scan=(100.0 - 1e-11, 100.0, 4 * math.ulp(100.0)))
-    @example(scan=(1e-3, 100.0, 0.25))
-    @settings(max_examples=200, deadline=None)
-    def test_grid_is_the_one_step_loop(self, scan):
-        assert zeros._scan_grid(*scan).tolist() == _loop_grid(*scan)
+        evaluations = zeros._check_scan(1e-300, 100.0)
+        assert evaluations == 2 + 30 + 31 * (49 + 1) + 2 * 64
+        assert evaluations * 128 <= zeros._MAX_SCAN_TERMS
 
     def test_scan_evaluates_each_grid_point_once(self, monkeypatch):
-        rows = []
-        hardy = zeros.hardy_z_array
-
-        def counted(t, cfg):
-            rows.append(len(t))
-            return hardy(t, cfg)
-
-        monkeypatch.setattr(zeros, "hardy_z_array", counted)
+        calls = _counted(monkeypatch, hardy_z)
         monkeypatch.setattr(zeros, "_bisect", lambda t_lo, z_lo, t_hi, z_hi, cfg: (t_lo, t_hi))
         find_zeros(10.0123, 100.0)
-        assert sum(rows) == zeros._scan_grid(10.0123, 100.0, 0.05).size == 1801
+        assert calls == [10.0123, *zeros._gram_points(10.0123, 100.0), 100.0]
+        assert len(calls) == 31
 
     def test_empty_window(self):
         # no zeros below t = 14; an empty scan is a valid result
-        assert find_zeros(2.0, 13.0, 0.05) == []
+        assert find_zeros(2.0, 13.0) == []
 
     def test_record_type(self, scanned_zeros):
         records, _ = scanned_zeros
