@@ -44,7 +44,6 @@ _EXPORTS = {
     "find_zeros": "zeros",
     "hardy_z": "zeros",
     "riemann_siegel_theta": "zeros",
-    "zero_count": "zeros",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -11,7 +11,9 @@ cost would outweigh the sums, and a process that only scans never loads
 numpy. The reference's partial sum computes each term k^(-z) once, in
 chunks of _CHUNK terms, and sums each part by math.fsum: up to _CHUNK terms
 that is one correctly rounded fsum per part, and past it the chunks' fsums
-are summed by one more. Memory stays at one chunk at any n.
+are summed by one more. Memory stays at one chunk at any n, and the start n
+is refused past N_CAP, so no z or window constant can start an unbounded
+sum.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     PrecisionNotReachedError,
     WindowError,
 )
-from .special import N_CAP, TWO_PI, bernoulli_numbers
+from .special import N_CAP, TWO_PI, _check_n, bernoulli_numbers
 
 #: terms per chunk of the reference's partial sum; bounds its memory at any n
 _CHUNK = 2**12
@@ -153,7 +155,8 @@ def zeta_hat_reference(
     Evaluates zeta_n(z) - n^(1-z)/(1-z) - 1/(2 n^z) + R_n(z) at an n chosen
     from the config; the result is n-independent up to target_rel_error. In
     the strip this equals the analytic continuation of zeta. Where the
-    remainder diverges, n is doubled, up to N_CAP.
+    remainder diverges, n is doubled, up to N_CAP. Raises DomainError,
+    before any sum, if the start n (reference_n) exceeds N_CAP.
     """
     z = complex(z)
     if not (cmath.isfinite(z) and z.real > 0):
@@ -163,6 +166,7 @@ def zeta_hat_reference(
     if z == 1:
         raise PoleError("zeta has its pole at z=1")
     n = cfg.reference_n(z.imag)
+    _check_n(n)
     while True:
         try:
             rem = remainder_with_bound(z, n, cfg).value

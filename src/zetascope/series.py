@@ -1,21 +1,19 @@
 """Finite-n zeta sums: plain, alternating, regularized, and their z-derivatives.
 
-One function, ``_sums``, computes every partial sum: rows of z, each summed to
-one or more n. Terms k**(-z) are evaluated with numpy on a fixed grid of
-chunks of at most 2^12 terms, [j C + 1, (j + 1) C], for a block of rows at
-once (32 rows at n = 128). Each row's six real components (zeta, xi and
-zeta', real and imaginary) are summed with Sum2 of Ogita, Rump and Oishi,
-"Accurate sum and dot product" (SIAM J. Sci. Comput. 26(6), 2005): a running
-float sum plus the running sum of its error-free TwoSum corrections, which is
-as accurate as summing in twice the working precision. A chunk takes both
-running sums from the chunk before in a leading column, so one Sum2 runs over
-the whole row and the sum at n is p + e at n's column, in any chunk. It
-depends neither on the other n of its row nor on the other rows of its
-block; a row shorter than its block is just not read past its n. Memory is
-a few chunk-sized arrays at any n. Everything is a pure function of (z, n)
-and safe to call concurrently. raw_sums_at reads one row at many n, as the
-sweeps and claims need. The zero scan does not come here: its short sums
-are plain Python (euler_maclaurin), so a scan never loads numpy.
+One function, ``_sums``, computes every partial sum: one z, summed to one or
+more n in a single ascending pass. Terms k**(-z) are evaluated with numpy on
+a fixed grid of chunks of at most 2^12 terms, [j C + 1, (j + 1) C]. The four
+or six real components (zeta, xi and zeta', real and imaginary) are summed
+with Sum2 of Ogita, Rump and Oishi, "Accurate sum and dot product" (SIAM J.
+Sci. Comput. 26(6), 2005): a running float sum plus the running sum of its
+error-free TwoSum corrections, which is as accurate as summing in twice the
+working precision. A chunk takes both running sums from the chunk before in
+a leading column, so one Sum2 runs over the whole pass and the sum at n is
+p + e at n's column, in any chunk; it does not depend on the other n of the
+pass. Memory is a few chunk-sized arrays at any n. Everything is a pure
+function of (z, n) and safe to call concurrently. raw_sums_at reads one z at
+many n, as the sweeps and claims need. The zero scan does not come here: its
+short sums are plain Python (euler_maclaurin), so a scan never loads numpy.
 
 The pass is sign-symmetric: numpy's cos is even and its sin odd, and Sum2
 commutes with negation, so the sums at conj(z) are the conjugates of the
@@ -30,13 +28,14 @@ registry in functional_eq.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, PoleError, SumOverflowError
-from .special import N_CAP, complex_pow_base_real
+from .special import N_CAP, _check_n, complex_pow_base_real
 
 
 class RawSums(NamedTuple):
@@ -51,82 +50,63 @@ class RawSums(NamedTuple):
 _CHUNK = 2**12
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n > N_CAP:
-        raise DomainError(f"n={n} exceeds the configured cap {N_CAP}")
-
-
 def _chunk_prefix_sums(
-    z: np.ndarray, lo: int, hi: int, p0: np.ndarray, e0: np.ndarray
+    z: complex, lo: int, hi: int, p0: np.ndarray, e0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum2 prefix sums of the terms k = lo+1..hi for each z of a 1-d array,
-    carried on from the running sum ``p0`` and running error ``e0``.
+    """Sum2 prefix sums of the terms k = lo+1..hi, carried on from the
+    running sum ``p0`` and running error ``e0``.
 
-    Axis 0 runs over z; axis 1 over the components of ``p0`` (2, 4 or 6):
-    the real components Re/Im of zeta, xi and zeta'. Column i of the running
-    sum ``p`` and of the running TwoSum error ``e`` together hold the sum
-    through k = lo+i; column 0 is the carry. ``lo`` is a multiple of _CHUNK,
-    so the even columns are the even k that xi subtracts.
+    Axis 0 runs over the components of ``p0`` (4 or 6): the real components
+    Re/Im of zeta, xi and zeta'. Column i of the running sum ``p`` and of the
+    running TwoSum error ``e`` together hold the sum through k = lo+i; column
+    0 is the carry. ``lo`` is a multiple of _CHUNK, so the even columns are
+    the even k that xi subtracts.
     """
-    components = p0.shape[1]
+    components = p0.size
     lk = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
-    x = np.empty((z.size, components, hi - lo + 1))
-    terms = x[..., 1:]
-    phase = -z.imag[:, None] * lk
-    np.cos(phase, out=terms[:, 0])
-    np.sin(phase, out=terms[:, 1])
-    terms[:, 0:2] *= np.exp(-z.real[:, None] * lk)[:, None]
-    if components > 2:
-        terms[:, 2:4] = terms[:, 0:2]
-        terms[:, 2:4, 1::2] *= -1.0
+    x = np.empty((components, hi - lo + 1))
+    terms = x[:, 1:]
+    phase = -z.imag * lk
+    np.cos(phase, out=terms[0])
+    np.sin(phase, out=terms[1])
+    terms[0:2] *= np.exp(-z.real * lk)
+    terms[2:4] = terms[0:2]
+    terms[2:4, 1::2] *= -1.0
     if components > 4:
-        np.multiply(-lk, terms[:, 0:2], out=terms[:, 4:6])
-    x[..., 0] = p0
-    p = np.cumsum(x, axis=2)
+        np.multiply(-lk, terms[0:2], out=terms[4:6])
+    x[:, 0] = p0
+    p = np.cumsum(x, axis=1)
     # TwoSum of (p[i-1], x[i]) -> p[i], in place: x becomes each add's exact
     # error (b - b_virtual) + (a - a_virtual), with one scratch array
-    s, a, b = p[..., 1:], p[..., :-1], x[..., 1:]
+    s, a, b = p[:, 1:], p[:, :-1], x[:, 1:]
     virtual = s - a  # b_virtual
     b -= virtual
     np.subtract(s, virtual, out=virtual)  # a_virtual
     np.subtract(a, virtual, out=virtual)
     b += virtual
-    x[..., 0] = e0
-    return p, np.cumsum(x, axis=2, out=x)
+    x[:, 0] = e0
+    return p, np.cumsum(x, axis=1, out=x)
 
 
-def _sums(z: np.ndarray, n: np.ndarray, components: int) -> np.ndarray:
-    """The first ``components`` real sums of z[r] to n[r, j], as out[r, j].
-
-    ``z`` has shape (rows,) and ``n`` shape (rows, m); each row's n may come
-    in any order and repeat. Each chunk reads the entries whose n it holds
-    through one mask. Raises SumOverflowError (an OverflowError) naming the
-    z of the first row whose sum leaves the finite floats.
+def _sums(z: complex, ns: np.ndarray, components: int) -> np.ndarray:
+    """The first ``components`` (4 or 6) real sums of z to each n of ``ns``,
+    checked positive and at most N_CAP, as out[j]. Each chunk reads the n
+    it holds through one mask. Raises SumOverflowError (an OverflowError)
+    if a sum leaves the finite floats.
     """
-    if not np.isfinite(z).all():
-        raise DomainError(f"partial sums need a finite z, got {complex(z[~np.isfinite(z)][0])}")
-    n_max = int(n.max(initial=1))
-    if not (n.min(initial=1) >= 1 and n_max <= N_CAP):
-        raise DomainError(f"each n must lie in [1, {N_CAP}], got {n.min()}..{n.max()}")
-    out = np.empty((*n.shape, components))
-    rows = max(1, _CHUNK // min(n_max, _CHUNK))
+    out = np.empty((ns.size, components))
+    top = int(ns.max())
+    carry = np.zeros((2, components))
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, z.size, rows):
-            zb, nb = z[s : s + rows], n[s : s + rows]
-            top = int(nb.max())
-            carry = np.zeros((2, zb.size, components))
-            for lo in range(0, top, _CHUNK):
-                p, e = _chunk_prefix_sums(zb, lo, min(lo + _CHUNK, top), *carry)
-                r, j = np.nonzero((lo < nb) & (nb <= lo + _CHUNK))  # the n this chunk holds
-                out[s + r, j] = p[r, :, nb[r, j] - lo] + e[r, :, nb[r, j] - lo]
-                # copies, so the next chunk is built with this one freed
-                carry = p[..., -1].copy(), e[..., -1].copy()
-                del p, e
-    bad = ~np.isfinite(out).all(axis=(1, 2))
-    if bad.any():
-        raise SumOverflowError(f"partial sum overflowed at z={complex(z[bad][0])}")
+        for lo in range(0, top, _CHUNK):
+            p, e = _chunk_prefix_sums(z, lo, min(lo + _CHUNK, top), *carry)
+            j = np.nonzero((lo < ns) & (ns <= lo + _CHUNK))[0]  # the n this chunk holds
+            out[j] = (p[:, ns[j] - lo] + e[:, ns[j] - lo]).T
+            # copies, so the next chunk is built with this one freed
+            carry = p[:, -1].copy(), e[:, -1].copy()
+            del p, e
+    if not np.isfinite(out).all():
+        raise SumOverflowError(f"partial sum overflowed at z={z}")
     return out
 
 
@@ -140,13 +120,15 @@ def raw_sums_at(
     if a sum leaves the finite floats.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"partial sums need a finite z, got {z}")
     ns = sorted(set(checkpoints))
     if not ns:
         raise DomainError("raw_sums_at needs at least one checkpoint")
     for n in ns:
         _check_n(n)
     components = 6 if include_derivative else 4
-    v = _sums(np.array([z]), np.array([ns]), components)[0]
+    v = _sums(z, np.array(ns), components)
     return {
         n: RawSums(
             zeta=complex(s[0], s[1]),

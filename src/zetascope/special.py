@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its arguments: complex powers of a
 positive real base, the log-gamma function, and exact Bernoulli numbers.
-It also holds N_CAP, the cap on every n, with the check of the dyadic grid
-a sweep sums to, so that modules without numpy (the zero scan, the CLI's
-config check) read them without loading the partial sums.
+It also holds N_CAP, the cap on every n, with the checks of one n and of the
+dyadic grid a sweep sums to, so that modules without numpy (the reference
+evaluator, the zero scan, the CLI's config check) read them without loading
+the partial sums.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ _LANCZOS_C = (
     -2.6190838401581408670e-5,
     3.6899182659531622704e-6,
 )
+
+
+def _check_n(n: int) -> None:
+    """DomainError unless n is a positive int no larger than N_CAP."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if n > N_CAP:
+        raise DomainError(f"n={n} exceeds the configured cap {N_CAP}")
 
 
 def _check_grid(n0: int, doublings: int) -> None:

@@ -397,6 +397,25 @@ class TestBoundaryProbes:
         assert proc.returncode == EXIT_MODULE_ERROR
         assert proc.stderr.startswith("error: log_gamma needs Re z >= -4095.5")
 
+    @pytest.mark.parametrize(
+        "z,config",
+        [
+            ("0.5+1e9i", {}),
+            ("0.5+1e300i", {}),
+            # a window constant the config check allows for this scan range
+            ("0.5+1e4i", {"t_min": 10.0, "t_max": 11.0, "em.window_C": 1e4}),
+        ],
+    )
+    def test_zeta_hat_past_the_cap_is_numerical_error_at_once(self, z, config, tmp_path):
+        # the reference would start from n >= 6.3e7; a child process, so a
+        # hang fails on the timeout
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        proc = _spawn(["eval", "--what", "zeta_hat", "--z", z], tmp_path, ZETASCOPE_CONFIG=str(path))
+        assert proc.returncode == EXIT_MODULE_ERROR
+        assert proc.stderr.startswith("error: n=")
+        assert proc.stderr.rstrip().endswith("exceeds the configured cap 16777216")
+
     def test_h_hat_beyond_the_sine_overflow_evaluates(self, capsys):
         assert main(["eval", "--what", "H_hat", "--z", "0.5+500i"]) == EXIT_OK
         # on the critical line |H_hat| = 1

@@ -15,6 +15,7 @@ from zetascope.errors import (
 )
 from zetascope import euler_maclaurin
 from zetascope.euler_maclaurin import (
+    DEFAULT_CONFIG,
     EulerMaclaurinConfig,
     RemainderResult,
     remainder,
@@ -157,6 +158,23 @@ class TestReference:
             zeta_hat_reference(1.0 + 0.0j)
         with pytest.raises(DomainError):
             zeta_hat_reference(complex(-0.2, 5.0))
+
+    @pytest.mark.parametrize(
+        "z,cfg",
+        [
+            (0.5 + 1e9j, DEFAULT_CONFIG),
+            (0.5 - 1e300j, DEFAULT_CONFIG),
+            (0.5 + 14.0j, EulerMaclaurinConfig(window_C=1e12)),
+        ],
+    )
+    def test_start_n_past_the_cap_refused_before_any_sum(self, z, cfg, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("summed past the cap check")
+
+        monkeypatch.setattr(euler_maclaurin, "_partial_sum", no_work)
+        monkeypatch.setattr(euler_maclaurin, "remainder_with_bound", no_work)
+        with pytest.raises(DomainError, match="exceeds the configured cap 16777216"):
+            zeta_hat_reference(z, cfg)
 
     @pytest.mark.parametrize("z,n", [(2.0 + 0.0j, 64), (0.5 + 14.0j, 128), (0.7 - 25.0j, 256)])
     def test_difference_identity(self, z, n):

@@ -231,70 +231,52 @@ class TestCheckpointIndependence:
 
 
 class TestZetaPartialArray:
-    """_sums over many rows of z, one n each."""
+    """_sums: one z, its partial sums at an array of n in one pass."""
 
     @given(
-        rows=st.lists(
-            st.tuples(strip_z, st.sampled_from((1, 50, 128, 4095, 4097, 9000))),
-            min_size=1,
-            max_size=12,
-        )
+        z=strip_z,
+        ns=st.sets(st.integers(1, 13000) | st.sampled_from(_STRADDLE), min_size=1, max_size=6),
     )
     @settings(max_examples=20, deadline=None)
-    def test_rows_equal_scalar_sums_bit_for_bit(self, rows):
-        z = np.array([r[0] for r in rows])
-        n = np.array([[r[1]] for r in rows])
-        got = _sums(z, n, 2)
-        for zi, (ni,), (gi,) in zip(z.tolist(), n.tolist(), got.tolist()):
-            assert gi[0].hex() == zeta_partial(zi, ni).real.hex()
-            assert gi[1].hex() == zeta_partial(zi, ni).imag.hex()
+    def test_rows_equal_scalar_sums_bit_for_bit(self, z, ns):
+        ns = np.array(sorted(ns))
+        got = _sums(z, ns, 4)
+        assert got.shape == (ns.size, 4)
+        assert got.tolist() == _sums(z, ns, 6)[:, :4].tolist()
+        for n, row in zip(ns.tolist(), got.tolist()):
+            expect = (zeta_partial(z, n), xi_partial(z, n))
+            assert [x.hex() for x in row] == [x.hex() for c in expect for x in (c.real, c.imag)]
 
     def test_non_finite_z_rejected(self):
         with pytest.raises(DomainError, match="nan"):
-            _sums(np.array([2.0, complex(math.nan, 1.0)]), np.array([[4], [4]]), 2)
+            raw_sums_at(complex(math.nan, 1.0), (4,))
         with pytest.raises(DomainError):
             raw_sums_at(complex(0.5, math.inf), (4,))
 
     def test_overflow_names_the_row(self):
         with pytest.raises(SumOverflowError, match=r"-800"):
-            _sums(np.array([2.0, -800.0 + 0j]), np.array([[10], [10**5]]), 2)
+            raw_sums_at(-800.0 + 0j, (10, 10**5))
 
     def test_n_validation(self):
-        with pytest.raises(DomainError):
-            _sums(np.array([2.0 + 0j]), np.array([[0]]), 2)
-        with pytest.raises(DomainError):
-            _sums(np.array([2.0 + 0j]), np.array([[N_CAP + 1]]), 2)
+        # one bad checkpoint refuses the whole pass
+        for bad in (0, N_CAP + 1, 2.5):
+            with pytest.raises(DomainError):
+                raw_sums_at(2.0 + 0j, (4, bad))
 
 
 class TestSumsByMask:
     @given(
-        data=st.data(),
-        # n_max 128 puts 32 rows in a block, 300 puts 13, 9000 puts 1 (past 2^12)
-        n_max=st.sampled_from((128, 300, 9000)),
-        rows=st.integers(1, 40),
-        m=st.integers(1, 5),
+        z=strip_z,
+        ns=st.lists(st.integers(1, 9000) | st.sampled_from(_STRADDLE), min_size=1, max_size=6),
     )
     @settings(max_examples=12, deadline=None)
-    def test_unsorted_repeated_n_equal_one_row_sums_bit_for_bit(self, data, n_max, rows, m):
-        rows = min(rows, 3) if n_max > 4096 else rows
-        z = np.array(data.draw(st.lists(strip_z, min_size=rows, max_size=rows)))
-        each_n = st.integers(1, n_max) | st.sampled_from([k for k in _STRADDLE if k <= n_max])
-        n = np.array(
-            data.draw(
-                st.lists(
-                    st.lists(each_n, min_size=m, max_size=m),
-                    min_size=rows,
-                    max_size=rows,
-                )
-            )
-        )
-        n = np.concatenate((n, n[:, :1]), axis=1)  # a repeated n in every row
-        got = _sums(z, n, 6)
-        assert got.shape == (rows, m + 1, 6)
-        for r, zr in enumerate(z.tolist()):
-            for j, nj in enumerate(n[r].tolist()):
-                alone = raw_sums_at(zr, (nj,), include_derivative=True)[nj]
-                assert tuple(x.hex() for x in got[r, j].tolist()) == _bits(alone)
+    def test_unsorted_repeated_n_equal_one_row_sums_bit_for_bit(self, z, ns):
+        ns = ns + ns[:1]  # a repeated n in every pass, in the order drawn
+        got = raw_sums_at(z, iter(ns), include_derivative=True)
+        assert list(got) == sorted(set(ns))
+        for n in ns:
+            alone = raw_sums_at(z, (n,), include_derivative=True)[n]
+            assert _bits(got[n]) == _bits(alone)
 
 
 class TestSum2AgainstFsum:

@@ -382,6 +382,19 @@ class TestGramScan:
         with pytest.raises(DomainError, match=r"\|Z\(50.0\)\| = 1.000e-10 is not above"):
             find_zeros(10.0, 50.0)
 
+    @pytest.mark.parametrize("window", [(10.0, KNOWN_ZERO_T[0]), (KNOWN_ZERO_T[0], 20.0)])
+    def test_window_ending_on_a_zero_is_refused(self, window, tmp_path, capsys):
+        # N(t) is not an integer at a zero, so an end there backs no count;
+        # a window must end off the zeros it is to report
+        match = rf"\|Z\({KNOWN_ZERO_T[0]}\)\| = .* is not above the leakage limit"
+        with pytest.raises(DomainError, match=match):
+            find_zeros(*window)
+        out = tmp_path / "zeros.csv"
+        args = ["--t-min", repr(window[0]), "--t-max", repr(window[1]), "--out", str(out)]
+        assert main(["zeros", *args]) == EXIT_MODULE_ERROR
+        assert "is not above the leakage limit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFindZeros:
     def test_count_and_ordering(self, scanned_zeros):
