@@ -2,24 +2,35 @@
 
 One function, ``_sums``, computes every partial sum: one z, summed to one or
 more n in a single ascending pass. Terms k**(-z) are evaluated with numpy on
-a fixed grid of chunks of at most 2^12 terms, [j C + 1, (j + 1) C]. The four
-or six real components (zeta, xi and zeta', real and imaginary) are summed
-with Sum2 of Ogita, Rump and Oishi, "Accurate sum and dot product" (SIAM J.
-Sci. Comput. 26(6), 2005): a running float sum plus the running sum of its
-error-free TwoSum corrections, which is as accurate as summing in twice the
-working precision. A chunk takes both running sums from the chunk before in
-a leading column, so one Sum2 runs over the whole pass and the sum at n is
-p + e at n's column, in any chunk; it does not depend on the other n of the
-pass. Memory is a few chunk-sized arrays at any n. Everything is a pure
-function of (z, n) and safe to call concurrently. raw_sums_at reads one z at
-many n, as the sweeps and claims need. The zero scan does not come here: its
-short sums are plain Python (euler_maclaurin), so a scan never loads numpy.
+a fixed grid of chunks of 2^12 terms, [j C + 1, (j + 1) C]; the last chunk
+is evaluated whole even where the pass stops inside it. Each chunk holds the
+real and imaginary parts of zeta's terms (and of zeta''s), odd k first, then
+even k, so xi, the alternating sum, is the odd half minus the even half.
 
-The pass is sign-symmetric: numpy's cos is even and its sin odd, and Sum2
-commutes with negation, so the sums at conj(z) are the conjugates of the
-sums at z, bit for bit. On the critical line 1 - rho = conj(rho), so the
-sweeps and claims read the table at 1 - rho as the conjugate of the one at
-rho (functional_eq._mirror).
+A chunk is summed by error-free extraction (Rump, Ogita and Oishi, "Accurate
+floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
+31(1), 2008). Each row is split as x = q + r without error: q = fl(x + sigma)
+- sigma with sigma = 1.5 * 2**e, 2**e at least 2 (C + 2) times the row's
+largest |x| over the whole fixed chunk. The q are multiples of one ulp, so
+every sum of them is exact in any order; the small r are summed in one fixed
+order per n. The chunk's sum to n joins the pass's total so far, carried
+from chunk to chunk as a double-double (TwoSum). Beyond its last rounding
+the sum errs by less than 2^-74 of each chunk's largest term, which is
+within 1 ulp of the correctly rounded sum unless the terms cancel to below
+about 2^-20 of those terms. Nothing in the sum at n depends on the other n of
+the pass: sigma comes from the fixed chunk, not from where the pass stops.
+Memory is a few chunk-sized arrays at any n. Everything is a pure function
+of (z, n) and safe to call concurrently. raw_sums_at reads one z at many n,
+as the sweeps and claims need. The zero scan does not come here: its short
+sums are plain Python (euler_maclaurin), so a scan never loads numpy.
+
+The pass is sign-symmetric: numpy's cos is even and its sin odd, a row and
+its negation get the same sigma, fl(x + sigma) rounds every x of the row on
+one grid, to nearest with ties to even, which is odd-symmetric, and float
+addition commutes with negation. So the sums at conj(z) are the conjugates
+of the sums at z, bit for bit (up to the sign of an exact zero). On the
+critical line 1 - rho = conj(rho), so the sweeps and claims read the table
+at 1 - rho as the conjugate of the one at rho (functional_eq._mirror).
 
 ``_tail``, ``_hat`` and ``_hat_prime`` write the regularized sum and its
 z-derivative once, over a RawSums; the quantities built from them are the
@@ -48,63 +59,102 @@ class RawSums(NamedTuple):
 
 #: terms per summation chunk; bounds the kernel's memory at any n
 _CHUNK = 2**12
+#: 2**_HEADROOM >= 2 (_CHUNK + 2), the extraction constant's margin over a row's max
+_HEADROOM = 14
 
 
-def _chunk_prefix_sums(
-    z: complex, lo: int, hi: int, p0: np.ndarray, e0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum2 prefix sums of the terms k = lo+1..hi, carried on from the
-    running sum ``p0`` and running error ``e0``.
-
-    Axis 0 runs over the components of ``p0`` (4 or 6): the real components
-    Re/Im of zeta, xi and zeta'. Column i of the running sum ``p`` and of the
-    running TwoSum error ``e`` together hold the sum through k = lo+i; column
-    0 is the carry. ``lo`` is a multiple of _CHUNK, so the even columns are
-    the even k that xi subtracts.
+def _chunk_terms(z: complex, lo: int, x: np.ndarray) -> None:
+    """Write the terms k = lo+1..lo+_CHUNK of a fixed chunk into ``x``: the
+    odd k in the first half of the columns, then the even k, one row per
+    real component of zeta and (with four rows) of zeta'. ``lo`` is a
+    multiple of _CHUNK. xi needs no rows: it is the odd half minus the even.
     """
-    components = p0.size
-    lk = np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
-    x = np.empty((components, hi - lo + 1))
-    terms = x[:, 1:]
+    k = np.arange(lo + 1, lo + _CHUNK + 1, dtype=np.float64).reshape(-1, 2).T.ravel()
+    lk = np.log(k)
     phase = -z.imag * lk
-    np.cos(phase, out=terms[0])
-    np.sin(phase, out=terms[1])
-    terms[0:2] *= np.exp(-z.real * lk)
-    terms[2:4] = terms[0:2]
-    terms[2:4, 1::2] *= -1.0
-    if components > 4:
-        np.multiply(-lk, terms[0:2], out=terms[4:6])
-    x[:, 0] = p0
-    p = np.cumsum(x, axis=1)
-    # TwoSum of (p[i-1], x[i]) -> p[i], in place: x becomes each add's exact
-    # error (b - b_virtual) + (a - a_virtual), with one scratch array
-    s, a, b = p[:, 1:], p[:, :-1], x[:, 1:]
-    virtual = s - a  # b_virtual
-    b -= virtual
-    np.subtract(s, virtual, out=virtual)  # a_virtual
-    np.subtract(a, virtual, out=virtual)
-    b += virtual
-    x[:, 0] = e0
-    return p, np.cumsum(x, axis=1, out=x)
+    np.cos(phase, out=x[0])
+    np.sin(phase, out=x[1])
+    x[0:2] *= np.exp(-z.real * lk)
+    if x.shape[0] > 2:
+        np.multiply(-lk, x[0:2], out=x[2:4])
+
+
+def _halves(y: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """y's rows summed over the odd k and over the even k up to each cut c,
+    as [odd or even, row, cut]; a function of c alone, in a fixed order."""
+    half = _CHUNK // 2
+    return np.array(
+        [[y[:, : (c + 1) // 2].sum(axis=1), y[:, half : half + c // 2].sum(axis=1)] for c in cuts]
+    ).transpose(1, 2, 0)
+
+
+def _components(halves: np.ndarray) -> np.ndarray:
+    """The components (zeta, xi, then zeta') of sums by halves, per cut:
+    zeta and zeta' add the halves, xi subtracts the even from the odd."""
+    odd, even = halves
+    plain = odd + even
+    return np.concatenate((plain[:2], odd[:2] - even[:2], plain[2:]))
+
+
+def _chunk_sums(
+    x: np.ndarray, q: np.ndarray, cuts: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk ``x`` of _chunk_terms summed to each c of ``cuts``
+    (increasing, the last _CHUNK) as (component, cut) arrays of an exact
+    part and a small rest. ``x`` and ``q``, of one shape, are overwritten.
+
+    Error-free extraction: with sigma = 1.5 * 2**e and 2**e >= 2 (_CHUNK + 2)
+    max|x| over the row, q = fl(x + sigma) - sigma is x rounded to a multiple
+    of ulp(sigma), and r = x - q is exact. Any sum of a row's q, with any
+    signs, is exact, so the q are summed in any order; the r, each at most
+    ulp(sigma) / 2, are summed in one fixed order per cut. A row whose sigma
+    would overflow is scaled by an exact power of two.
+    """
+    e = np.frexp(np.maximum(x.max(axis=1), -x.min(axis=1)))[1] + _HEADROOM
+    scale = np.maximum(e - 1023, 0)[:, None]
+    if scale.any():
+        np.ldexp(x, -scale, out=x)
+    # row by row: a scalar sigma takes numpy's fast path, a broadcast column does not
+    for row, q_row, sigma in zip(x, q, np.ldexp(1.5, e - scale[:, 0]).tolist()):
+        np.add(row, sigma, out=q_row)
+        q_row -= sigma
+        row -= q_row
+    exact, rest = _halves(q, cuts), _halves(x, cuts)
+    if scale.any():
+        exact, rest = np.ldexp(exact, scale), np.ldexp(rest, scale)
+    return _components(exact), _components(rest)
 
 
 def _sums(z: complex, ns: np.ndarray, components: int) -> np.ndarray:
     """The first ``components`` (4 or 6) real sums of z to each n of ``ns``,
-    checked positive and at most N_CAP, as out[j]. Each chunk reads the n
-    it holds through one mask. Raises SumOverflowError (an OverflowError)
-    if a sum leaves the finite floats.
+    sorted, unique, positive and at most N_CAP, as out[j]. Each chunk is
+    summed at the n it holds and at its end, and its end carries the pass
+    into the next chunk as a double-double. Raises SumOverflowError (an
+    OverflowError) if a sum leaves the finite floats.
     """
     out = np.empty((ns.size, components))
     top = int(ns.max())
-    carry = np.zeros((2, components))
+    carry, carry_err = np.zeros((2, components, 1))
+    # one chunk's terms (then their rests) and rounded parts, reused by every
+    # chunk: a fresh array costs more in page faults than the sums over it
+    x, q = np.empty((2, components - 2, _CHUNK))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, top, _CHUNK):
-            p, e = _chunk_prefix_sums(z, lo, min(lo + _CHUNK, top), *carry)
             j = np.nonzero((lo < ns) & (ns <= lo + _CHUNK))[0]  # the n this chunk holds
-            out[j] = (p[:, ns[j] - lo] + e[:, ns[j] - lo]).T
-            # copies, so the next chunk is built with this one freed
-            carry = p[:, -1].copy(), e[:, -1].copy()
-            del p, e
+            cuts = (ns[j] - lo).tolist()
+            if not cuts or cuts[-1] != _CHUNK:
+                cuts.append(_CHUNK)
+            _chunk_terms(z, lo, x)
+            exact, rest = _chunk_sums(x, q, cuts)
+            # TwoSum(carry, exact), then the small parts in one fixed order
+            s = carry + exact
+            virtual = s - carry
+            small = ((carry - (s - virtual)) + (exact - virtual)) + (carry_err + rest)
+            total = s + small
+            out[j] = total[:, : j.size].T
+            s, small, carry = s[:, -1:], small[:, -1:], total[:, -1:]
+            virtual = carry - s
+            carry_err = (s - (carry - virtual)) + (small - virtual)
     if not np.isfinite(out).all():
         raise SumOverflowError(f"partial sum overflowed at z={z}")
     return out
@@ -113,7 +163,7 @@ def _sums(z: complex, ns: np.ndarray, components: int) -> np.ndarray:
 def raw_sums_at(
     z: complex, checkpoints: Iterable[int], include_derivative: bool = False
 ) -> dict[int, RawSums]:
-    """The sums at each checkpoint, from one ascending compensated pass.
+    """The sums at each checkpoint, from one ascending pass.
 
     ``checkpoints`` must be positive integers; they are deduplicated and
     visited in increasing order. Raises SumOverflowError (an OverflowError)

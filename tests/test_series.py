@@ -3,7 +3,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -11,6 +11,8 @@ import numpy as np
 from zetascope.errors import DomainError, PoleError, SumOverflowError
 from zetascope.series import (
     N_CAP,
+    _CHUNK,
+    _chunk_sums,
     _sums,
     raw_sums_at,
     xi_partial,
@@ -288,8 +290,10 @@ class TestSum2AgainstFsum:
         ),
     )
     @settings(max_examples=40, deadline=None)
+    # a row far smaller than k**(-Re z): its sigma must come from its own max
+    @example(sigma=0.0, t=1.43277244866829e-196, n=4095)
     def test_each_component_within_one_ulp_of_fsum(self, sigma, t, n):
-        """Sum2 over the kernel's own float terms, carried across chunk
+        """The pass over the kernel's own float terms, carried across chunk
         edges, is within 1 ulp of their correctly rounded sum."""
         lk = np.log(np.arange(1, n + 1, dtype=np.float64))
         scale = np.exp(-sigma * lk)
@@ -301,3 +305,75 @@ class TestSum2AgainstFsum:
         for value, want in zip([c for v in got for c in (v.real, v.imag)], terms):
             exact = math.fsum(want.tolist())
             assert abs(value - exact) <= math.ulp(exact)
+
+
+def _unsigned_zero_hex(values) -> list[str]:
+    """Each real and imaginary part as hex, with an exact zero's sign dropped."""
+    return [(x + 0.0).hex() for c in values if c is not None for x in (c.real, c.imag)]
+
+
+class TestConjugateSymmetry:
+    @given(
+        z=st.builds(complex, st.floats(-1.0, 3.0), st.floats(-200.0, 200.0)),
+        ns=st.sets(st.integers(1, 13000) | st.sampled_from(_STRADDLE), min_size=1, max_size=4),
+        derivative=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_sums_at_conjugate_are_conjugates_bit_for_bit(self, z, ns, derivative):
+        """functional_eq._mirror reads the table at conj(z) off the one at z."""
+        at_z = raw_sums_at(z, ns, include_derivative=derivative)
+        at_conj = raw_sums_at(z.conjugate(), ns, include_derivative=derivative)
+        for n in ns:
+            mirrored = (None if c is None else c.conjugate() for c in at_conj[n])
+            assert _unsigned_zero_hex(mirrored) == _unsigned_zero_hex(at_z[n])
+
+
+class TestCutInsideChunk:
+    """The last chunk is summed whole, so a pass that stops inside it gives
+    the same bits as one that goes on past it."""
+
+    @pytest.mark.parametrize("n", [777, 4095])
+    @pytest.mark.parametrize("others", [(), (4097,), (8193,), (12000,), (4097, 8193, 12000)])
+    # terms that shrink with k, and terms that grow, so a chunk's largest
+    # term lies past n
+    @pytest.mark.parametrize("z", [RHO_1, complex(-0.5, 14.134725141734693)])
+    def test_sum_ignores_later_checkpoints(self, n, others, z):
+        alone = raw_sums_at(z, (n,), include_derivative=True)[n]
+        shared = raw_sums_at(z, (n, *others), include_derivative=True)[n]
+        assert _bits(shared) == _bits(alone)
+
+    @given(
+        cut=st.integers(1, _CHUNK),
+        others=st.sets(st.integers(1, _CHUNK), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_parts_ignore_other_cuts(self, cut, others, seed):
+        """A cut's exact part and rest, not only the sum they round to, are
+        the same bits whatever other cuts share the chunk. The terms span
+        2^-40..1, so the rests are not exact and their order shows."""
+        rng = np.random.default_rng(seed)
+        terms = rng.standard_normal((4, _CHUNK)) * 2.0 ** rng.uniform(-40, 0, (4, _CHUNK))
+        cuts = sorted({cut, *others, _CHUNK})
+        alone = _chunk_sums(terms.copy(), np.empty_like(terms), sorted({cut, _CHUNK}))
+        shared = _chunk_sums(terms.copy(), np.empty_like(terms), cuts)
+        for a, b in zip(alone, shared):
+            assert [x.hex() for x in a[:, 0].tolist()] == [
+                x.hex() for x in b[:, cuts.index(cut)].tolist()
+            ]
+
+
+class TestOverflowEdge:
+    def test_sigma_past_the_floats_is_scaled_not_overflowed(self):
+        # 1.5 * 2**e overflows for the derivative row here; the sums do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = raw_sums_at(complex(-84.0, 0.3), (4096,), include_derivative=True)[4096]
+        assert s.zeta.real.hex() == "-0x1.3625569d3f1bcp+1013"
+        assert all(cmath.isfinite(v) for v in s)
+
+    def test_sum_past_the_floats_still_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SumOverflowError):
+                raw_sums_at(complex(-84.7, 0.3), (4096,), include_derivative=True)
