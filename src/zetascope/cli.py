@@ -12,18 +12,17 @@ import argparse
 import csv
 import gc
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import zetascope
 
 from . import zeros as zeros_mod
 from .errors import ConfigError, DomainError, ZetascopeError
 from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
-from .special import N_CAP, _check_grid
+from .special import N_CAP, _check_grid, _Checked
 from .zeros import ZeroRecord
 
 EXIT_OK = 0
@@ -66,17 +65,20 @@ ZEROS_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide defaults; flags override file values; UsageError if out of range."""
-
-    em: EulerMaclaurinConfig = field(default_factory=EulerMaclaurinConfig)
+class _RunFields(NamedTuple):
+    em: EulerMaclaurinConfig = EulerMaclaurinConfig()
     n0: int = 64
     doublings: int = 10
     t_min: float = 10.0
     t_max: float = 50.0
 
-    def __post_init__(self):
+
+class RunConfig(_Checked, _RunFields):
+    """Validated run-wide defaults; flags override file values; UsageError if out of range."""
+
+    __slots__ = ()
+
+    def _check(self):
         try:
             _check_grid(self.n0, self.doublings)
         except DomainError as exc:
@@ -89,32 +91,35 @@ class RunConfig:
             ) from exc
 
 
-#: the keys a config file may set: the em. keys set EulerMaclaurinConfig fields
-_EM_KEYS = tuple(f.name for f in fields(EulerMaclaurinConfig))
-_RUN_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "em")
+#: the keys a config file may set besides the em. keys, which set EulerMaclaurinConfig fields
+_RUN_KEYS = tuple(k for k in RunConfig._fields if k != "em")
 
 
 def load_config(env: dict | None = None) -> RunConfig:
     """Defaults, overlaid with the flat dotted-key JSON file from
-    ZETASCOPE_CONFIG when set."""
+    ZETASCOPE_CONFIG when set; ConfigError if the file is not JSON."""
     env = env if env is not None else os.environ
     path = env.get("ZETASCOPE_CONFIG")
     cfg = RunConfig()
     if not path:
         return cfg
-    data = json.loads(_read_text(path))
+    import json  # only a run with a config file reads JSON
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - {f"em.{k}" for k in _EM_KEYS} - set(_RUN_KEYS))
+    unknown = sorted(set(data) - {f"em.{k}" for k in cfg.em._fields} - set(_RUN_KEYS))
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys {', '.join(unknown)}")
     em = {
         k: _typed(f"em.{k}", data[f"em.{k}"], getattr(cfg.em, k))
-        for k in _EM_KEYS
+        for k in cfg.em._fields
         if f"em.{k}" in data
     }
     run = {k: _typed(k, data[k], getattr(cfg, k)) for k in _RUN_KEYS if k in data}
-    return replace(cfg, em=replace(cfg.em, **em), **run)
+    return cfg._replace(em=cfg.em._replace(**em), **run)
 
 
 def _read_text(path) -> str:
@@ -255,9 +260,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         },
         "results": [r.as_dict() for r in rows],
     }
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    import json
+    out.write_text(json.dumps(report, indent=2) + "\n")
     failing = [r for r in rows if not r.passed]
     if failing:
         print(f"{len(failing)} claim(s) failed:")
@@ -270,6 +274,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_report(args, cfg: RunConfig) -> int:
+    import json
     path = Path(getattr(args, "in"))
     header = ("zero", "claim", "expected", "measured", "tol", "pass")
     widths = [len(h) for h in header]
@@ -335,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config()
-    except (OSError, json.JSONDecodeError, ZetascopeError) as exc:
+    except (OSError, ZetascopeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     handlers = {
@@ -346,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         # the flags given overlay the file; RunConfig checks the result
-        cfg = replace(cfg, **{k: v for k in _RUN_KEYS if (v := getattr(args, k, None)) is not None})
+        cfg = cfg._replace(**{k: v for k in _RUN_KEYS if (v := getattr(args, k, None)) is not None})
         code = handlers[args.command](args, cfg)
         sys.stdout.flush()
         return code

@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,12 +42,11 @@ from .functional_eq import (
     h_hat_exact,
 )
 from .series import RawSums, raw_sums_at
-from .special import N_CAP, _check_grid, complex_pow_base_real
+from .special import N_CAP, _check_grid, _Checked, complex_pow_base_real
 from .zeros import ZeroRecord
 
 
-@dataclass(frozen=True)
-class ConvergenceSeries:
+class ConvergenceSeries(NamedTuple):
     quantity: Quantity
     rho: complex
     points: tuple[tuple[int, complex], ...]
@@ -60,23 +58,19 @@ class ConvergenceSeries:
         return tuple(v for _, v in self.points)
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
     exponent: float
-    intercept: float
     max_abs_residual: float
     points_used: int
 
 
-@dataclass(frozen=True)
-class RatioLimit:
+class RatioLimit(NamedTuple):
     limit: complex
     last_delta: float
     points_used: int
 
 
-@dataclass(frozen=True)
-class DerivativeRatioLimit(RatioLimit):
+class DerivativeRatioLimit(NamedTuple):
     """The boundary-corrected derivative ratio at the last n of a sweep.
 
     raw is the uncorrected zeta_hat_n'(rho) / zeta_hat_n'(1-rho) at that n;
@@ -84,20 +78,26 @@ class DerivativeRatioLimit(RatioLimit):
     carried to the ratio to first order.
     """
 
+    limit: complex
+    last_delta: float
+    points_used: int
     n: int
     raw: complex
     bound: float
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """Sweep geometry plus the Euler-Maclaurin config of the window shift."""
-
+class _SweepFields(NamedTuple):
     n0: int = 64
     doublings: int = 10
-    cfg: EulerMaclaurinConfig = field(default_factory=EulerMaclaurinConfig)
+    cfg: EulerMaclaurinConfig = EulerMaclaurinConfig()
 
-    def __post_init__(self):
+
+class SweepPlan(_Checked, _SweepFields):
+    """Sweep geometry plus the Euler-Maclaurin config of the window shift."""
+
+    __slots__ = ()
+
+    def _check(self):
         _check_grid(self.n0, self.doublings)
 
 
@@ -120,7 +120,7 @@ def _normalized(series: ConvergenceSeries) -> ConvergenceSeries:
         (n, _ratio(v, _pow_1_minus_2rho(n, series.rho), series.quantity))
         for n, v in series.points
     )
-    return ConvergenceSeries(quantity=series.quantity, rho=series.rho, points=points)
+    return series._replace(points=points)
 
 
 def _derivative_ratio(
@@ -143,14 +143,8 @@ def _derivative_ratio(
         _corrected_prime_bound(z, n) / abs(_corrected_prime(sums[n], z, n))
         for z, sums in ((rho, at_rho), (1.0 - rho, at_mirror))
     )
-    return DerivativeRatioLimit(
-        limit=lim.limit,
-        last_delta=lim.last_delta,
-        points_used=lim.points_used,
-        n=n,
-        raw=_value(Quantity.DERIV_RATIO, rho, n, at_rho, at_mirror),
-        bound=abs(lim.limit) * rel_err,
-    )
+    raw = _value(Quantity.DERIV_RATIO, rho, n, at_rho, at_mirror)
+    return DerivativeRatioLimit(*lim, n, raw, abs(lim.limit) * rel_err)
 
 
 def _sweep_ns(rho: complex, plan: SweepPlan) -> list[int]:
@@ -187,11 +181,8 @@ def _series_from_table(
     at_rho: dict[int, RawSums],
     at_mirror: dict[int, RawSums] | None,
 ) -> ConvergenceSeries:
-    return ConvergenceSeries(
-        quantity=quantity,
-        rho=rho,
-        points=tuple((n, _value(quantity, rho, n, at_rho, at_mirror)) for n in ns),
-    )
+    points = tuple((n, _value(quantity, rho, n, at_rho, at_mirror)) for n in ns)
+    return ConvergenceSeries(quantity, rho, points)
 
 
 def sweep(
@@ -218,12 +209,7 @@ def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
     y = np.log(np.array(mods))
     slope, intercept = np.polyfit(x, y, 1)
     resid = np.max(np.abs(y - (slope * x + intercept)))
-    return SlopeFit(
-        exponent=float(slope),
-        intercept=float(intercept),
-        max_abs_residual=float(resid),
-        points_used=len(series.points),
-    )
+    return SlopeFit(float(slope), float(resid), len(series.points))
 
 
 def ratio_limit(series: ConvergenceSeries) -> RatioLimit:
@@ -257,8 +243,7 @@ def derivative_ratio_limit(
     return _derivative_ratio(rho, ns, *_tables(Quantity.DERIV_RATIO_CORRECTED, rho, ns))
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     zero_index: int
     claim: str
     expected: str
@@ -269,7 +254,7 @@ class ClaimResult:
 
     def as_dict(self) -> dict:
         """The report row: the fields in order, with passed under the key "pass"."""
-        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
+        return {("pass" if k == "passed" else k): v for k, v in self._asdict().items()}
 
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -31,7 +31,7 @@ from .errors import (
     PrecisionNotReachedError,
     WindowError,
 )
-from .special import N_CAP, TWO_PI, _check_n, bernoulli_numbers
+from .special import N_CAP, TWO_PI, _check_n, _Checked, bernoulli_numbers
 
 #: terms per chunk of the reference's partial sum; bounds its memory at any n
 _CHUNK = 2**12
@@ -39,16 +39,19 @@ _CHUNK = 2**12
 _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
-@dataclass(frozen=True)
-class EulerMaclaurinConfig:
-    """Truncation depth, base summation length, accuracy target, window constant."""
-
+class _EulerMaclaurinFields(NamedTuple):
     depth: int = 10
     n_base: int = 50
     target_rel_error: float = 1e-12
     window_C: float = 2.0
 
-    def __post_init__(self):
+
+class EulerMaclaurinConfig(_Checked, _EulerMaclaurinFields):
+    """Truncation depth, base summation length, accuracy target, window constant."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not 1 <= self.depth <= 30:
             raise ConfigError(f"depth must be in [1, 30], got {self.depth}")
         if not 10 <= self.n_base <= N_CAP:
@@ -71,8 +74,7 @@ class EulerMaclaurinConfig:
 DEFAULT_CONFIG = EulerMaclaurinConfig()
 
 
-@dataclass(frozen=True)
-class RemainderResult:
+class RemainderResult(NamedTuple):
     """Truncated Bernoulli remainder plus the modulus of the first omitted term."""
 
     value: complex

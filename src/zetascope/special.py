@@ -1,19 +1,17 @@
 """Complex elementary and special functions used by every other module.
 
 Everything here is a pure function of its arguments: complex powers of a
-positive real base, the log-gamma function, and exact Bernoulli numbers.
-It also holds N_CAP, the cap on every n, with the checks of one n and of the
-dyadic grid a sweep sums to, so that modules without numpy (the reference
-evaluator, the zero scan, the CLI's config check) read them without loading
-the partial sums.
+positive real base, the log-gamma function, and Bernoulli numbers from
+integer tangent numbers. It also holds N_CAP, the cap on every n, the checks
+of one n and of the dyadic grid a sweep sums to, and _Checked, the check of
+a config record, so that modules without numpy (the reference evaluator, the
+zero scan, the CLI's config) read them without loading the partial sums.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConfigError, DomainError, PoleError
 
@@ -67,6 +65,20 @@ def _check_grid(n0: int, doublings: int) -> None:
         raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
 
 
+class _Checked:
+    """Mixin for a NamedTuple record whose _check raises on a bad value, on
+    construction and on _replace (which builds by _make, skipping __init__)."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        self._check()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def complex_pow_base_real(k: float, z: complex) -> complex:
     """k**(-z) for real k > 0, via exp(-z ln k) on the principal branch."""
     if k <= 0:
@@ -109,21 +121,15 @@ def log_gamma(z: complex) -> complex:
     return 0.5 * LN_TWO_PI + (w - 0.5) * cmath.log(t) - t + cmath.log(s) - shift
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_fractions(count: int) -> tuple[Fraction, ...]:
-    # B_0 .. B_count via the exact recurrence
-    # sum_{k=0}^{j} C(j+1, k) B_k = 0  (j >= 1), B_1 = -1/2 convention.
-    b = [Fraction(1)]
-    for j in range(1, count + 1):
-        s = sum(Fraction(math.comb(j + 1, k)) * b[k] for k in range(j))
-        b.append(-s / (j + 1))
-    return tuple(b)
-
-
 def bernoulli_numbers(m: int) -> tuple[float, ...]:
-    """(B_2, B_4, ..., B_{2m}), exact over the rationals then rounded once. m
-    reaches 31 because a 30-term remainder bounds its error with term 31."""
+    """(B_2, B_4, ..., B_{2m}), exact then rounded once: B_2k = (-1)^(k-1) 2k
+    T_k / (4^k (4^k - 1)), one int/int division, with the tangent numbers T_k
+    by Brent and Harvey's integer recurrence (2013). m reaches 31 because a
+    30-term remainder bounds its error with term 31."""
     if not isinstance(m, int) or not 1 <= m <= 31:
         raise ConfigError(f"bernoulli depth must be an integer in [1, 31], got {m}")
-    b = _bernoulli_fractions(2 * m)
-    return tuple(float(b[2 * k]) for k in range(1, m + 1))
+    t = [0, *(math.factorial(k - 1) for k in range(1, m + 1))]  # (k-1)!; the sweeps make T_k
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple((-1) ** (k - 1) * 2 * k * t[k] / (4**k * (4**k - 1)) for k in range(1, m + 1))

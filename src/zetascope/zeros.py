@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
 from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference
@@ -66,8 +66,7 @@ _COUNT_TOL = 1e-6
 _MAX_SCAN_TERMS = 2**27
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
+class ZeroRecord(NamedTuple):
     """A refined on-line zero rho = 1/2 + i t with its bracket and residual."""
 
     index: int

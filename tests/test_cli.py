@@ -21,7 +21,7 @@ from zetascope.cli import (
     parse_complex,
     read_zeros_csv,
 )
-from zetascope.errors import ZetascopeError
+from zetascope.errors import ConfigError, ZetascopeError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,14 +42,16 @@ def _spawn(args, cwd, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProc
 
 
 class TestProcess:
-    def test_zeros_loads_no_claim_modules(self, tmp_path):
-        # a scan needs neither the claims nor the functional equation, nor
-        # the numpy partial sums
-        argv = ["zeros", "--t-min", "14", "--t-max", "15", "--out", str(tmp_path / "z.csv")]
+    @staticmethod
+    def _modules_after(*argvs) -> tuple[list[int], list[str]]:
+        """The exit codes of cli.main on each argv in turn, in a fresh child
+        process, and the modules loaded then, read before the child's own
+        json import."""
         code = (
-            "import json, sys; from zetascope import cli; "
-            f"code = cli.main({argv!r}); "
-            "print(json.dumps([code, sorted(sys.modules)]))"
+            "import sys; from zetascope import cli; "
+            f"codes = [cli.main(argv) for argv in {list(argvs)!r}]; "
+            "modules = sorted(sys.modules); "
+            "import json; print(json.dumps([codes, modules]))"
         )
         child = subprocess.run(
             [sys.executable, "-c", code],
@@ -58,13 +60,35 @@ class TestProcess:
             text=True,
             timeout=60,
         )
-        code, modules = json.loads(child.stdout.splitlines()[-1])
-        assert code == EXIT_OK
+        return json.loads(child.stdout.splitlines()[-1])
+
+    def test_zeros_loads_no_claim_modules(self, tmp_path):
+        # a scan needs neither the claims nor the functional equation, nor
+        # the numpy partial sums; its records are named tuples, its
+        # Bernoulli numbers integer arithmetic, and without a config file it
+        # reads no JSON
+        argv = ["zeros", "--t-min", "14", "--t-max", "15", "--out", str(tmp_path / "z.csv")]
+        codes, modules = self._modules_after(argv)
+        assert codes == [EXIT_OK]
         assert "zetascope.zeros" in modules
         assert "zetascope.convergence" not in modules
         assert "zetascope.functional_eq" not in modules
         assert "zetascope.series" not in modules
         assert "numpy" not in modules
+        for name in ("dataclasses", "inspect", "fractions", "decimal", "json"):
+            assert name not in modules
+
+    def test_verify_loads_no_dataclasses_or_fractions(self, tmp_path):
+        # numpy imports inspect itself, so only these two can be pinned here
+        zeros_csv, report = str(tmp_path / "z.csv"), str(tmp_path / "r.json")
+        codes, modules = self._modules_after(
+            ["zeros", "--t-min", "14", "--t-max", "15", "--out", zeros_csv],
+            ["verify", "--zeros", zeros_csv, "--out", report],
+        )
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert "zetascope.convergence" in modules
+        assert "dataclasses" not in modules
+        assert "fractions" not in modules
 
     def test_run_freezes_the_collector_and_exits_with_main_code(self, monkeypatch):
         from zetascope import cli
@@ -140,6 +164,12 @@ class TestConfig:
         code = main(["eval", "--what", "zeta_n", "--z", "2"])
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+
+    def test_invalid_file_is_config_error(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError, match="line 1 column 2"):
+            load_config(env={"ZETASCOPE_CONFIG": str(path)})
 
     def test_flags_override_file_values(self, first_zero_csv, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"

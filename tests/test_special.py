@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -160,6 +161,15 @@ def mpmath_gamma(z: complex):
         return mpmath.gamma(mpmath.mpc(z.real, z.imag))
 
 
+def _bernoulli_by_recurrence(m: int) -> tuple[float, ...]:
+    # the exact rational recurrence sum_{k=0}^{j} C(j+1, k) B_k = 0 (j >= 1),
+    # then each B_2k rounded once by Fraction.__float__
+    b = [Fraction(1)]
+    for j in range(1, 2 * m + 1):
+        b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return tuple(float(b[2 * k]) for k in range(1, m + 1))
+
+
 def _zeta_even(two_k: int) -> float:
     # summation oracle for zeta at even integers >= 2: direct sum plus the
     # integral tail model and midpoint correction (no Bernoulli terms, so
@@ -204,3 +214,8 @@ class TestBernoulli:
             assert t[k - 1] * t[k - 2] < 0
         mods = [abs(v) for v in t]
         assert mods[5] > mods[4] > mods[3]  # growth sets in past k ~ 4
+
+    @pytest.mark.parametrize("m", range(1, 32))
+    def test_bit_for_bit_the_rational_recurrence(self, m):
+        got = [b.hex() for b in bernoulli_numbers(m)]
+        assert got == [b.hex() for b in _bernoulli_by_recurrence(m)]

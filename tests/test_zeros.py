@@ -135,6 +135,18 @@ class TestZeroCount:
             with pytest.raises(DomainError, match="not an integer"):
                 find_zeros(10.0, 50.0)
 
+    @pytest.mark.parametrize("off", [1e-5, -1e-5])
+    def test_count_just_outside_the_tolerance_is_refused(self, off, monkeypatch):
+        # N(50) = 10; a count 1e-5 from it is 10 times _COUNT_TOL away
+        monkeypatch.setattr(zeros, "zero_count", lambda t, cfg: 10.0 + off if t == 50 else 0.0)
+        with pytest.raises(DomainError, match="not an integer"):
+            find_zeros(10.0, 50.0)
+
+    @pytest.mark.parametrize("off", [1e-7, -1e-7])
+    def test_count_just_inside_the_tolerance_is_accepted(self, off, monkeypatch):
+        monkeypatch.setattr(zeros, "zero_count", lambda t, cfg: 10.0 + off if t == 50 else 0.0)
+        assert len(find_zeros(10.0, 50.0)) == 10
+
     @pytest.mark.parametrize("t", [0.0, -1.0, 100.5, math.nan, math.inf])
     def test_domain_enforced(self, t):
         with pytest.raises(DomainError):
@@ -372,6 +384,16 @@ class TestGramScan:
         assert code == EXIT_MODULE_ERROR
         assert "zero count" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "z_lo,z_hi,holds",
+        [(0.0, 1.0, False), (0.0, -1.0, False), (0.0, 0.0, False),
+         (1.0, 0.0, True), (-1.0, 1.0, True), (1.0, -1.0, True), (1.0, 2.0, False)],
+    )
+    def test_a_bracket_needs_a_nonzero_start(self, z_lo, z_hi, holds):
+        # (t_lo, t_hi] with Z(t_lo) = 0 holds no zero inside: that zero is at
+        # t_lo, and the bracket to its left holds it
+        assert zeros._holds_zero(z_lo, z_hi) is holds
 
     def test_unbacked_sign_is_refused(self, monkeypatch):
         # |Z| at a scan point within the leakage limit backs no count
