@@ -30,11 +30,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSeriesError, DomainError
-from .euler_maclaurin import EulerMaclaurinConfig, RemainderResult, remainder_with_bound
+from .euler_maclaurin import EulerMaclaurinConfig, _leading_terms, remainder_with_bound
 from .functional_eq import (
     Quantity,
     _corrected_prime,
-    _corrected_prime_bound,
     _mirror,
     _ratio,
     _tables,
@@ -140,7 +139,8 @@ def _derivative_ratio(
     )
     n = ns[-1]
     rel_err = sum(
-        _corrected_prime_bound(z, n) / abs(_corrected_prime(sums[n], z, n))
+        _leading_terms(z, n, derivative=True).bernoulli_prime_mod
+        / abs(_corrected_prime(sums[n], z, n))
         for z, sums in ((rho, at_rho), (1.0 - rho, at_mirror))
     )
     raw = _value(Quantity.DERIV_RATIO, rho, n, at_rho, at_mirror)
@@ -386,7 +386,7 @@ def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
         return _within(target, lim.limit, detail)
 
     @functools.cache  # C7 and C8 share the remainders at each (n, 2n) pair
-    def remainders() -> list[tuple[RemainderResult, ...]]:
+    def remainders():
         return [
             tuple(remainder_with_bound(rho, m, IDENTITY_CFG) for m in (n, 2 * n))
             for n in IDENTITY_NS

@@ -1,11 +1,13 @@
-"""Euler-Maclaurin reference evaluator for the regularized zeta value.
+"""The Euler-Maclaurin expansion, written once, and a reference zeta value.
 
-Provides the Bernoulli remainder R_n(z) and a high-accuracy reference value of
-the regularized zeta function in Re z > 0. The Hardy-Littlewood validity
-window |Im z| <= 2 pi n / C that gates both is written once, as
-``EulerMaclaurinConfig.max_im``; the convergence sweeps read it too.
+zeta(z) = zeta_n(z) - n^(1-z)/(1-z) - n^(-z)/2 + R_n(z) (Edwards, "Riemann's
+Zeta Function", ch. 6): _leading_terms writes the tail and boundary terms and
+their z-derivatives, remainder_with_bound the Bernoulli remainder R_n(z), and
+zeta_hat_reference adds them up, a regularized zeta value in Re z > 0. The
+Hardy-Littlewood window |Im z| <= 2 pi n / C that gates the last two is written
+once, as ``EulerMaclaurinConfig.max_im``; the convergence sweeps read it too.
 
-Both are plain math/cmath code at one z: the zero scan calls them a few
+All three are plain math/cmath code at one z: the zero scan calls them a few
 hundred times on sums of at most a few hundred terms, where numpy's per-call
 cost would outweigh the sums, and a process that only scans never loads
 numpy. The reference's partial sum computes each term k^(-z) once, in
@@ -31,7 +33,7 @@ from .errors import (
     PrecisionNotReachedError,
     WindowError,
 )
-from .special import N_CAP, TWO_PI, _check_n, _Checked, bernoulli_numbers
+from .special import N_CAP, TWO_PI, _check_n, _Checked, bernoulli_numbers, complex_pow_base_real
 
 #: terms per chunk of the reference's partial sum; bounds its memory at any n
 _CHUNK = 2**12
@@ -52,6 +54,9 @@ class EulerMaclaurinConfig(_Checked, _EulerMaclaurinFields):
     __slots__ = ()
 
     def _check(self):
+        for name, value in (("depth", self.depth), ("n_base", self.n_base)):
+            if type(value) is not int:  # not isinstance: a bool is an int
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.depth <= 30:
             raise ConfigError(f"depth must be in [1, 30], got {self.depth}")
         if not 10 <= self.n_base <= N_CAP:
@@ -87,6 +92,37 @@ def _coefficients(depth: int) -> tuple[float, ...]:
     """B_2k / (2k)! for k = 1 .. depth + 1: the bound reads one term past depth."""
     b2k = bernoulli_numbers(depth + 1)
     return tuple(b / math.factorial(2 * k) for k, b in enumerate(b2k, start=1))
+
+
+class _Leading(NamedTuple):
+    """The expansion's terms before R_n at (z, n); see _leading_terms."""
+
+    boundary: complex  # n^(-z)/2
+    tail: complex | None = None  # n^(1-z)/(1-z), computed as n * n^(-z) / (1-z)
+    tail_prime_log: complex | None = None  # -(ln n) n^(1-z)/(1-z)
+    tail_prime_pole: complex | None = None  # n^(1-z)/(1-z)^2
+    boundary_prime: complex | None = None  # -(ln n) n^(-z)/2
+    bernoulli_prime_mod: float | None = None  # |d/dz z n^(-z-1)/12| = |n^(-z-1) (1 - z ln n)|/12
+
+
+def _leading_terms(z: complex, n: int, derivative: bool = False, tail: bool = True) -> _Leading:
+    """The boundary term at (z, n), the tail unless ``tail`` is False, and
+    with ``derivative`` the z-derivatives; tail' comes in two parts so that
+    ``series._hat_prime`` keeps its operation order. PoleError at z = 1, the
+    tail's pole, unless ``tail`` is False."""
+    pow_neg = complex_pow_base_real(n, z)
+    if not tail:
+        return _Leading(0.5 * pow_neg)
+    if z == 1:
+        raise PoleError("the tail term n^(1-z)/(1-z) has a pole at z=1")
+    p = n * pow_neg
+    if not derivative:
+        return _Leading(0.5 * pow_neg, p / (1.0 - z))
+    ln_n = math.log(n)
+    return _Leading(
+        0.5 * pow_neg, p / (1.0 - z), -(ln_n * p / (1.0 - z)), p / (1.0 - z) ** 2,
+        -(0.5 * ln_n * pow_neg), abs(pow_neg / n * (1.0 - z * ln_n)) / 12.0,
+    )
 
 
 def remainder_with_bound(
@@ -177,5 +213,5 @@ def zeta_hat_reference(
             if 2 * n > N_CAP:
                 raise
             n *= 2
-    pow_neg = cmath.exp(-z * math.log(n))
-    return _partial_sum(z, n) - n * pow_neg / (1.0 - z) - 0.5 * pow_neg + rem
+    lead = _leading_terms(z, n)
+    return _partial_sum(z, n) - lead.tail - lead.boundary + rem

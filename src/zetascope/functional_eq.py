@@ -4,9 +4,9 @@ Each finite-n quantity the claims study is one row of ``_value``, which reads
 sums tables at rho and at 1 - rho; ``_tables`` builds the smallest tables a
 quantity reads, and ``_mirror`` is the one rule for the table at 1 - rho. The
 sweeps and claims in ``convergence`` and the one-point functions below all
-read these, so each formula is written once. The regularized-sum pieces the
-rows share (``_tail``, ``_hat``, ``_hat_prime``) live in ``series``.
-h_hat_exact is the exact factor H_hat_n tends to.
+read these, so each formula is written once; the Euler-Maclaurin terms they
+read are ``euler_maclaurin._leading_terms``'s. h_hat_exact is the exact
+factor H_hat_n tends to.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DegenerateRatioError, DomainError, PoleError
+from .euler_maclaurin import _leading_terms
 from .series import RawSums, _hat, _hat_prime, raw_sums_at
-from .special import LN_TWO_PI, complex_pow_base_real, log_gamma
+from .special import LN_TWO_PI, log_gamma
 
 LN_2 = math.log(2.0)
 
@@ -28,7 +29,6 @@ DENOMINATOR_FLOOR = 1e-300
 
 class Quantity(Enum):
     ZETA_HAT_AT_RHO = "zeta_hat_at_rho"
-    ZETA_HAT_AT_ONE_MINUS_RHO = "zeta_hat_at_one_minus_rho"
     H_HAT_N = "H_hat_n"
     H_N = "H_n"
     SMALL_H_2N = "h_2n"
@@ -36,16 +36,10 @@ class Quantity(Enum):
     DERIV_RATIO = "deriv_ratio"
     DERIV_RATIO_CORRECTED = "deriv_ratio_corrected"
     H_HAT_DOUBLING_RATIO = "H_hat_doubling_ratio"
-    H_DOUBLING_RATIO = "H_doubling_ratio"
 
 
 #: quantities that read the sums at 2n as well as at n
-_READS_2N = (
-    Quantity.SMALL_H_2N,
-    Quantity.SMALL_G_2N,
-    Quantity.H_HAT_DOUBLING_RATIO,
-    Quantity.H_DOUBLING_RATIO,
-)
+_READS_2N = (Quantity.SMALL_H_2N, Quantity.SMALL_G_2N, Quantity.H_HAT_DOUBLING_RATIO)
 #: quantities that read the derivative sums
 _READS_DERIV = (Quantity.DERIV_RATIO, Quantity.DERIV_RATIO_CORRECTED)
 #: quantities that read the table at 1 - rho: all but three
@@ -82,15 +76,10 @@ def _ratio(num: complex, den: complex, quantity: Quantity) -> complex:
 
 
 def _corrected_prime(sums: RawSums, z: complex, n: int) -> complex:
-    """zeta'(z) from the partial sums to n: zeta_hat_n'(z) plus (ln n) n^(-z) / 2,
-    the z-derivative of the n^(-z)/2 Euler-Maclaurin boundary term."""
-    return _hat_prime(sums, z, n) + 0.5 * math.log(n) * complex_pow_base_real(n, z)
-
-
-def _corrected_prime_bound(z: complex, n: int) -> float:
-    """Modulus of the first term ``_corrected_prime`` omits, the derivative of
-    the first Bernoulli term: |n^(-z-1) (1 - z ln n)| / 12."""
-    return abs(complex_pow_base_real(n, z) / n * (1.0 - z * math.log(n))) / 12.0
+    """zeta'(z) from the partial sums to n: zeta_hat_n'(z) minus the
+    z-derivative of the n^(-z)/2 Euler-Maclaurin boundary term. The first
+    term it omits is the derivative of the first Bernoulli term."""
+    return _hat_prime(sums, z, n) - _leading_terms(z, n, derivative=True).boundary_prime
 
 
 def _value(
@@ -103,8 +92,6 @@ def _value(
     """``quantity`` at n, read from sums tables at rho and at 1 - rho."""
     if quantity is Quantity.ZETA_HAT_AT_RHO:
         return _hat(at_rho[n], rho, n)
-    if quantity is Quantity.ZETA_HAT_AT_ONE_MINUS_RHO:
-        return _hat(at_mirror[n], 1.0 - rho, n)
     if quantity is Quantity.H_HAT_N:
         return _ratio(_hat(at_rho[n], rho, n), _hat(at_mirror[n], 1.0 - rho, n), quantity)
     if quantity is Quantity.H_N:
@@ -112,22 +99,12 @@ def _value(
     if quantity is Quantity.SMALL_H_2N:
         return at_rho[2 * n].xi + _hat(at_rho[2 * n], rho, 2 * n)
     if quantity is Quantity.SMALL_G_2N:
-        return at_rho[2 * n].xi + 0.5 * complex_pow_base_real(2 * n, rho)
-    if quantity is Quantity.DERIV_RATIO:
-        return _ratio(
-            _hat_prime(at_rho[n], rho, n), _hat_prime(at_mirror[n], 1.0 - rho, n), quantity
-        )
-    if quantity is Quantity.DERIV_RATIO_CORRECTED:
-        return _ratio(
-            _corrected_prime(at_rho[n], rho, n),
-            _corrected_prime(at_mirror[n], 1.0 - rho, n),
-            quantity,
-        )
+        return at_rho[2 * n].xi + _leading_terms(rho, 2 * n, tail=False).boundary
+    if quantity in _READS_DERIV:
+        prime = _hat_prime if quantity is Quantity.DERIV_RATIO else _corrected_prime
+        return _ratio(prime(at_rho[n], rho, n), prime(at_mirror[n], 1.0 - rho, n), quantity)
     if quantity is Quantity.H_HAT_DOUBLING_RATIO:
         h = lambda m: _value(Quantity.H_HAT_N, rho, m, at_rho, at_mirror)
-        return _ratio(h(2 * n), h(n), quantity)
-    if quantity is Quantity.H_DOUBLING_RATIO:
-        h = lambda m: _value(Quantity.H_N, rho, m, at_rho, at_mirror)
         return _ratio(h(2 * n), h(n), quantity)
     raise DomainError(f"unknown quantity {quantity}")
 

@@ -32,21 +32,21 @@ of the sums at z, bit for bit (up to the sign of an exact zero). On the
 critical line 1 - rho = conj(rho), so the sweeps and claims read the table
 at 1 - rho as the conjugate of the one at rho (functional_eq._mirror).
 
-``_tail``, ``_hat`` and ``_hat_prime`` write the regularized sum and its
-z-derivative once, over a RawSums; the quantities built from them are the
-registry in functional_eq.
+``_hat`` and ``_hat_prime`` give the regularized sum and its z-derivative
+over a RawSums, with the tail read from ``euler_maclaurin._leading_terms``;
+the quantities built from them are the registry in functional_eq.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PoleError, SumOverflowError
-from .special import N_CAP, _check_n, complex_pow_base_real
+from .errors import DomainError, SumOverflowError
+from .euler_maclaurin import _leading_terms
+from .special import N_CAP, _check_n
 
 
 class RawSums(NamedTuple):
@@ -189,29 +189,15 @@ def raw_sums_at(
     }
 
 
-def _pow_n(n: int, z: complex) -> complex:
-    """n**(1-z) computed as n * n**(-z), exact when z = 0; raises PoleError at
-    z = 1, the pole of the tail model n**(1-z)/(1-z) it is the numerator of."""
-    if z == 1:
-        raise PoleError("the tail term n^(1-z)/(1-z) has a pole at z=1")
-    return n * complex_pow_base_real(n, z)
-
-
-def _tail(z: complex, n: int) -> complex:
-    """The divergent-tail model n**(1-z) / (1-z)."""
-    return _pow_n(n, z) / (1.0 - z)
-
-
 def _hat(sums: RawSums, z: complex, n: int) -> complex:
     """The regularized sum zeta_n(z) - n**(1-z)/(1-z) from the sums to n."""
-    return sums.zeta - _tail(z, n)
+    return sums.zeta - _leading_terms(z, n).tail
 
 
 def _hat_prime(sums: RawSums, z: complex, n: int) -> complex:
     """The exact z-derivative of ``_hat`` from the sums to n (with zeta')."""
-    p = _pow_n(n, z)
-    ln_n = math.log(n)
-    return sums.zeta_prime + ln_n * p / (1.0 - z) - p / (1.0 - z) ** 2
+    lead = _leading_terms(z, n, derivative=True)
+    return sums.zeta_prime - lead.tail_prime_log - lead.tail_prime_pole
 
 
 def zeta_partial(z: complex, n: int) -> complex:

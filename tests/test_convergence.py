@@ -6,6 +6,7 @@ import pytest
 from zetascope.convergence import (
     C1_FIT_MAX_N,
     CLAIM_IDS,
+    IDENTITY_CFG,
     IDENTITY_NS,
     LIMIT_TOL,
     ClaimResult,
@@ -29,6 +30,7 @@ from zetascope.errors import DegenerateRatioError, DegenerateSeriesError, Domain
 from zetascope.euler_maclaurin import remainder_with_bound
 from zetascope.functional_eq import h_hat_exact, h_hat_n, small_g_2n, small_h_2n
 from zetascope.series import N_CAP, raw_sums_at, zeta_hat_partial
+from zetascope.special import complex_pow_base_real
 from zetascope.zeros import ZeroRecord
 
 from conftest import RHO_1
@@ -280,12 +282,11 @@ class TestSharedTable:
         at_rho, at_mirror = _zero_table(RHO_1, ns)
         n0 = ns[0]
         assert max(at_rho) == n0 * 2**plan.doublings
-        ratios = (Quantity.H_HAT_DOUBLING_RATIO, Quantity.H_DOUBLING_RATIO)
         doubled = (Quantity.SMALL_H_2N, Quantity.SMALL_G_2N)
         for quantity in Quantity:
             # the table holds 2n at 1 - rho only below the last n, as C2 needs,
             # and 2n at rho only up to C1's fit range
-            last = plan.doublings - (quantity in ratios)
+            last = plan.doublings - (quantity is Quantity.H_HAT_DOUBLING_RATIO)
             if quantity in doubled:
                 last = (C1_FIT_MAX_N // n0).bit_length() - 1
             for doublings in (last - 1, last):
@@ -401,3 +402,39 @@ class TestSharedTable:
         assert [r.claim for r in rows if r.passed] == ["C2"]
         assert all(r.zero_index == 7 for r in rows)
         assert rows[8].measured == "0.870550563"
+
+
+class TestGateMargins:
+    """The identity and C9 gates fail just outside their tolerance and pass
+    just inside it."""
+
+    @pytest.mark.parametrize("claim,at,weight", [("C7", small_g_2n, 1), ("C8", small_h_2n, 2)])
+    @pytest.mark.parametrize("multiple,passes", [(11.0, False), (9.0, True)])
+    def test_identity_error_against_its_bound(self, monkeypatch, claim, at, weight, multiple, passes):
+        # stub the remainder bounds so that at each identity n the error is
+        # ``multiple`` times the bound sum; the gate allows 10 times it
+        two_pow = complex_pow_base_real(2.0, RHO_1 - 1.0)
+        bound_at = {}
+        for n in IDENTITY_NS:
+            r_n, r_2n = (remainder_with_bound(RHO_1, m, IDENTITY_CFG).value for m in (n, 2 * n))
+            err = abs(at(RHO_1, n) - (-weight * r_2n + two_pow * r_n))
+            bound_at[2 * n] = err / multiple
+
+        def stub(z, m, cfg):
+            return remainder_with_bound(z, m, cfg)._replace(bound=bound_at.get(m, 0.0))
+
+        monkeypatch.setattr(convergence, "remainder_with_bound", stub)
+        row = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))[
+            CLAIM_IDS.index(claim)
+        ]
+        assert row.passed is passes
+        assert float(row.measured) == pytest.approx(multiple / 10.0, rel=1e-6)
+
+    @pytest.mark.parametrize("offset,failing", [(1e-12, ["C9"]), (5e-13, [])])
+    def test_c9_just_off_the_critical_line(self, offset, failing):
+        # |2^(1-2rho)| = 2^(-2 offset): 1 - 1.4e-12 and 1 - 6.9e-13 against 1e-12
+        t = 14.134725141734693
+        rho = complex(0.5 + offset, t)
+        zero = ZeroRecord(index=1, t=t, rho=rho, bracket=(t, t), residual=0.0)
+        rows = _claims_for_zero(zero, _sweep_ns(rho, SweepPlan()))
+        assert [r.claim for r in rows if not r.passed] == failing

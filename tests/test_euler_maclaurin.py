@@ -18,6 +18,7 @@ from zetascope.euler_maclaurin import (
     DEFAULT_CONFIG,
     EulerMaclaurinConfig,
     RemainderResult,
+    _leading_terms,
     remainder,
     remainder_with_bound,
     zeta_hat_reference,
@@ -48,6 +49,13 @@ class TestConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
+            EulerMaclaurinConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"depth": 2.5}, {"n_base": 50.5}, {"depth": True}])
+    def test_rejects_non_integer_fields_at_construction(self, kwargs):
+        # before the check, these failed only at first use (or, for True, ran as depth 1)
+        (name, value), = kwargs.items()
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
             EulerMaclaurinConfig(**kwargs)
 
 
@@ -113,6 +121,50 @@ class TestRemainder:
             ratio = cur / prev
             assert 2.0**-1.7 <= ratio <= 2.0**-1.3
             prev = cur
+
+
+class TestLeadingTerms:
+    """The expansion's one writer against mpmath at 30 digits."""
+
+    #: n^(-z) errs by the rounding of its phase |Im z| ln n, at most 1.1e3
+    #: here, whose half ulp is 1.1e-13; the roundings after it add a few 2^-53
+    REL = 2e-13
+
+    @pytest.mark.parametrize("z", [RHO_1, complex(2.5, -100.0)])
+    @pytest.mark.parametrize("n", [64, 2**16])
+    def test_against_mpmath(self, z, n):
+        mpmath = pytest.importorskip("mpmath")
+        lead = _leading_terms(z, n, derivative=True)
+        # the shorter requests give the same leading fields and no others
+        for request, kept in (({}, 2), ({"tail": False}, 1)):
+            unset = dict.fromkeys(lead._fields[kept:])
+            assert _leading_terms(z, n, **request) == lead._replace(**unset)
+        with mpmath.workdps(30):
+            w = mpmath.mpc(z.real, z.imag)
+            ln_n = mpmath.log(n)
+            tail = lambda s: mpmath.mpf(n) ** (1 - s) / (1 - s)
+            boundary = lambda s: mpmath.mpf(n) ** (-s) / 2
+            bernoulli = lambda s: s * mpmath.mpf(n) ** (-s - 1) / 12
+            want = {
+                "boundary": boundary(w),
+                "tail": tail(w),
+                "tail_prime_log": -ln_n * tail(w),
+                "tail_prime_pole": tail(w) / (1 - w),
+                "boundary_prime": mpmath.diff(boundary, w),
+                "bernoulli_prime_mod": abs(mpmath.diff(bernoulli, w)),
+            }
+            tail_prime = mpmath.diff(tail, w)
+        for name, value in want.items():
+            got = getattr(lead, name)
+            assert abs(got - complex(value)) <= self.REL * abs(complex(value)), name
+        got = lead.tail_prime_log + lead.tail_prime_pole
+        assert abs(got - complex(tail_prime)) <= self.REL * abs(complex(tail_prime))
+
+    def test_pole_only_for_the_tail(self):
+        with pytest.raises(PoleError, match="pole at z=1"):
+            _leading_terms(1.0 + 0.0j, 10)
+        boundary = _leading_terms(1.0 + 0.0j, 10, tail=False).boundary
+        assert boundary == 0.5 * complex_pow_base_real(10, 1.0)
 
 
 class TestReference:
