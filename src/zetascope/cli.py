@@ -8,14 +8,14 @@ sidecar field of the JSON report, never timestamps.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import io
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 import zetascope
 
@@ -297,47 +297,130 @@ def cmd_report(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose malformed command lines exit with EXIT_USAGE
-    rather than argparse's 2, which this CLI gives to numerical failures."""
+# The command line is read from one table rather than by argparse or
+# getopt: importing those (and the gettext and locale they pull in) and
+# building the parsers took about 6.6 ms of a 70-80 ms `zetascope zeros`
+# process (2-vCPU VM, Python 3.11).
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+#: marks a flag that must be given
+_REQUIRED = object()
+
+#: command -> (its help, {flag: (type, default or _REQUIRED, help)}); a flag
+#: sets the attribute named by its name without the leading "--", with "-"
+#: read as "_"; a run key's flag defaults to None, which keeps the config's value
+_COMMANDS = {
+    "eval": ("evaluate one quantity at a point", {
+        "--z": (str, None, "complex point, e.g. 0.5+14.13i or -0.7+40i"),
+        "--re": (float, None, "real part (alternative to --z)"),
+        "--im": (float, None, "imaginary part"),
+        "--what": (str, _REQUIRED, "quantity name: " + ", ".join(_QUANTITIES)),
+        "--n": (int, 1024, "truncation length for finite sums"),
+    }),
+    "zeros": ("scan for critical-line zeros", {
+        "--t-min": (float, None, "lower end of the scan window (config t_min)"),
+        "--t-max": (float, None, "upper end of the scan window, at most 100 (config t_max)"),
+        "--out": (str, "zeros.csv", "CSV file to write"),
+    }),
+    "verify": ("run the claim checks at each zero", {
+        "--zeros": (str, _REQUIRED, "zeros CSV from the scan"),
+        "--n0": (int, None, "first n of each sweep (config n0)"),
+        "--doublings": (int, None, "doublings of n0 in each sweep (config doublings)"),
+        "--out": (str, "report.json", "JSON report to write"),
+    }),
+    "report": ("pretty-print a JSON report", {
+        "--in": (str, "report.json", "JSON report to read"),
+    }),
+}
+
+_HELP_FLAGS = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="zetascope",
-        description="Zeta partial sums, critical-line zeros, and convergence checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _attribute(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    p_eval = sub.add_parser("eval", help="evaluate one quantity at a point")
-    p_eval.add_argument("--z", help="complex point, e.g. 0.5+14.13i")
-    p_eval.add_argument("--re", type=float, help="real part (alternative to --z)")
-    p_eval.add_argument("--im", type=float, help="imaginary part")
-    p_eval.add_argument("--what", required=True, help="quantity name")
-    p_eval.add_argument("--n", type=int, default=1024, help="truncation length for finite sums")
 
-    p_zeros = sub.add_parser("zeros", help="scan for critical-line zeros")
-    p_zeros.add_argument("--t-min", type=float, dest="t_min")
-    p_zeros.add_argument("--t-max", type=float, dest="t_max")
-    p_zeros.add_argument("--out", default="zeros.csv")
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: zetascope [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = []
+    for flag, (_, default, _) in _COMMANDS[command][1].items():
+        word = f"{flag} {_attribute(flag).upper()}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return f"usage: zetascope {command} [-h] " + " ".join(words)
 
-    p_verify = sub.add_parser("verify", help="run the claim checks at each zero")
-    p_verify.add_argument("--zeros", required=True, help="zeros CSV from the scan")
-    p_verify.add_argument("--n0", type=int)
-    p_verify.add_argument("--doublings", type=int)
-    p_verify.add_argument("--out", default="report.json")
 
-    p_report = sub.add_parser("report", help="pretty-print a JSON report")
-    p_report.add_argument("--in", default="report.json")
-    return parser
+def _help(command: str | None) -> NoReturn:
+    """Print the usage and the help of every flag (of every command at top
+    level); exit EXIT_OK."""
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["Zeta partial sums, critical-line zeros, and convergence checks", ""]
+    for name in _COMMANDS if command is None else (command,):
+        text, flags = _COMMANDS[name]
+        lines.append(f"zetascope {name}: {text}")
+        for flag, (_, default, note) in flags.items():
+            attr = _attribute(flag)
+            if default is _REQUIRED:
+                note += " (required)"
+            elif default is not None:
+                note += f" (default: {default})"
+            lines.append(f"  {flag + ' ' + attr.upper():<24}{note}")
+        lines.append("")
+    lines.append(f"  {'-h, --help':<24}show this help and exit")
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    """Print the usage and the error to stderr; exit EXIT_USAGE."""
+    prog = "zetascope" if command is None else f"zetascope {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its flags' attributes: the last value given as
+    ``--flag value`` or ``--flag=value``, else the flag's default. A value
+    may begin with "-", but one of the command's flags is not a value.
+    -h or --help prints the help and exits EXIT_OK; a malformed command
+    line prints the usage and an error to stderr and exits EXIT_USAGE."""
+    if argv and argv[0] in _HELP_FLAGS:
+        _help(None)
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, rest = argv[0], iter(argv[1:])
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    flags = _COMMANDS[command][1]
+    given, unknown = {}, []
+    for token in rest:
+        if token in _HELP_FLAGS:
+            _help(command)
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or value in flags or value in _HELP_FLAGS:
+                _fail(command, f"argument {flag}: expected one argument")
+        kind = flags[flag][0]
+        try:
+            given[flag] = kind(value)
+        except ValueError:
+            _fail(command, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+    missing = [f for f, (_, default, _) in flags.items() if default is _REQUIRED and f not in given]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    if unknown:
+        _fail(None, "unrecognized arguments: " + " ".join(unknown))
+    values = {_attribute(f): given.get(f, default) for f, (_, default, _) in flags.items()}
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = load_config()
     except (OSError, ZetascopeError) as exc:

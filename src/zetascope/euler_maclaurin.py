@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from operator import attrgetter
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -37,8 +37,6 @@ from .special import N_CAP, TWO_PI, _check_n, _Checked, bernoulli_numbers, compl
 
 #: terms per chunk of the reference's partial sum; bounds its memory at any n
 _CHUNK = 2**12
-
-_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
 class _EulerMaclaurinFields(NamedTuple):
@@ -61,10 +59,12 @@ class EulerMaclaurinConfig(_Checked, _EulerMaclaurinFields):
             raise ConfigError(f"depth must be in [1, 30], got {self.depth}")
         if not 10 <= self.n_base <= N_CAP:
             raise ConfigError(f"n_base must be in [10, {N_CAP}], got {self.n_base}")
-        if not self.target_rel_error > 0:
-            raise ConfigError("target_rel_error must be positive")
-        if not self.window_C > 1:
-            raise ConfigError(f"window constant C must exceed 1, got {self.window_C}")
+        if not 0 < self.target_rel_error < math.inf:
+            raise ConfigError(
+                f"target_rel_error must be positive and finite, got {self.target_rel_error}"
+            )
+        if not 1 < self.window_C < math.inf:
+            raise ConfigError(f"window constant C must be finite and exceed 1, got {self.window_C}")
 
     def max_im(self, n: int) -> float:
         """The largest |Im z| of the validity window at n: 2 pi n / C."""
@@ -172,16 +172,46 @@ def remainder(z: complex, n: int, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) ->
     return remainder_with_bound(z, n, cfg).value
 
 
+#: ln k and k^(-1/2) at index k - 1, for k up to the largest n the first
+#: chunk has needed (at most _CHUNK); grown by _first_chunk_tables
+_LOGS: list[float] = []
+_HALF_POWERS: list[float] = []
+
+
+def _first_chunk_tables(m: int) -> None:
+    """Grow _LOGS and _HALF_POWERS to k = m."""
+    have = len(_LOGS)
+    if have < m:
+        logs = list(map(math.log, range(have + 1, m + 1)))
+        _LOGS.extend(logs)
+        _HALF_POWERS.extend(map(math.exp, map((-0.5).__mul__, logs)))
+
+
 def _partial_sum(z: complex, n: int) -> complex:
-    """sum_{k=1..n} k^(-z) for a finite z: each term once, each part one
-    math.fsum per chunk of _CHUNK terms, and the chunks' fsums fsummed."""
-    minus_z = -z
+    """sum_{k=1..n} k^(-z) for a finite z with Re z > 0: each term once,
+    each part one math.fsum per chunk of _CHUNK terms, and the chunks'
+    fsums fsummed.
+
+    A term is exp(-sigma ln k) (cos(-t ln k), sin(-t ln k)), which is how
+    cmath.exp evaluates exp(-z ln k) for Re z > 0, so the real-valued
+    form is bit for bit the complex one. The first chunk reads ln k, and on
+    the critical line also k^(-1/2), from tables shared by every call."""
+    minus_sigma, minus_t = -z.real, -z.imag
     re, im = [], []
     for lo in range(1, n + 1, _CHUNK):
-        ks = range(lo, min(lo + _CHUNK, n + 1))
-        terms = list(map(cmath.exp, map(minus_z.__mul__, map(math.log, ks))))
-        re.append(math.fsum(map(_REAL, terms)))
-        im.append(math.fsum(map(_IMAG, terms)))
+        hi = min(lo + _CHUNK, n + 1)
+        if lo == 1:
+            _first_chunk_tables(hi - 1)
+            logs = _LOGS[: hi - 1]
+        else:
+            logs = list(map(math.log, range(lo, hi)))
+        if lo == 1 and minus_sigma == -0.5:
+            amps = _HALF_POWERS[: hi - 1]
+        else:
+            amps = list(map(math.exp, map(minus_sigma.__mul__, logs)))
+        phases = list(map(minus_t.__mul__, logs))
+        re.append(math.fsum(map(mul, amps, map(math.cos, phases))))
+        im.append(math.fsum(map(mul, amps, map(math.sin, phases))))
     return complex(math.fsum(re), math.fsum(im))
 
 

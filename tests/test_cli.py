@@ -77,6 +77,10 @@ class TestProcess:
         assert "numpy" not in modules
         for name in ("dataclasses", "inspect", "fractions", "decimal", "json"):
             assert name not in modules
+        # the command line is read without argparse, and so without gettext
+        # and the locale module its lookup imports
+        for name in ("argparse", "gettext", "locale"):
+            assert name not in modules
 
     def test_verify_loads_no_dataclasses_or_fractions(self, tmp_path):
         # numpy imports inspect itself, so only these two can be pinned here
@@ -89,6 +93,8 @@ class TestProcess:
         assert "zetascope.convergence" in modules
         assert "dataclasses" not in modules
         assert "fractions" not in modules
+        assert "argparse" not in modules
+        assert "gettext" not in modules
 
     def test_run_freezes_the_collector_and_exits_with_main_code(self, monkeypatch):
         from zetascope import cli
@@ -100,6 +106,46 @@ class TestProcess:
             cli.run()
         assert exit_.value.code == EXIT_CLAIMS_FAILED
         assert calls == ["main", "freeze"]
+
+
+class TestFlags:
+    """The command line: --flag value or --flag=value, the last of a
+    repeated flag, and values that begin with "-"."""
+
+    def test_flag_equals_value(self, capsys):
+        assert main(["eval", "--what=zeta_n", "--z=2", "--n=3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["1.361111111111111", "n = 3"]
+
+    def test_negative_point_as_separate_value(self, capsys):
+        # argparse took "-0.7+40i" for a flag; the --z=... form printed these lines
+        assert main(["eval", "--what", "zeta_n", "--z", "-0.7+40i", "--n", "777"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "1396.612134330375739-1509.063869668697862i",
+            "n = 777",
+        ]
+
+    def test_flag_as_value_is_a_missing_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", "--out", "--t-min", "10"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: zetascope zeros")
+        assert "argument --out: expected one argument" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_flag_keeps_its_last_value(self, capsys):
+        assert main(["eval", "--what", "H_hat", "--z", "7", "--what", "zeta_n", "--n", "9",
+                     "--z", "2", "--n", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["1.361111111111111", "n = 3"]
+
+    def test_command_help_names_every_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        for flag in ("--zeros", "--n0", "--doublings", "--out"):
+            assert flag in out
 
 
 class TestParsing:
@@ -506,6 +552,26 @@ class TestBoundaryProbes:
             main(argv)
         assert exc.value.code == EXIT_OK
         assert "usage: zetascope" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key,argv",
+        [
+            ("em.window_C", ["zeros", "--t-min", "10", "--t-max", "20", "--out", "{out}"]),
+            ("em.target_rel_error", ["eval", "--what", "zeta_hat", "--z", "0.5+14.134725141734693i"]),
+        ],
+    )
+    def test_non_finite_config_value_is_config_error(self, key, argv, tmp_path, monkeypatch, capsys):
+        # JSON reads 1e400 as inf: the window overflowed math.ceil, and an
+        # infinite target stopped the remainder at once, with a wrong value
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{key}": 1e400}}')
+        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+        out = tmp_path / "zeros.csv"
+        assert main([a.format(out=out) for a in argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unparsable_point_is_usage_error(self, capsys):
         assert main(["eval", "--what", "zeta_n", "--z", "inf"]) == EXIT_USAGE

@@ -12,6 +12,7 @@ from zetascope.convergence import (
     ClaimResult,
     ConvergenceSeries,
     Quantity,
+    SlopeFit,
     SweepPlan,
     derivative_ratio_limit,
     fit_power_law,
@@ -19,6 +20,7 @@ from zetascope.convergence import (
     sweep,
     verify_claims,
     _claims_for_zero,
+    _monotone_final_decrease,
     _normalized,
     _series_from_table,
     _sweep_ns,
@@ -405,8 +407,43 @@ class TestSharedTable:
 
 
 class TestGateMargins:
-    """The identity and C9 gates fail just outside their tolerance and pass
-    just inside it."""
+    """The C1, C3, identity and C9 gates fail just outside their tolerance
+    and pass just inside it."""
+
+    @pytest.mark.parametrize(
+        "exponent,passes", [(-1.70, False), (-1.60, True), (-1.40, True), (-1.30, False)]
+    )
+    def test_c1_exponent_window(self, monkeypatch, exponent, passes):
+        # the gate is [-1.65, -1.35] about the target -3/2
+        monkeypatch.setattr(
+            convergence, "fit_power_law", lambda ser: SlopeFit(exponent, 0.0, len(ser.points))
+        )
+        row = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))[0]
+        assert (row.claim, row.passed) == ("C1", passes)
+
+    #: deviations whose last five hold two rises, and one
+    TWO_RISES = (8e-4, 4e-4, 5e-4, 2e-4, 3e-4, 1e-4)
+    ONE_RISE = (8e-4, 4e-4, 5e-4, 2e-4, 1.5e-4, 1e-4)
+
+    def test_monotone_final_decrease_allows_one_rise(self):
+        assert _monotone_final_decrease(self.ONE_RISE)
+        assert not _monotone_final_decrease(self.TWO_RISES)
+        # a rise before the window of four steps does not count
+        assert _monotone_final_decrease((1e-4, 2e-4, *self.ONE_RISE[1:]))
+
+    @pytest.mark.parametrize("devs,passes", [(TWO_RISES, False), (ONE_RISE, True)])
+    def test_c3_needs_a_final_decrease(self, monkeypatch, devs, passes):
+        # every deviation is under LIMIT_TOL, so only the decrease can fail C3
+        real = convergence._normalized
+
+        def normalized(ser):
+            if ser.quantity is not Quantity.H_HAT_N:
+                return real(ser)
+            return ser._replace(points=tuple((64 * 2**k, 1.0 + d) for k, d in enumerate(devs)))
+
+        monkeypatch.setattr(convergence, "_normalized", normalized)
+        row = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))[2]
+        assert (row.claim, row.passed) == ("C3", passes)
 
     @pytest.mark.parametrize("claim,at,weight", [("C7", small_g_2n, 1), ("C8", small_h_2n, 2)])
     @pytest.mark.parametrize("multiple,passes", [(11.0, False), (9.0, True)])

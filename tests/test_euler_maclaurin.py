@@ -44,7 +44,11 @@ class TestConfig:
             {"depth": 31},
             {"n_base": 5},
             {"target_rel_error": 0.0},
+            {"target_rel_error": math.inf},
+            {"target_rel_error": math.nan},
             {"window_C": 1.0},
+            {"window_C": math.inf},
+            {"window_C": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -289,6 +293,45 @@ class TestReferenceArray:
     def test_window_error_names_the_row(self):
         with pytest.raises(WindowError, match=r"2\*pi\*10/"):
             remainder_with_bound(complex(0.5, 90.0), 10)
+
+
+def _complex_partial_sum(z: complex, n: int) -> complex:
+    """sum_{k<=n} k^(-z) with each term as cmath.exp(-z ln k), fsummed per
+    part and chunk as _partial_sum does."""
+    chunk = euler_maclaurin._CHUNK
+    re, im = [], []
+    for lo in range(1, n + 1, chunk):
+        terms = [cmath.exp(-z * math.log(k)) for k in range(lo, min(lo + chunk, n + 1))]
+        re.append(math.fsum(t.real for t in terms))
+        im.append(math.fsum(t.imag for t in terms))
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _bits(v: complex) -> tuple[str, str]:
+    return v.real.hex(), v.imag.hex()
+
+
+class TestPartialSumAgainstComplexExp:
+    """The real-valued terms and the shared first-chunk tables give the
+    complex-exp sum bit for bit, however the tables grew."""
+
+    @given(
+        sigma=st.one_of(st.just(0.5), st.floats(1e-3, 3.0)),
+        t=st.one_of(st.floats(-200.0, 200.0), st.sampled_from([0.0, -0.0, 1e-300])),
+        n=st.one_of(st.integers(1, 300), st.sampled_from([4095, 4096, 4097, 8193])),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_for_bit(self, sigma, t, n):
+        z = complex(sigma, t)
+        assert _bits(euler_maclaurin._partial_sum(z, n)) == _bits(_complex_partial_sum(z, n))
+
+    def test_tables_grow_in_any_order(self, monkeypatch):
+        monkeypatch.setattr(euler_maclaurin, "_LOGS", [])
+        monkeypatch.setattr(euler_maclaurin, "_HALF_POWERS", [])
+        z = complex(0.5, 14.134725141734693)
+        for n in (3, 1, 128, 50, 5000, 4096):
+            assert _bits(euler_maclaurin._partial_sum(z, n)) == _bits(_complex_partial_sum(z, n))
+        assert len(euler_maclaurin._LOGS) == euler_maclaurin._CHUNK
 
 
 def _loop_remainder(z: complex, n: int, cfg: EulerMaclaurinConfig):
