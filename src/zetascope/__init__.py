@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 #: public name -> the module that defines it
 _EXPORTS = {
     "ConvergenceSeries": "convergence",
-    "DerivativeRatioLimit": "convergence",
     "RatioLimit": "convergence",
     "SlopeFit": "convergence",
     "SweepPlan": "convergence",
-    "derivative_ratio_limit": "convergence",
     "fit_power_law": "convergence",
     "ratio_limit": "convergence",
     "sweep": "convergence",

@@ -177,12 +177,9 @@ def format_value(v: complex) -> str:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    if args.z is not None:
-        z = parse_complex(args.z)
-    elif args.re is not None:
-        z = complex(args.re, args.im or 0.0)
-    else:
-        raise UsageError("provide --z or --re/--im")
+    if args.z is None:
+        raise UsageError("provide --z")
+    z = parse_complex(args.z)
     if args.what not in _QUANTITIES:
         raise UsageError(
             f"unknown quantity {args.what!r}; choose from " + ", ".join(_QUANTITIES)
@@ -305,29 +302,28 @@ def cmd_report(args, cfg: RunConfig) -> int:
 #: marks a flag that must be given
 _REQUIRED = object()
 
-#: command -> (its help, {flag: (type, default or _REQUIRED, help)}); a flag
-#: sets the attribute named by its name without the leading "--", with "-"
-#: read as "_"; a run key's flag defaults to None, which keeps the config's value
+#: command -> (handler, help, {flag: (type, default or _REQUIRED, help)});
+#: a flag sets the attribute named by its name without the leading "--", with
+#: "-" read as "_"; a run key's flag defaults to None, which keeps the config's value
 _COMMANDS = {
-    "eval": ("evaluate one quantity at a point", {
+    "eval": (cmd_eval, "evaluate one quantity at a point", {
         "--z": (str, None, "complex point, e.g. 0.5+14.13i or -0.7+40i"),
-        "--re": (float, None, "real part (alternative to --z)"),
-        "--im": (float, None, "imaginary part"),
         "--what": (str, _REQUIRED, "quantity name: " + ", ".join(_QUANTITIES)),
         "--n": (int, 1024, "truncation length for finite sums"),
     }),
-    "zeros": ("scan for critical-line zeros", {
+    "zeros": (cmd_zeros, "scan for critical-line zeros", {
         "--t-min": (float, None, "lower end of the scan window (config t_min)"),
-        "--t-max": (float, None, "upper end of the scan window, at most 100 (config t_max)"),
+        "--t-max": (float, None, f"upper end of the scan window, at most {zeros_mod.T_CEILING} "
+                    "(config t_max)"),
         "--out": (str, "zeros.csv", "CSV file to write"),
     }),
-    "verify": ("run the claim checks at each zero", {
+    "verify": (cmd_verify, "run the claim checks at each zero", {
         "--zeros": (str, _REQUIRED, "zeros CSV from the scan"),
         "--n0": (int, None, "first n of each sweep (config n0)"),
         "--doublings": (int, None, "doublings of n0 in each sweep (config doublings)"),
         "--out": (str, "report.json", "JSON report to write"),
     }),
-    "report": ("pretty-print a JSON report", {
+    "report": (cmd_report, "pretty-print a JSON report", {
         "--in": (str, "report.json", "JSON report to read"),
     }),
 }
@@ -343,7 +339,7 @@ def _usage(command: str | None) -> str:
     if command is None:
         return "usage: zetascope [-h] {" + ",".join(_COMMANDS) + "} ..."
     words = []
-    for flag, (_, default, _) in _COMMANDS[command][1].items():
+    for flag, (_, default, _) in _COMMANDS[command][2].items():
         word = f"{flag} {_attribute(flag).upper()}"
         words.append(word if default is _REQUIRED else f"[{word}]")
     return f"usage: zetascope {command} [-h] " + " ".join(words)
@@ -356,7 +352,7 @@ def _help(command: str | None) -> NoReturn:
     if command is None:
         lines += ["Zeta partial sums, critical-line zeros, and convergence checks", ""]
     for name in _COMMANDS if command is None else (command,):
-        text, flags = _COMMANDS[name]
+        _, text, flags = _COMMANDS[name]
         lines.append(f"zetascope {name}: {text}")
         for flag, (_, default, note) in flags.items():
             attr = _attribute(flag)
@@ -392,7 +388,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
         _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    flags = _COMMANDS[command][1]
+    flags = _COMMANDS[command][2]
     given, unknown = {}, []
     for token in rest:
         if token in _HELP_FLAGS:
@@ -426,16 +422,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ZetascopeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handlers = {
-        "eval": cmd_eval,
-        "zeros": cmd_zeros,
-        "verify": cmd_verify,
-        "report": cmd_report,
-    }
     try:
         # the flags given overlay the file; RunConfig checks the result
         cfg = cfg._replace(**{k: v for k in _RUN_KEYS if (v := getattr(args, k, None)) is not None})
-        code = handlers[args.command](args, cfg)
+        code = _COMMANDS[args.command][0](args, cfg)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

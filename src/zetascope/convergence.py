@@ -4,10 +4,10 @@ claim-verification report.
 Each sweep evaluates one named quantity at n = n0, 2 n0, ..., n0 2^d from a
 table of partial sums built by one compensated pass per argument point, then
 the fitting/extrapolation helpers quantify the convergence order or limit.
-One rule, ``_sweep_ns``, sets a sweep's reach for ``sweep``,
-``derivative_ratio_limit`` and ``verify_claims`` alike: n0 doubled until the
-Hardy-Littlewood window |Im rho| <= 2 pi n0 / C holds, then doubled d times,
-refused before any work if that passes N_CAP.
+One rule, ``_sweep_ns``, sets a sweep's reach for ``sweep`` and
+``verify_claims`` alike: n0 doubled until the Hardy-Littlewood window
+|Im rho| <= 2 pi n0 / C holds, then doubled d times, refused before any work
+if that passes N_CAP.
 
 verify_claims sets every zero's sweep first, then runs one claim loop per
 zero: ``_claims_for_zero`` builds every report row, each of the nine checks
@@ -60,29 +60,11 @@ class ConvergenceSeries(NamedTuple):
 class SlopeFit(NamedTuple):
     exponent: float
     max_abs_residual: float
-    points_used: int
 
 
 class RatioLimit(NamedTuple):
     limit: complex
     last_delta: float
-    points_used: int
-
-
-class DerivativeRatioLimit(NamedTuple):
-    """The boundary-corrected derivative ratio at the last n of a sweep.
-
-    raw is the uncorrected zeta_hat_n'(rho) / zeta_hat_n'(1-rho) at that n;
-    bound is the first omitted Euler-Maclaurin term of each derivative,
-    carried to the ratio to first order.
-    """
-
-    limit: complex
-    last_delta: float
-    points_used: int
-    n: int
-    raw: complex
-    bound: float
 
 
 class _SweepFields(NamedTuple):
@@ -122,29 +104,18 @@ def _normalized(series: ConvergenceSeries) -> ConvergenceSeries:
     return series._replace(points=points)
 
 
-def _derivative_ratio(
-    rho: complex,
-    ns: Sequence[int],
-    at_rho: dict[int, RawSums],
-    at_mirror: dict[int, RawSums],
-) -> DerivativeRatioLimit:
-    """``ratio_limit`` of the corrected derivative ratio over ``ns``, with the
-    raw ratio and the truncation bound at the last n.
-
-    The bound carries each derivative's omitted term to the ratio to first
-    order.
-    """
-    lim = ratio_limit(
-        _series_from_table(Quantity.DERIV_RATIO_CORRECTED, rho, ns, at_rho, at_mirror)
-    )
-    n = ns[-1]
+def _c6_bound(
+    rho: complex, n: int, at_rho: dict[int, RawSums], at_mirror: dict[int, RawSums], limit: complex
+) -> float:
+    """The truncation bound of the corrected derivative ratio ``limit`` at n:
+    the first omitted Euler-Maclaurin term of each derivative, carried to the
+    ratio to first order."""
     rel_err = sum(
         _leading_terms(z, n, derivative=True).bernoulli_prime_mod
         / abs(_corrected_prime(sums[n], z, n))
         for z, sums in ((rho, at_rho), (1.0 - rho, at_mirror))
     )
-    raw = _value(Quantity.DERIV_RATIO, rho, n, at_rho, at_mirror)
-    return DerivativeRatioLimit(*lim, n, raw, abs(lim.limit) * rel_err)
+    return abs(limit) * rel_err
 
 
 def _sweep_ns(rho: complex, plan: SweepPlan) -> list[int]:
@@ -209,7 +180,7 @@ def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
     y = np.log(np.array(mods))
     slope, intercept = np.polyfit(x, y, 1)
     resid = np.max(np.abs(y - (slope * x + intercept)))
-    return SlopeFit(float(slope), float(resid), len(series.points))
+    return SlopeFit(float(slope), float(resid))
 
 
 def ratio_limit(series: ConvergenceSeries) -> RatioLimit:
@@ -223,24 +194,7 @@ def ratio_limit(series: ConvergenceSeries) -> RatioLimit:
     (_, prev), (_, last) = series.points[-2:]
     denom = abs(last)
     delta = abs(last - prev) / denom if denom > 0 else math.inf
-    return RatioLimit(limit=last, last_delta=delta, points_used=len(series.points))
-
-
-def derivative_ratio_limit(
-    rho: complex,
-    n0: int = 64,
-    doublings: int = 10,
-    cfg: EulerMaclaurinConfig | None = None,
-) -> DerivativeRatioLimit:
-    """Limit of zeta_hat_n'(rho) / zeta_hat_n'(1-rho); compare to -H_hat(rho).
-
-    Each derivative gets the boundary correction of ``_corrected_prime``
-    before the ratio is formed; without it the ratio at n carries an
-    O((ln n) n^(-1/2)) error, about 1e-2 at n = 2^16.
-    """
-    rho = complex(rho)
-    ns = _sweep_ns(rho, SweepPlan(n0, doublings, cfg or EulerMaclaurinConfig()))
-    return _derivative_ratio(rho, ns, *_tables(Quantity.DERIV_RATIO_CORRECTED, rho, ns))
+    return RatioLimit(limit=last, last_delta=delta)
 
 
 class ClaimResult(NamedTuple):
@@ -349,8 +303,9 @@ def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
         return "-1.5", _fmt(fit.exponent), 0.15, lo <= fit.exponent <= hi, detail
 
     def c2() -> _Measured:
-        n_last, v_last = series(Quantity.H_HAT_DOUBLING_RATIO, ns[:-1]).points[-1]
-        return _within(1.0, abs(v_last), f"|H_hat_2n/H_hat_n| at n={n_last}")
+        (n, h_n), (_, h_2n) = series(Quantity.H_HAT_N, ns[-2:]).points
+        ratio = _ratio(h_2n, h_n, Quantity.H_HAT_N)
+        return _within(1.0, abs(ratio), f"|H_hat_2n/H_hat_n| at n={n}")
 
     def c3() -> _Measured:
         ser = _normalized(series(Quantity.H_HAT_N))
@@ -375,13 +330,18 @@ def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
         return _within(target, v_last, f"H_2n vs (rho/(1-rho))(2n)^(1-2rho) at 2n={n_last}")
 
     def c6() -> _Measured:
-        lim = _derivative_ratio(rho, ns, *table())
+        # each derivative is boundary-corrected (_corrected_prime) before the
+        # ratio is formed; the raw ratio at n errs by O((ln n) n^(-1/2))
+        lim = ratio_limit(series(Quantity.DERIV_RATIO_CORRECTED))
+        n = ns[-1]
+        bound = _c6_bound(rho, n, *table(), lim.limit)
+        raw = _value(Quantity.DERIV_RATIO, rho, n, *table())
         target = -h_hat_exact(rho)
         detail = (
-            f"boundary-corrected zeta_hat_n'(rho)/zeta_hat_n'(1-rho) at n={lim.n}; "
+            f"boundary-corrected zeta_hat_n'(rho)/zeta_hat_n'(1-rho) at n={n}; "
             f"deviation {abs(lim.limit - target):.3e}; "
-            f"raw deviation {abs(lim.raw - target):.3e}; "
-            f"truncation bound {lim.bound:.3e}; last_delta {lim.last_delta:.3e}"
+            f"raw deviation {abs(raw - target):.3e}; "
+            f"truncation bound {bound:.3e}; last_delta {lim.last_delta:.3e}"
         )
         return _within(target, lim.limit, detail)
 

@@ -35,11 +35,10 @@ class Quantity(Enum):
     SMALL_G_2N = "g_2n"
     DERIV_RATIO = "deriv_ratio"
     DERIV_RATIO_CORRECTED = "deriv_ratio_corrected"
-    H_HAT_DOUBLING_RATIO = "H_hat_doubling_ratio"
 
 
 #: quantities that read the sums at 2n as well as at n
-_READS_2N = (Quantity.SMALL_H_2N, Quantity.SMALL_G_2N, Quantity.H_HAT_DOUBLING_RATIO)
+_READS_2N = (Quantity.SMALL_H_2N, Quantity.SMALL_G_2N)
 #: quantities that read the derivative sums
 _READS_DERIV = (Quantity.DERIV_RATIO, Quantity.DERIV_RATIO_CORRECTED)
 #: quantities that read the table at 1 - rho: all but three
@@ -79,7 +78,8 @@ def _corrected_prime(sums: RawSums, z: complex, n: int) -> complex:
     """zeta'(z) from the partial sums to n: zeta_hat_n'(z) minus the
     z-derivative of the n^(-z)/2 Euler-Maclaurin boundary term. The first
     term it omits is the derivative of the first Bernoulli term."""
-    return _hat_prime(sums, z, n) - _leading_terms(z, n, derivative=True).boundary_prime
+    lead = _leading_terms(z, n, derivative=True)
+    return sums.zeta_prime - lead.tail_prime_log - lead.tail_prime_pole - lead.boundary_prime
 
 
 def _value(
@@ -103,9 +103,6 @@ def _value(
     if quantity in _READS_DERIV:
         prime = _hat_prime if quantity is Quantity.DERIV_RATIO else _corrected_prime
         return _ratio(prime(at_rho[n], rho, n), prime(at_mirror[n], 1.0 - rho, n), quantity)
-    if quantity is Quantity.H_HAT_DOUBLING_RATIO:
-        h = lambda m: _value(Quantity.H_HAT_N, rho, m, at_rho, at_mirror)
-        return _ratio(h(2 * n), h(n), quantity)
     raise DomainError(f"unknown quantity {quantity}")
 
 

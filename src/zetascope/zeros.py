@@ -27,6 +27,9 @@ from .errors import DomainError, PrecisionError
 from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference
 from .special import TWO_PI, log_gamma
 
+#: the largest t that hardy_z, the zero count and a scan accept
+T_CEILING = 100
+
 #: maximum tolerated |Im(exp(i theta) zeta)| before hardy_z refuses the value;
 #: a scan point whose |Z| is not above it has no sign that a count could back
 IM_LEAK_LIMIT = 1e-9
@@ -86,11 +89,11 @@ def riemann_siegel_theta(t: float) -> float:
 def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
     """Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)], leakage checked.
 
-    Raises DomainError unless 0 < t <= 100, and PrecisionError if the
+    Raises DomainError unless 0 < t <= T_CEILING, and PrecisionError if the
     imaginary part exceeds IM_LEAK_LIMIT.
     """
-    if not 0 < t <= 100:
-        raise DomainError(f"hardy_z is supported for t in (0, 100], got {t}")
+    if not 0 < t <= T_CEILING:
+        raise DomainError(f"hardy_z is supported for t in (0, {T_CEILING}], got {t}")
     w = cmath.exp(1j * riemann_siegel_theta(t)) * zeta_hat_reference(complex(0.5, t), cfg)
     if abs(w.imag) > IM_LEAK_LIMIT:
         raise PrecisionError(
@@ -110,12 +113,12 @@ def zero_count(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
     exactly. Each step's change of argument is the principal argument of
     f(next) / f(previous), and a step is halved while that exceeds
     _COUNT_ARG_STEP. The result is an integer up to rounding wherever
-    zeta(1/2 + i t) != 0. Raises DomainError unless 0 < t <= 100, if zeta
+    zeta(1/2 + i t) != 0. Raises DomainError unless 0 < t <= T_CEILING, if zeta
     vanishes on the path, or if the steps need more than _COUNT_EVALS
     evaluations.
     """
-    if not 0 < t <= 100:
-        raise DomainError(f"the zero count is supported for t in (0, 100], got {t}")
+    if not 0 < t <= T_CEILING:
+        raise DomainError(f"the zero count is supported for t in (0, {T_CEILING}], got {t}")
 
     def f(sigma: float) -> complex:
         z = complex(sigma, t)
@@ -237,7 +240,7 @@ def _bisect(
 
 def _check_scan(t_min: float, t_max: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> int:
     """A bound on the scan's Z and zeta evaluations; DomainError unless
-    0 < t_min < t_max <= 100 (a NaN fails the comparisons) and the bound
+    0 < t_min < t_max <= T_CEILING (a NaN fails the comparisons) and the bound
     times the reference's n at t_max is at most _MAX_SCAN_TERMS.
 
     The bound counts the two ends, the Gram points, ITP's steps plus the
@@ -246,8 +249,8 @@ def _check_scan(t_min: float, t_max: float, cfg: EulerMaclaurinConfig = DEFAULT_
     per gap) and the step limit of both zero counts. It reads theta but
     evaluates no Z.
     """
-    if not 0 < t_min < t_max <= 100:
-        raise DomainError(f"need 0 < t_min < t_max <= 100, got ({t_min}, {t_max})")
+    if not 0 < t_min < t_max <= T_CEILING:
+        raise DomainError(f"need 0 < t_min < t_max <= {T_CEILING}, got ({t_min}, {t_max})")
     gram = len(_gram_indices(t_min, t_max))
     evaluations = 2 + gram + (gram + 1) * (_itp_steps(t_max - t_min) + 1) + 2 * _COUNT_EVALS
     n = cfg.reference_n(t_max)

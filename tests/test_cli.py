@@ -242,8 +242,8 @@ class TestEval:
         assert out[0] == "1.644934066848226"
         assert len(out) == 1
 
-    def test_re_im_flags(self, capsys):
-        code = main(["eval", "--what", "H_hat", "--re", "0.5", "--im", "0"])
+    def test_real_point(self, capsys):
+        code = main(["eval", "--what", "H_hat", "--z", "0.5"])
         assert code == EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == "1.000000000000000"
 

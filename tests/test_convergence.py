@@ -14,11 +14,11 @@ from zetascope.convergence import (
     Quantity,
     SlopeFit,
     SweepPlan,
-    derivative_ratio_limit,
     fit_power_law,
     ratio_limit,
     sweep,
     verify_claims,
+    _c6_bound,
     _claims_for_zero,
     _monotone_final_decrease,
     _normalized,
@@ -93,8 +93,6 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(Quantity.ZETA_HAT_AT_RHO, RHO_1, n0=n0, doublings=doublings)
         with pytest.raises(DomainError):
-            derivative_ratio_limit(RHO_1, n0, doublings)
-        with pytest.raises(DomainError):
             SweepPlan(n0=n0, doublings=doublings)
 
     def test_grid_reaching_the_cap_is_accepted(self):
@@ -107,7 +105,6 @@ class TestFitting:
         fit = fit_power_law(synthetic_series(-1.5))
         assert fit.exponent == pytest.approx(-1.5, abs=1e-12)
         assert fit.max_abs_residual < 1e-12
-        assert fit.points_used == 8
 
     def test_too_few_points(self):
         short = ConvergenceSeries(
@@ -159,37 +156,49 @@ class TestRatioLimit:
 
 
 class TestDerivativeRatio:
+    """C6's values at n = 2^16: the limit of the corrected ratio's sweep, the
+    raw ratio's last point and the truncation bound."""
+
     def test_limit_near_negated_factor(self):
         # the boundary-corrected ratio meets the claim tolerance at n = 2^16
-        lim = derivative_ratio_limit(RHO_1, 64, 10)
-        assert lim.n == 2**16
-        assert abs(lim.limit - (-h_hat_exact(RHO_1))) <= LIMIT_TOL
+        ser = sweep(Quantity.DERIV_RATIO_CORRECTED, RHO_1, 64, 10)
+        assert ser.ns()[-1] == 2**16
+        assert abs(ratio_limit(ser).limit - (-h_hat_exact(RHO_1))) <= LIMIT_TOL
 
     def test_error_within_truncation_bound(self):
         # the Euler-Maclaurin error model: the first omitted term accounts
         # for the deviation, which the raw ratio exceeds by orders
-        lim = derivative_ratio_limit(RHO_1, 64, 10)
+        ns = _sweep_ns(RHO_1, SweepPlan())
+        table = _zero_table(RHO_1, ns)
+        n = ns[-1]
+        limit = _value(Quantity.DERIV_RATIO_CORRECTED, RHO_1, n, *table)
+        raw = _value(Quantity.DERIV_RATIO, RHO_1, n, *table)
+        bound = _c6_bound(RHO_1, n, *table, limit)
         target = -h_hat_exact(RHO_1)
-        assert abs(lim.limit - target) <= lim.bound < 1e-5
-        assert abs(lim.raw - target) > 1e3 * lim.bound
-
-    def test_raw_equals_sweep_last_point(self):
-        lim = derivative_ratio_limit(RHO_1, 64, 10)
-        assert lim.raw == sweep(Quantity.DERIV_RATIO, RHO_1, 64, 10).points[-1][1]
+        assert abs(limit - target) <= bound < 1e-5
+        assert abs(raw - target) > 1e3 * bound
 
     def test_raw_ratio_misses_the_claim_tolerance(self):
         # the uncorrected ratio keeps its (ln n) n^(-1/2) envelope, about
         # 1e-2 at n = 2^16, so it cannot meet C6's tolerance there
-        lim = derivative_ratio_limit(RHO_1, 64, 10)
-        assert abs(lim.raw - (-h_hat_exact(RHO_1))) > 5 * LIMIT_TOL
+        n, raw = sweep(Quantity.DERIV_RATIO, RHO_1, 64, 10).points[-1]
+        assert n == 2**16
+        assert abs(raw - (-h_hat_exact(RHO_1))) > 5 * LIMIT_TOL
 
-    def test_limit_is_ratio_limit_of_corrected_sweep(self):
-        lim = derivative_ratio_limit(RHO_1, 64, 10)
-        expected = ratio_limit(sweep(Quantity.DERIV_RATIO_CORRECTED, RHO_1, 64, 10))
-        assert (lim.limit, lim.last_delta, lim.points_used) == (
-            expected.limit,
-            expected.last_delta,
-            expected.points_used,
+    def test_c6_row_reads_the_sweeps_and_the_bound(self):
+        lim = ratio_limit(sweep(Quantity.DERIV_RATIO_CORRECTED, RHO_1, 64, 10))
+        raw = sweep(Quantity.DERIV_RATIO, RHO_1, 64, 10).points[-1][1]
+        ns = _sweep_ns(RHO_1, SweepPlan())
+        bound = _c6_bound(RHO_1, ns[-1], *_zero_table(RHO_1, ns), lim.limit)
+        target = -h_hat_exact(RHO_1)
+        row = _claims_for_zero(_zero(RHO_1.imag), ns)[CLAIM_IDS.index("C6")]
+        assert row.passed
+        assert row.measured == convergence._fmt(lim.limit)
+        assert row.detail == (
+            f"boundary-corrected zeta_hat_n'(rho)/zeta_hat_n'(1-rho) at n={2**16}; "
+            f"deviation {abs(lim.limit - target):.3e}; "
+            f"raw deviation {abs(raw - target):.3e}; "
+            f"truncation bound {bound:.3e}; last_delta {lim.last_delta:.3e}"
         )
 
 
@@ -250,7 +259,7 @@ class TestVerifyClaims:
         assert rows[8].passed
 
     def test_c2_at_four_doublings_measures_the_ratio(self, scanned_zeros):
-        # C2 reads its ratio series one doubling short, at n0 * 2^3
+        # C2 reads H_hat at the sweep's last two n and names the lower, n0 * 2^3
         records, _ = scanned_zeros
         rows = verify_claims(records[:1], SweepPlan(n0=64, doublings=4))
         c2 = rows[CLAIM_IDS.index("C2")]
@@ -286,9 +295,8 @@ class TestSharedTable:
         assert max(at_rho) == n0 * 2**plan.doublings
         doubled = (Quantity.SMALL_H_2N, Quantity.SMALL_G_2N)
         for quantity in Quantity:
-            # the table holds 2n at 1 - rho only below the last n, as C2 needs,
-            # and 2n at rho only up to C1's fit range
-            last = plan.doublings - (quantity is Quantity.H_HAT_DOUBLING_RATIO)
+            # the table holds 2n at rho only up to C1's fit range
+            last = plan.doublings
             if quantity in doubled:
                 last = (C1_FIT_MAX_N // n0).bit_length() - 1
             for doublings in (last - 1, last):
@@ -365,13 +373,12 @@ class TestSharedTable:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             sweep(Quantity.ZETA_HAT_AT_RHO, rho, n0=2, doublings=4)
-            derivative_ratio_limit(rho, 2, 4)
             verify_claims([_zero(40.0)], SweepPlan(n0=2, doublings=4))
         shifts = [w for w in caught if "validity window" in str(w.message)]
-        assert [w.filename for w in shifts] == [__file__] * 3
+        assert [w.filename for w in shifts] == [__file__] * 2
 
     @pytest.mark.parametrize("t,n0,doublings", [(14.13, 2, 23), (math.nan, 64, 10)])
-    @pytest.mark.parametrize("call", ["sweep", "derivative_ratio", "verify_claims"])
+    @pytest.mark.parametrize("call", ["sweep", "verify_claims"])
     def test_unreachable_sweep_refused(self, monkeypatch, call, t, n0, doublings):
         # refused before any work: n0 shifted to the window at t passes
         # N_CAP >> doublings (a NaN t never meets the window); verify_claims
@@ -381,7 +388,6 @@ class TestSharedTable:
         rho = complex(0.5, t)
         runs = {
             "sweep": lambda: sweep(Quantity.H_HAT_N, rho, n0, doublings),
-            "derivative_ratio": lambda: derivative_ratio_limit(rho, n0, doublings),
             "verify_claims": lambda: verify_claims(
                 [_zero(5.0, 1), _zero(t, 2)], SweepPlan(n0=n0, doublings=doublings)
             ),
@@ -415,11 +421,26 @@ class TestGateMargins:
     )
     def test_c1_exponent_window(self, monkeypatch, exponent, passes):
         # the gate is [-1.65, -1.35] about the target -3/2
-        monkeypatch.setattr(
-            convergence, "fit_power_law", lambda ser: SlopeFit(exponent, 0.0, len(ser.points))
-        )
+        monkeypatch.setattr(convergence, "fit_power_law", lambda ser: SlopeFit(exponent, 0.0))
         row = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))[0]
         assert (row.claim, row.passed) == ("C1", passes)
+
+    def test_c1_fits_the_sweep_up_to_2_14(self, monkeypatch):
+        # the fit reads every sweep point from n0 to n = 2^14, the range its
+        # detail names, and no others
+        fitted = []
+
+        def capture(ser):
+            fitted.append(ser)
+            return SlopeFit(-1.5, 0.0)
+
+        monkeypatch.setattr(convergence, "fit_power_law", capture)
+        ns = _sweep_ns(RHO_1, SweepPlan())
+        row = _claims_for_zero(_zero(RHO_1.imag), ns)[0]
+        assert (row.claim, row.passed) == ("C1", True)
+        [ser] = fitted
+        assert ser.quantity is Quantity.SMALL_H_2N
+        assert ser.ns() == tuple(64 << k for k in range(9))  # n0 = 64 to 2^14
 
     #: deviations whose last five hold two rises, and one
     TWO_RISES = (8e-4, 4e-4, 5e-4, 2e-4, 3e-4, 1e-4)

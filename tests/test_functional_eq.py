@@ -8,6 +8,7 @@ from zetascope.convergence import sweep
 from zetascope.errors import DegenerateRatioError, PoleError
 from zetascope.functional_eq import (
     Quantity,
+    _ratio,
     _value,
     h_hat_exact,
     h_hat_n,
@@ -171,3 +172,11 @@ class TestSinglePath:
         vanishing = RawSums(zeta=0j, xi=0j, zeta_prime=None)
         with pytest.raises(DegenerateRatioError):
             _value(quantity, RHO_1, 4, {4: sums, 8: sums}, {4: vanishing, 8: vanishing})
+
+    def test_denominator_floor_near_miss(self):
+        # the floor is 1e-300: a denominator of modulus 1e-250 divides, and
+        # one of 1e-301 is refused
+        num, den = 3e-250 + 1e-250j, 1e-250j
+        assert _ratio(num, den, Quantity.H_N) == num / den
+        with pytest.raises(DegenerateRatioError, match="H_n: denominator modulus below 1e-300"):
+            _ratio(num, 1e-301 + 0j, Quantity.H_N)

@@ -76,6 +76,17 @@ class TestHardyZ:
         with pytest.raises(DomainError):
             hardy_z(t)
 
+    def test_one_ceiling_for_z_the_count_and_the_scan(self, monkeypatch):
+        # T_CEILING is the only place the t <= 100 limit is written
+        assert type(zeros.T_CEILING) is int and zeros.T_CEILING == 100
+        monkeypatch.setattr(zeros, "T_CEILING", 50)
+        with pytest.raises(DomainError, match=r"\(0, 50\], got 60"):
+            hardy_z(60.0)
+        with pytest.raises(DomainError, match=r"\(0, 50\], got 60"):
+            zeros.zero_count(60.0)
+        with pytest.raises(DomainError, match=r"t_max <= 50, got \(10, 60\)"):
+            zeros._check_scan(10, 60)
+
 
 class TestHardyZArray:
     """hardy_z point by point: oracle, errors naming the offending t, types."""
