@@ -8,14 +8,12 @@ sidecar field of the JSON report, never timestamps.
 
 from __future__ import annotations
 
-import csv
 import gc
 import io
 import os
 import sys
-from pathlib import Path
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import NamedTuple, NoReturn
 
 import zetascope
 
@@ -65,16 +63,18 @@ ZEROS_CSV_COLUMNS = (
 )
 
 
-class _RunFields(NamedTuple):
-    em: EulerMaclaurinConfig = EulerMaclaurinConfig()
-    n0: int = 64
-    doublings: int = 10
-    t_min: float = 10.0
-    t_max: float = 50.0
+class RunConfig(
+    _Checked,
+    namedtuple(
+        "RunConfig",
+        ("em", "n0", "doublings", "t_min", "t_max"),
+        defaults=(EulerMaclaurinConfig(), 64, 10, 10.0, 50.0),
+    ),
+):
+    """Validated run-wide defaults; flags override file values; UsageError if out of range.
 
-
-class RunConfig(_Checked, _RunFields):
-    """Validated run-wide defaults; flags override file values; UsageError if out of range."""
+    em is an EulerMaclaurinConfig, n0 and doublings are ints, t_min and t_max floats.
+    """
 
     __slots__ = ()
 
@@ -124,18 +124,20 @@ def load_config(env: dict | None = None) -> RunConfig:
 
 def _read_text(path) -> str:
     """An input file as UTF-8 text, line ends kept; UsageError naming it if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _output(name: str) -> Path:
-    """An output path; UsageError if it is a directory or its directory is missing."""
-    out = Path(name)
-    if out.is_dir() or not out.parent.is_dir():
-        raise UsageError(f"cannot write {out}: it is a directory or its directory does not exist")
-    return out
+def _output(name: str) -> str:
+    """An output path, as given; UsageError if it is a directory, ends in a
+    separator or its directory is missing."""
+    if os.path.isdir(name) or not os.path.isdir(os.path.dirname(name) or "."):
+        raise UsageError(f"cannot write {name}: it is a directory or its directory does not exist")
+    return name
 
 
 def _typed(key: str, value, default):
@@ -194,17 +196,21 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def write_zeros_csv(records: list[ZeroRecord], path: Path) -> None:
+def write_zeros_csv(records: list[ZeroRecord], path) -> None:
+    """The records as CSV: a header row, then the index and the repr of each
+    float, comma-separated, each row ended by \r\n. No field needs quoting,
+    so these are the bytes csv.writer writes, without loading csv."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ZEROS_CSV_COLUMNS)
+        fh.write(",".join(ZEROS_CSV_COLUMNS) + "\r\n")
         for r in records:
             fields = (r.t, r.rho.real, r.rho.imag, r.residual, *r.bracket)
-            writer.writerow([r.index, *map(repr, fields)])
+            fh.write(",".join((str(r.index), *map(repr, fields))) + "\r\n")
 
 
-def read_zeros_csv(path: Path) -> list[ZeroRecord]:
+def read_zeros_csv(path) -> list[ZeroRecord]:
     """The records of a zeros CSV; UsageError if a row is malformed."""
+    import csv  # only verify reads a zeros file
+
     records = []
     reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
     missing = [c for c in ZEROS_CSV_COLUMNS if c not in (reader.fieldnames or ())]
@@ -235,6 +241,8 @@ def cmd_zeros(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    from pathlib import Path  # the report's zeros_file is the path as pathlib normalises it
+
     out = _output(args.out)
     zeros_path = Path(args.zeros)
     records = read_zeros_csv(zeros_path)
@@ -258,7 +266,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         "results": [r.as_dict() for r in rows],
     }
     import json
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    with open(out, "w") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     failing = [r for r in rows if not r.passed]
     if failing:
         print(f"{len(failing)} claim(s) failed:")
@@ -272,7 +281,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def cmd_report(args, cfg: RunConfig) -> int:
     import json
-    path = Path(getattr(args, "in"))
+    path = getattr(args, "in")
     header = ("zero", "claim", "expected", "measured", "tol", "pass")
     widths = [len(h) for h in header]
     table = []
@@ -345,7 +354,7 @@ def _usage(command: str | None) -> str:
     return f"usage: zetascope {command} [-h] " + " ".join(words)
 
 
-def _help(command: str | None) -> NoReturn:
+def _help(command: str | None):
     """Print the usage and the help of every flag (of every command at top
     level); exit EXIT_OK."""
     lines = [_usage(command), ""]
@@ -367,7 +376,7 @@ def _help(command: str | None) -> NoReturn:
     raise SystemExit(EXIT_OK)
 
 
-def _fail(command: str | None, message: str) -> NoReturn:
+def _fail(command: str | None, message: str):
     """Print the usage and the error to stderr; exit EXIT_USAGE."""
     prog = "zetascope" if command is None else f"zetascope {command}"
     sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")

@@ -25,7 +25,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -45,10 +46,10 @@ from .special import N_CAP, _check_grid, _Checked, complex_pow_base_real
 from .zeros import ZeroRecord
 
 
-class ConvergenceSeries(NamedTuple):
-    quantity: Quantity
-    rho: complex
-    points: tuple[tuple[int, complex], ...]
+class ConvergenceSeries(namedtuple("ConvergenceSeries", ("quantity", "rho", "points"))):
+    """A Quantity at rho (complex) and its points, a tuple of (n, value) pairs."""
+
+    __slots__ = ()
 
     def ns(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.points)
@@ -57,24 +58,26 @@ class ConvergenceSeries(NamedTuple):
         return tuple(v for _, v in self.points)
 
 
-class SlopeFit(NamedTuple):
-    exponent: float
-    max_abs_residual: float
+class SlopeFit(namedtuple("SlopeFit", ("exponent", "max_abs_residual"))):
+    """The fitted exponent and the largest |residual| of the fit, both floats."""
+
+    __slots__ = ()
 
 
-class RatioLimit(NamedTuple):
-    limit: complex
-    last_delta: float
+class RatioLimit(namedtuple("RatioLimit", ("limit", "last_delta"))):
+    """The extrapolated limit (complex) and its last relative change (float)."""
+
+    __slots__ = ()
 
 
-class _SweepFields(NamedTuple):
-    n0: int = 64
-    doublings: int = 10
-    cfg: EulerMaclaurinConfig = EulerMaclaurinConfig()
-
-
-class SweepPlan(_Checked, _SweepFields):
-    """Sweep geometry plus the Euler-Maclaurin config of the window shift."""
+class SweepPlan(
+    _Checked,
+    namedtuple(
+        "SweepPlan", ("n0", "doublings", "cfg"), defaults=(64, 10, EulerMaclaurinConfig())
+    ),
+):
+    """Sweep geometry, n0 and doublings (ints), plus the EulerMaclaurinConfig
+    of the window shift."""
 
     __slots__ = ()
 
@@ -170,7 +173,10 @@ def sweep(
 
 
 def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
-    """Least-squares slope of ln|value| against ln n."""
+    """Least-squares slope of ln|value| against ln n, in closed form from the
+    centred sums: slope = sum(dx dy) / sum(dx^2), with dx = x - mean(x) and
+    dy = y - mean(y). Ufuncs and sums only, so no BLAS or LAPACK call (and
+    none of its buffers) is made."""
     if len(series.points) < 4:
         raise DegenerateSeriesError("power-law fit needs at least 4 points")
     mods = [abs(v) for v in series.values()]
@@ -178,8 +184,9 @@ def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
         raise DegenerateSeriesError("power-law fit hit a zero-modulus point")
     x = np.log(np.array(series.ns(), dtype=float))
     y = np.log(np.array(mods))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = np.max(np.abs(y - (slope * x + intercept)))
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = (dx * dy).sum() / (dx * dx).sum()
+    resid = np.abs(dy - slope * dx).max()
     return SlopeFit(float(slope), float(resid))
 
 
@@ -197,14 +204,17 @@ def ratio_limit(series: ConvergenceSeries) -> RatioLimit:
     return RatioLimit(limit=last, last_delta=delta)
 
 
-class ClaimResult(NamedTuple):
-    zero_index: int
-    claim: str
-    expected: str
-    measured: str
-    tolerance: float
-    passed: bool
-    detail: str = ""
+class ClaimResult(
+    namedtuple(
+        "ClaimResult",
+        ("zero_index", "claim", "expected", "measured", "tolerance", "passed", "detail"),
+        defaults=("",),
+    )
+):
+    """One report row: the zero's index (int), the claim id, expected and
+    measured as text, the tolerance (float), passed (bool) and a detail text."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """The report row: the fields in order, with passed under the key "pass"."""

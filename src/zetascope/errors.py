@@ -43,7 +43,7 @@ class PrecisionError(ZetascopeError):
 
 
 class DegenerateRatioError(ZetascopeError, ZeroDivisionError):
-    """The denominator of a ratio underflowed below 1e-300 in modulus."""
+    """The denominator of a ratio fell below functional_eq.DENOMINATOR_FLOOR in modulus."""
 
 
 class DegenerateSeriesError(ZetascopeError, ValueError):

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -39,15 +38,16 @@ from .special import N_CAP, TWO_PI, _check_n, _Checked, bernoulli_numbers, compl
 _CHUNK = 2**12
 
 
-class _EulerMaclaurinFields(NamedTuple):
-    depth: int = 10
-    n_base: int = 50
-    target_rel_error: float = 1e-12
-    window_C: float = 2.0
-
-
-class EulerMaclaurinConfig(_Checked, _EulerMaclaurinFields):
-    """Truncation depth, base summation length, accuracy target, window constant."""
+class EulerMaclaurinConfig(
+    _Checked,
+    namedtuple(
+        "EulerMaclaurinConfig",
+        ("depth", "n_base", "target_rel_error", "window_C"),
+        defaults=(10, 50, 1e-12, 2.0),
+    ),
+):
+    """Truncation depth (int), base summation length (int), accuracy target
+    (float), window constant (float)."""
 
     __slots__ = ()
 
@@ -79,30 +79,46 @@ class EulerMaclaurinConfig(_Checked, _EulerMaclaurinFields):
 DEFAULT_CONFIG = EulerMaclaurinConfig()
 
 
-class RemainderResult(NamedTuple):
-    """Truncated Bernoulli remainder plus the modulus of the first omitted term."""
+class RemainderResult(namedtuple("RemainderResult", ("value", "bound", "terms_used"))):
+    """Truncated Bernoulli remainder (complex) plus the modulus of the first
+    omitted term (float) and the number of terms added (int)."""
 
-    value: complex
-    bound: float
-    terms_used: int
+    __slots__ = ()
 
 
-@lru_cache(maxsize=None)
+#: depth -> B_2k / (2k)! for k = 1 .. depth + 1; at most 30 entries (the depth range)
+_COEFFICIENTS: dict[int, tuple[float, ...]] = {}
+
+
 def _coefficients(depth: int) -> tuple[float, ...]:
     """B_2k / (2k)! for k = 1 .. depth + 1: the bound reads one term past depth."""
-    b2k = bernoulli_numbers(depth + 1)
-    return tuple(b / math.factorial(2 * k) for k, b in enumerate(b2k, start=1))
+    if depth not in _COEFFICIENTS:
+        b2k = bernoulli_numbers(depth + 1)
+        _COEFFICIENTS[depth] = tuple(b / math.factorial(2 * k) for k, b in enumerate(b2k, start=1))
+    return _COEFFICIENTS[depth]
 
 
-class _Leading(NamedTuple):
-    """The expansion's terms before R_n at (z, n); see _leading_terms."""
+class _Leading(
+    namedtuple(
+        "_Leading",
+        ("boundary", "tail", "tail_prime_log", "tail_prime_pole", "boundary_prime",
+         "bernoulli_prime_mod"),
+        defaults=(None,) * 5,
+    )
+):
+    """The expansion's terms before R_n at (z, n); see _leading_terms.
 
-    boundary: complex  # n^(-z)/2
-    tail: complex | None = None  # n^(1-z)/(1-z), computed as n * n^(-z) / (1-z)
-    tail_prime_log: complex | None = None  # -(ln n) n^(1-z)/(1-z)
-    tail_prime_pole: complex | None = None  # n^(1-z)/(1-z)^2
-    boundary_prime: complex | None = None  # -(ln n) n^(-z)/2
-    bernoulli_prime_mod: float | None = None  # |d/dz z n^(-z-1)/12| = |n^(-z-1) (1 - z ln n)|/12
+    boundary             n^(-z)/2
+    tail                 n^(1-z)/(1-z), computed as n * n^(-z) / (1-z)
+    tail_prime_log       -(ln n) n^(1-z)/(1-z)
+    tail_prime_pole      n^(1-z)/(1-z)^2
+    boundary_prime       -(ln n) n^(-z)/2
+    bernoulli_prime_mod  |d/dz z n^(-z-1)/12| = |n^(-z-1) (1 - z ln n)|/12, a float
+
+    Every field but the boundary is None unless _leading_terms computed it.
+    """
+
+    __slots__ = ()
 
 
 def _leading_terms(z: complex, n: int, derivative: bool = False, tail: bool = True) -> _Leading:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
 
 from .errors import DegenerateRatioError, DomainError, PoleError
 from .euler_maclaurin import _leading_terms
@@ -70,7 +70,9 @@ def _tables(
 
 def _ratio(num: complex, den: complex, quantity: Quantity) -> complex:
     if abs(den) < DENOMINATOR_FLOOR:
-        raise DegenerateRatioError(f"{quantity.value}: denominator modulus below 1e-300")
+        raise DegenerateRatioError(
+            f"{quantity.value}: denominator modulus below {DENOMINATOR_FLOOR:g}"
+        )
     return num / den
 
 

@@ -40,7 +40,8 @@ the quantities built from them are the registry in functional_eq.
 from __future__ import annotations
 
 import cmath
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -49,12 +50,11 @@ from .euler_maclaurin import _leading_terms
 from .special import N_CAP, _check_n
 
 
-class RawSums(NamedTuple):
-    """Plain, alternating, and derivative sums sharing one pass over k."""
+class RawSums(namedtuple("RawSums", ("zeta", "xi", "zeta_prime"))):
+    """Plain, alternating, and derivative sums sharing one pass over k; each
+    complex, zeta_prime None where the pass left the derivative out."""
 
-    zeta: complex
-    xi: complex
-    zeta_prime: complex | None
+    __slots__ = ()
 
 
 #: terms per summation chunk; bounds the kernel's memory at any n

@@ -66,7 +66,7 @@ def _check_grid(n0: int, doublings: int) -> None:
 
 
 class _Checked:
-    """Mixin for a NamedTuple record whose _check raises on a bad value, on
+    """Mixin for a namedtuple record whose _check raises on a bad value, on
     construction and on _replace (which builds by _make, skipping __init__)."""
 
     __slots__ = ()

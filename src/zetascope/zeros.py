@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, PrecisionError
 from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference
@@ -69,14 +69,11 @@ _COUNT_TOL = 1e-6
 _MAX_SCAN_TERMS = 2**27
 
 
-class ZeroRecord(NamedTuple):
-    """A refined on-line zero rho = 1/2 + i t with its bracket and residual."""
+class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket", "residual"))):
+    """A refined on-line zero rho = 1/2 + i t: its 1-based index (int), t
+    (float), rho (complex), bracket (lo, hi) and residual |zeta(rho)| (float)."""
 
-    index: int
-    t: float
-    rho: complex
-    bracket: tuple[float, float]
-    residual: float
+    __slots__ = ()
 
 
 def riemann_siegel_theta(t: float) -> float:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -15,13 +17,16 @@ from zetascope.cli import (
     EXIT_OK,
     EXIT_USAGE,
     REPORT_SCHEMA,
+    ZEROS_CSV_COLUMNS,
     format_value,
     load_config,
     main,
     parse_complex,
     read_zeros_csv,
+    write_zeros_csv,
 )
 from zetascope.errors import ConfigError, ZetascopeError
+from zetascope.zeros import ZeroRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,10 +48,11 @@ def _spawn(args, cwd, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProc
 
 class TestProcess:
     @staticmethod
-    def _modules_after(*argvs) -> tuple[list[int], list[str]]:
+    def _modules_after(*argvs, site: bool = True) -> tuple[list[int], list[str]]:
         """The exit codes of cli.main on each argv in turn, in a fresh child
         process, and the modules loaded then, read before the child's own
-        json import."""
+        json import. Without ``site`` the child runs under -S: no site
+        module, so no .pth file imports anything first."""
         code = (
             "import sys; from zetascope import cli; "
             f"codes = [cli.main(argv) for argv in {list(argvs)!r}]; "
@@ -54,7 +60,7 @@ class TestProcess:
             "import json; print(json.dumps([codes, modules]))"
         )
         child = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, *(() if site else ("-S",)), "-c", code],
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
             capture_output=True,
             text=True,
@@ -66,9 +72,10 @@ class TestProcess:
         # a scan needs neither the claims nor the functional equation, nor
         # the numpy partial sums; its records are named tuples, its
         # Bernoulli numbers integer arithmetic, and without a config file it
-        # reads no JSON
+        # reads no JSON. The child runs without site-packages, which also
+        # shows that the scan needs none
         argv = ["zeros", "--t-min", "14", "--t-max", "15", "--out", str(tmp_path / "z.csv")]
-        codes, modules = self._modules_after(argv)
+        codes, modules = self._modules_after(argv, site=False)
         assert codes == [EXIT_OK]
         assert "zetascope.zeros" in modules
         assert "zetascope.convergence" not in modules
@@ -80,6 +87,11 @@ class TestProcess:
         # the command line is read without argparse, and so without gettext
         # and the locale module its lookup imports
         for name in ("argparse", "gettext", "locale"):
+            assert name not in modules
+        # with namedtuple records, a dict cache, hand-written CSV rows and
+        # os.path, a scan loads neither typing, csv nor pathlib, nor the re,
+        # enum and functools they import
+        for name in ("re", "typing", "csv", "pathlib", "enum", "functools"):
             assert name not in modules
 
     def test_verify_loads_no_dataclasses_or_fractions(self, tmp_path):
@@ -281,6 +293,19 @@ class TestZeros:
         text = first_zero_csv.read_text()
         assert repr(rec.t) in text
         assert repr(rec.residual) in text
+
+    def test_bytes_are_csv_writer_bytes(self, tmp_path):
+        # csv.writer, which wrote the file before, is the reference
+        records = read_zeros_csv(ROOT / "tests" / "golden" / "zeros_50.csv")
+        records.append(ZeroRecord(11, 1e-300, complex(0.5, -0.0), (-1.5e16, math.inf), math.nan))
+        write_zeros_csv(records, tmp_path / "z.csv")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(ZEROS_CSV_COLUMNS)
+        for r in records:
+            fields = (r.t, r.rho.real, r.rho.imag, r.residual, *r.bracket)
+            writer.writerow([r.index, *map(repr, fields)])
+        assert (tmp_path / "z.csv").read_bytes() == expected.getvalue().encode()
 
     def test_deterministic_bytes(self, first_zero_csv, tmp_path, capsys):
         again = tmp_path / "again.csv"
@@ -692,7 +717,7 @@ class TestBoundaryProbes:
             ["verify", "--zeros", "{csv}", "--out", "{out}"],
         ],
     )
-    @pytest.mark.parametrize("out", ["{absent}/out", "{dir}"])
+    @pytest.mark.parametrize("out", ["{absent}/out", "{absent}/", "{dir}"])
     def test_unwritable_output_is_refused_before_any_work(
         self, argv, out, first_zero_csv, tmp_path, monkeypatch, capsys
     ):

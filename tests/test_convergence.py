@@ -1,6 +1,8 @@
 import math
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetascope.convergence import (
@@ -28,6 +30,7 @@ from zetascope.convergence import (
     _zero_table,
 )
 from zetascope import convergence, functional_eq, series
+from zetascope.cli import read_zeros_csv
 from zetascope.errors import DegenerateRatioError, DegenerateSeriesError, DomainError
 from zetascope.euler_maclaurin import remainder_with_bound
 from zetascope.functional_eq import h_hat_exact, h_hat_n, small_g_2n, small_h_2n
@@ -35,7 +38,9 @@ from zetascope.series import N_CAP, raw_sums_at, zeta_hat_partial
 from zetascope.special import complex_pow_base_real
 from zetascope.zeros import ZeroRecord
 
-from conftest import RHO_1
+from conftest import KNOWN_ZERO_T, RHO_1
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def synthetic_series(exponent: float, n0: int = 64, count: int = 8):
@@ -123,6 +128,30 @@ class TestFitting:
         ser = sweep(Quantity.SMALL_H_2N, RHO_1, n0=64, doublings=8)
         fit = fit_power_law(ser)
         assert -1.65 <= fit.exponent <= -1.35
+
+    @pytest.mark.parametrize("t", KNOWN_ZERO_T)
+    def test_closed_form_agrees_with_polyfit(self, t):
+        # C1's series: |h_2n| at n = 64 .. 2^14; np.polyfit is the reference
+        ser = sweep(Quantity.SMALL_H_2N, complex(0.5, t), n0=64, doublings=8)
+        x = np.log(np.array(ser.ns(), dtype=float))
+        y = np.log(np.array([abs(v) for v in ser.values()]))
+        slope, intercept = np.polyfit(x, y, 1)
+        fit = fit_power_law(ser)
+        assert fit.exponent == pytest.approx(slope, rel=0, abs=1e-12)
+        resid = np.max(np.abs(y - (slope * x + intercept)))
+        assert fit.max_abs_residual == pytest.approx(resid, rel=0, abs=1e-12)
+
+    def test_c1_passes_without_lapack(self, monkeypatch):
+        # the fit is closed form, so a verify process never initialises LAPACK
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("the C1 fit called LAPACK")
+
+        monkeypatch.setattr(np, "polyfit", no_lapack)
+        monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+        t = KNOWN_ZERO_T[0]
+        rows = verify_claims([ZeroRecord(1, t, RHO_1, (t, t), 0.0)])
+        assert rows[0].claim == "C1"
+        assert rows[0].passed, rows[0].detail
 
 
 class TestRatioLimit:
@@ -410,6 +439,34 @@ class TestSharedTable:
         assert [r.claim for r in rows if r.passed] == ["C2"]
         assert all(r.zero_index == 7 for r in rows)
         assert rows[8].measured == "0.870550563"
+
+
+#: claims that pass at points that are not zeros, and why (ROADMAP item 14)
+NON_DISCRIMINATING = {
+    "C2": "|H_hat_2n/H_hat_n| tends to 1 at a zero, but also wherever H_hat_n "
+    "tends to a non-zero constant, that is, at almost every point",
+    "C9": "|2^(1-2 rho)| is 1 for every rho with Re rho = 1/2, and the scan "
+    "writes Re rho = 0.5 exactly",
+}
+
+
+class TestNegativeControls:
+    def test_only_the_non_discriminating_claims_pass_between_zeros(self):
+        # the midpoints between consecutive zeros below t = 50 are on the
+        # line but are not zeros: C1 and C3-C8 must fail at each. C2 and C9
+        # pass there (NON_DISCRIMINATING); a change that makes one of them
+        # fail at the controls moves it out of that table
+        zeros = read_zeros_csv(GOLDEN / "zeros_50.csv")
+        midpoints = [0.5 * (a.t + b.t) for a, b in zip(zeros, zeros[1:])]
+        controls = [
+            ZeroRecord(k, t, complex(0.5, t), (t, t), math.nan)  # no residual: not a zero
+            for k, t in enumerate(midpoints, start=1)
+        ]
+        assert len(controls) == 9
+        rows = verify_claims(controls)
+        for zr in controls:
+            passed = {r.claim for r in rows if r.zero_index == zr.index and r.passed}
+            assert passed == set(NON_DISCRIMINATING), f"midpoint t={zr.t}"
 
 
 class TestGateMargins:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetascope import functional_eq
 from zetascope.convergence import sweep
 from zetascope.errors import DegenerateRatioError, PoleError
 from zetascope.functional_eq import (
@@ -180,3 +181,8 @@ class TestSinglePath:
         assert _ratio(num, den, Quantity.H_N) == num / den
         with pytest.raises(DegenerateRatioError, match="H_n: denominator modulus below 1e-300"):
             _ratio(num, 1e-301 + 0j, Quantity.H_N)
+
+    def test_refusal_names_the_floor(self, monkeypatch):
+        monkeypatch.setattr(functional_eq, "DENOMINATOR_FLOOR", 1e-200)
+        with pytest.raises(DegenerateRatioError, match="H_n: denominator modulus below 1e-200"):
+            _ratio(1.0 + 0j, 1e-250 + 0j, Quantity.H_N)

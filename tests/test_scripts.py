@@ -19,9 +19,3 @@ def _run(*args: str) -> subprocess.CompletedProcess:
 def test_measure_orders():
     proc = _run("scripts/measure_orders.py", "--doublings", "4")
     assert proc.returncode == 0, proc.stderr
-
-
-def test_run_verification(tmp_path):
-    proc = _run("scripts/run_verification.py", "--t-max", "20", "--out-dir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "report.json").exists()
