@@ -16,10 +16,13 @@ import argparse
 from zetascope.convergence import (
     ConvergenceSeries,
     Quantity,
+    SweepPlan,
+    _series_from_table,
+    _sweep_ns,
     fit_power_law,
-    sweep,
 )
 from zetascope.euler_maclaurin import EulerMaclaurinConfig, remainder
+from zetascope.functional_eq import _tables
 from zetascope.zeros import find_zeros
 
 
@@ -36,17 +39,18 @@ def main() -> None:
 
     cfg = EulerMaclaurinConfig()
     zeros = find_zeros(10, 50, cfg)
-    ns = [args.n0 * 2**k for k in range(args.doublings + 1)]
+    plan = SweepPlan(args.n0, args.doublings, cfg)
 
     print(f"{'t':>12}  {'|zeta_hat_n| (-0.5)':>20}  {'|h_2n| (-1.5)':>14}  "
           f"{'|R_n| (-1.5)':>13}")
     for zr in zeros:
-        e_hat = fit_power_law(
-            sweep(Quantity.ZETA_HAT_AT_RHO, zr.rho, args.n0, args.doublings, cfg)
-        ).exponent
-        e_h2n = fit_power_law(
-            sweep(Quantity.SMALL_H_2N, zr.rho, args.n0, args.doublings, cfg)
-        ).exponent
+        ns = _sweep_ns(zr.rho, plan)
+        # one pass to the ns and their doubles holds both series
+        table = _tables(Quantity.SMALL_H_2N, zr.rho, ns)
+        e_hat, e_h2n = (
+            fit_power_law(_series_from_table(q, zr.rho, ns, *table)).exponent
+            for q in (Quantity.ZETA_HAT_AT_RHO, Quantity.SMALL_H_2N)
+        )
         e_rem = fit_power_law(remainder_series(zr.rho, ns, cfg)).exponent
         print(f"{zr.t:12.6f}  {e_hat:20.4f}  {e_h2n:14.4f}  {e_rem:13.4f}")
 

@@ -1,7 +1,8 @@
 """Command-line surface: eval, zeros, verify, report.
 
-Configuration precedence: built-in defaults < JSON file named by the
-ZETASCOPE_CONFIG environment variable < command-line flags. Data files are
+Flags set the run: the scan window, the sweep and the paths. The JSON file
+named by the ZETASCOPE_CONFIG environment variable sets only the em.* keys,
+the Euler-Maclaurin config, which no flag sets. Data files are
 byte-deterministic for identical configuration; run parameters live in a
 sidecar field of the JSON report, never timestamps.
 """
@@ -12,7 +13,6 @@ import gc
 import io
 import os
 import sys
-from collections import namedtuple
 from types import SimpleNamespace
 
 import zetascope
@@ -20,7 +20,7 @@ import zetascope
 from . import zeros as zeros_mod
 from .errors import ConfigError, DomainError, ZetascopeError
 from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
-from .special import N_CAP, _check_grid, _Checked
+from .special import N_CAP, _check_grid
 from .zeros import ZeroRecord
 
 EXIT_OK = 0
@@ -63,46 +63,15 @@ ZEROS_CSV_COLUMNS = (
 )
 
 
-class RunConfig(
-    _Checked,
-    namedtuple(
-        "RunConfig",
-        ("em", "n0", "doublings", "t_min", "t_max"),
-        defaults=(EulerMaclaurinConfig(), 64, 10, 10.0, 50.0),
-    ),
-):
-    """Validated run-wide defaults; flags override file values; UsageError if out of range.
-
-    em is an EulerMaclaurinConfig, n0 and doublings are ints, t_min and t_max floats.
-    """
-
-    __slots__ = ()
-
-    def _check(self):
-        try:
-            _check_grid(self.n0, self.doublings)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
-        try:
-            zeros_mod._check_scan(self.t_min, self.t_max, self.em)
-        except DomainError as exc:
-            raise UsageError(
-                f"{exc} (the scan is set by t_min, t_max, em.n_base and em.window_C)"
-            ) from exc
-
-
-#: the keys a config file may set besides the em. keys, which set EulerMaclaurinConfig fields
-_RUN_KEYS = tuple(k for k in RunConfig._fields if k != "em")
-
-
-def load_config(env: dict | None = None) -> RunConfig:
-    """Defaults, overlaid with the flat dotted-key JSON file from
-    ZETASCOPE_CONFIG when set; ConfigError if the file is not JSON."""
+def load_config(env: dict | None = None) -> EulerMaclaurinConfig:
+    """The default EulerMaclaurinConfig, overlaid with the em. keys of the
+    flat dotted-key JSON file named by ZETASCOPE_CONFIG when set;
+    ConfigError if the file is not a JSON object of em. keys."""
     env = env if env is not None else os.environ
     path = env.get("ZETASCOPE_CONFIG")
-    cfg = RunConfig()
+    em = EulerMaclaurinConfig()
     if not path:
-        return cfg
+        return em
     import json  # only a run with a config file reads JSON
     try:
         data = json.loads(_read_text(path))
@@ -110,16 +79,13 @@ def load_config(env: dict | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - {f"em.{k}" for k in cfg.em._fields} - set(_RUN_KEYS))
+    keys = {f"em.{k}": k for k in em._fields}
+    unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys {', '.join(unknown)}")
-    em = {
-        k: _typed(f"em.{k}", data[f"em.{k}"], getattr(cfg.em, k))
-        for k in cfg.em._fields
-        if f"em.{k}" in data
-    }
-    run = {k: _typed(k, data[k], getattr(cfg, k)) for k in _RUN_KEYS if k in data}
-    return cfg._replace(em=cfg.em._replace(**em), **run)
+    return em._replace(
+        **{k: _typed(key, data[key], getattr(em, k)) for key, k in keys.items() if key in data}
+    )
 
 
 def _read_text(path) -> str:
@@ -133,10 +99,12 @@ def _read_text(path) -> str:
 
 
 def _output(name: str) -> str:
-    """An output path, as given; UsageError if it is a directory, ends in a
-    separator or its directory is missing."""
-    if os.path.isdir(name) or not os.path.isdir(os.path.dirname(name) or "."):
-        raise UsageError(f"cannot write {name}: it is a directory or its directory does not exist")
+    """An output path, as given; UsageError if it is empty or a directory,
+    ends in a separator or its directory is missing."""
+    if not name or os.path.isdir(name) or not os.path.isdir(os.path.dirname(name) or "."):
+        raise UsageError(
+            f"cannot write {name!r}: it is empty or a directory, or its directory does not exist"
+        )
     return name
 
 
@@ -178,7 +146,7 @@ def format_value(v: complex) -> str:
     return _format_real(v.real) + _format_real(v.imag, signed=True) + "i"
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
+def cmd_eval(args, em: EulerMaclaurinConfig) -> int:
     if args.z is None:
         raise UsageError("provide --z")
     z = parse_complex(args.z)
@@ -190,7 +158,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     cap = N_CAP // max(reach, 1)
     if not 1 <= args.n <= cap:
         raise UsageError(f"--n must lie in [1, {cap}], got {args.n}")
-    print(format_value(fn(z, args.n, cfg.em)))
+    print(format_value(fn(z, args.n, em)))
     if reach:
         print(f"n = {args.n}")
     return EXIT_OK
@@ -232,17 +200,27 @@ def read_zeros_csv(path) -> list[ZeroRecord]:
     return records
 
 
-def cmd_zeros(args, cfg: RunConfig) -> int:
+def cmd_zeros(args, em: EulerMaclaurinConfig) -> int:
+    try:
+        zeros_mod._check_scan(args.t_min, args.t_max, em)
+    except DomainError as exc:
+        raise UsageError(
+            f"{exc} (the scan is set by --t-min, --t-max, em.n_base and em.window_C)"
+        ) from exc
     out = _output(args.out)
-    records = zeros_mod.find_zeros(cfg.t_min, cfg.t_max, cfg.em)
+    records = zeros_mod.find_zeros(args.t_min, args.t_max, em)
     write_zeros_csv(records, out)
     print(len(records))
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args, em: EulerMaclaurinConfig) -> int:
     from pathlib import Path  # the report's zeros_file is the path as pathlib normalises it
 
+    try:
+        _check_grid(args.n0, args.doublings)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     out = _output(args.out)
     zeros_path = Path(args.zeros)
     records = read_zeros_csv(zeros_path)
@@ -250,16 +228,16 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         raise UsageError(f"zeros file {zeros_path} holds no zeros")
     from . import convergence
 
-    plan = convergence.SweepPlan(n0=cfg.n0, doublings=cfg.doublings, cfg=cfg.em)
+    plan = convergence.SweepPlan(n0=args.n0, doublings=args.doublings, cfg=em)
     try:  # a zero that no sweep reaches is refused before any work
         rows = convergence.verify_claims(records, plan)
     except DomainError as exc:
-        raise UsageError(f"{exc} (the sweep is set by n0, doublings and em.window_C)") from exc
+        raise UsageError(f"{exc} (the sweep is set by --n0, --doublings and em.window_C)") from exc
     report = {
         "schema": REPORT_SCHEMA,
         "run": {
-            "n0": cfg.n0,
-            "doublings": cfg.doublings,
+            "n0": args.n0,
+            "doublings": args.doublings,
             "zeros_file": str(zeros_path),
             "zero_count": len(records),
         },
@@ -279,7 +257,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_report(args, cfg: RunConfig) -> int:
+def cmd_report(args, em: EulerMaclaurinConfig) -> int:
     import json
     path = getattr(args, "in")
     header = ("zero", "claim", "expected", "measured", "tol", "pass")
@@ -313,7 +291,7 @@ _REQUIRED = object()
 
 #: command -> (handler, help, {flag: (type, default or _REQUIRED, help)});
 #: a flag sets the attribute named by its name without the leading "--", with
-#: "-" read as "_"; a run key's flag defaults to None, which keeps the config's value
+#: "-" read as "_"
 _COMMANDS = {
     "eval": (cmd_eval, "evaluate one quantity at a point", {
         "--z": (str, None, "complex point, e.g. 0.5+14.13i or -0.7+40i"),
@@ -321,15 +299,14 @@ _COMMANDS = {
         "--n": (int, 1024, "truncation length for finite sums"),
     }),
     "zeros": (cmd_zeros, "scan for critical-line zeros", {
-        "--t-min": (float, None, "lower end of the scan window (config t_min)"),
-        "--t-max": (float, None, f"upper end of the scan window, at most {zeros_mod.T_CEILING} "
-                    "(config t_max)"),
+        "--t-min": (float, 10.0, "lower end of the scan window"),
+        "--t-max": (float, 50.0, f"upper end of the scan window, at most {zeros_mod.T_CEILING}"),
         "--out": (str, "zeros.csv", "CSV file to write"),
     }),
     "verify": (cmd_verify, "run the claim checks at each zero", {
         "--zeros": (str, _REQUIRED, "zeros CSV from the scan"),
-        "--n0": (int, None, "first n of each sweep (config n0)"),
-        "--doublings": (int, None, "doublings of n0 in each sweep (config doublings)"),
+        "--n0": (int, 64, "first n of each sweep"),
+        "--doublings": (int, 10, "doublings of n0 in each sweep"),
         "--out": (str, "report.json", "JSON report to write"),
     }),
     "report": (cmd_report, "pretty-print a JSON report", {
@@ -427,14 +404,12 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = load_config()
+        em = load_config()
     except (OSError, ZetascopeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        # the flags given overlay the file; RunConfig checks the result
-        cfg = cfg._replace(**{k: v for k in _RUN_KEYS if (v := getattr(args, k, None)) is not None})
-        code = _COMMANDS[args.command][0](args, cfg)
+        code = _COMMANDS[args.command][0](args, em)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

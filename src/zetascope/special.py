@@ -5,7 +5,7 @@ positive real base, the log-gamma function, and Bernoulli numbers from
 integer tangent numbers. It also holds N_CAP, the cap on every n, the checks
 of one n and of the dyadic grid a sweep sums to, and _Checked, the check of
 a config record, so that modules without numpy (the reference evaluator, the
-zero scan, the CLI's config) read them without loading the partial sums.
+zero scan, the CLI) read them without loading the partial sums.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from zetascope.cli import (
     write_zeros_csv,
 )
 from zetascope.errors import ConfigError, ZetascopeError
+from zetascope.euler_maclaurin import EulerMaclaurinConfig
 from zetascope.zeros import ZeroRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -202,18 +203,18 @@ class TestFormatting:
 
 class TestConfig:
     def test_defaults_without_env(self):
-        cfg = load_config(env={})
-        assert cfg.n0 == 64 and cfg.doublings == 10
-        assert cfg.em.depth == 10
+        assert load_config(env={}) == EulerMaclaurinConfig()
 
     def test_dotted_keys_overlay(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"em.depth": 6, "n0": 128, "t_max": 60.0}))
-        cfg = load_config(env={"ZETASCOPE_CONFIG": str(path)})
-        assert cfg.em.depth == 6
-        assert cfg.n0 == 128
-        assert cfg.t_max == 60.0
-        assert cfg.doublings == 10  # untouched keys keep defaults
+        path.write_text(json.dumps({"em.depth": 6, "em.window_C": 3.0}))
+        em = load_config(env={"ZETASCOPE_CONFIG": str(path)})
+        assert (em.depth, em.window_C) == (6, 3.0)
+        assert em.n_base == 50  # untouched keys keep defaults
+        # the run settings are flags only: a file naming one is refused
+        path.write_text(json.dumps({"em.depth": 6, "n0": 128}))
+        with pytest.raises(ConfigError, match="unknown keys n0"):
+            load_config(env={"ZETASCOPE_CONFIG": str(path)})
 
     def test_invalid_file_exits_usage(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "broken.json"
@@ -229,14 +230,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 1 column 2"):
             load_config(env={"ZETASCOPE_CONFIG": str(path)})
 
-    def test_flags_override_file_values(self, first_zero_csv, tmp_path, monkeypatch, capsys):
+    def test_run_key_in_file_is_config_error(self, first_zero_csv, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n0": 128, "doublings": 8}))
+        path.write_text(json.dumps({"n0": 128}))
         monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
         report = tmp_path / "r.json"
-        main(["verify", "--zeros", str(first_zero_csv), "--n0", "64", "--out", str(report)])
-        run = json.loads(report.read_text())["run"]
-        assert (run["n0"], run["doublings"]) == (64, 8)
+        assert main(["verify", "--zeros", str(first_zero_csv), "--out", str(report)]) == EXIT_USAGE
+        assert "unknown keys n0" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestEval:
@@ -317,6 +318,13 @@ class TestZeros:
         code = main(["zeros", "--t-min", "50", "--t-max", "10",
                      "--out", str(tmp_path / "z.csv")])
         assert code == EXIT_USAGE
+
+    def test_window_below_the_rising_branch_writes_the_header_only(self, tmp_path, capsys):
+        # theta falls below t = 6.29, so (0.5, 5) holds no Gram point and no zero
+        out = tmp_path / "z.csv"
+        assert main(["zeros", "--t-min", "0.5", "--t-max", "5", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "0\n"
+        assert out.read_bytes() == (",".join(ZEROS_CSV_COLUMNS) + "\r\n").encode()
 
 
 class TestVerifyAndReport:
@@ -403,10 +411,10 @@ class TestBoundaryProbes:
 
     def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n0": "abc"}))
+        path.write_text(json.dumps({"em.depth": "abc"}))
         monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
         assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
-        assert "'n0' must be int" in capsys.readouterr().err
+        assert "'em.depth' must be int" in capsys.readouterr().err
 
     def test_report_without_results_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -503,8 +511,8 @@ class TestBoundaryProbes:
         [
             ("0.5+1e9i", {}),
             ("0.5+1e300i", {}),
-            # a window constant the config check allows for this scan range
-            ("0.5+1e4i", {"t_min": 10.0, "t_max": 11.0, "em.window_C": 1e4}),
+            # a window constant the config check allows
+            ("0.5+1e4i", {"em.window_C": 1e4}),
         ],
     )
     def test_zeta_hat_past_the_cap_is_numerical_error_at_once(self, z, config, tmp_path):
@@ -631,23 +639,21 @@ class TestBoundaryProbes:
         assert not out.exists()
 
     def test_scan_work_error_names_the_keys_that_set_it(self, tmp_path, monkeypatch, capsys):
-        # verify does not scan, but its config is checked whole: the message
-        # says which keys to change
+        # the message says which flags and keys to change
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"em.window_C": 1e5}))
         monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        csv_path = tmp_path / "zeros.csv"
-        csv_path.write_text("index,t,re_rho,im_rho,residual,bracket_lo,bracket_hi\n")
-        report = tmp_path / "r.json"
-        assert main(["verify", "--zeros", str(csv_path), "--out", str(report)]) == EXIT_USAGE
-        assert "t_min, t_max, em.n_base and em.window_C" in capsys.readouterr().err
+        out = tmp_path / "zeros.csv"
+        assert main(["zeros", "--out", str(out)]) == EXIT_USAGE
+        assert "--t-min, --t-max, em.n_base and em.window_C" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "config,argv",
         [
             # the window shifts n0 past what the doublings allow: 64 to 2^18 or
             # more under window_C = 1e5, and 2 to 8 at t = 14.1 with 23 doublings
-            ({"em.window_C": 1e5, "t_min": 10, "t_max": 11}, []),
+            ({"em.window_C": 1e5}, []),
             ({}, ["--n0", "2", "--doublings", "23"]),
         ],
     )
@@ -666,7 +672,7 @@ class TestBoundaryProbes:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "zero 1 at t=14.13" in err and "exceeds the cap" in err
-        assert "n0, doublings and em.window_C" in err
+        assert "--n0, --doublings and em.window_C" in err
         assert not report.exists()
 
     def test_non_finite_ordinate_is_usage_error(self, tmp_path, capsys):
@@ -717,7 +723,7 @@ class TestBoundaryProbes:
             ["verify", "--zeros", "{csv}", "--out", "{out}"],
         ],
     )
-    @pytest.mark.parametrize("out", ["{absent}/out", "{absent}/", "{dir}"])
+    @pytest.mark.parametrize("out", ["{absent}/out", "{absent}/", "{dir}", ""])
     def test_unwritable_output_is_refused_before_any_work(
         self, argv, out, first_zero_csv, tmp_path, monkeypatch, capsys
     ):

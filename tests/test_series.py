@@ -265,6 +265,10 @@ class TestZetaPartialArray:
             with pytest.raises(DomainError):
                 raw_sums_at(2.0 + 0j, (4, bad))
 
+    def test_no_checkpoint_rejected(self):
+        with pytest.raises(DomainError, match="needs at least one checkpoint"):
+            raw_sums_at(2, [])
+
 
 class TestSumsByMask:
     @given(

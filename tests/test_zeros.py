@@ -539,6 +539,11 @@ class TestFindZeros:
         # no zeros below t = 14; an empty scan is a valid result
         assert find_zeros(2.0, 13.0) == []
 
+    def test_window_below_the_rising_branch(self):
+        # theta falls below t = 6.29: the window holds no Gram point at all
+        assert zeros._gram_indices(0.5, 5.0) == range(0)
+        assert find_zeros(0.5, 5.0) == []
+
     def test_record_type(self, scanned_zeros):
         records, _ = scanned_zeros
         assert all(isinstance(r, ZeroRecord) for r in records)
