@@ -12,6 +12,8 @@ Usage:
 """
 
 import argparse
+import os
+import sys
 
 from zetascope.convergence import (
     ConvergenceSeries,
@@ -56,4 +58,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone: exit 1, as zetascope does, and send
+        # the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import io
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ import zetascope
 from . import zeros as zeros_mod
 from .errors import ConfigError, DomainError, ZetascopeError
 from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
-from .special import N_CAP, _check_grid
+from .special import N_CAP
 from .zeros import ZeroRecord
 
 EXIT_OK = 0
@@ -66,7 +67,8 @@ ZEROS_CSV_COLUMNS = (
 def load_config(env: dict | None = None) -> EulerMaclaurinConfig:
     """The default EulerMaclaurinConfig, overlaid with the em. keys of the
     flat dotted-key JSON file named by ZETASCOPE_CONFIG when set;
-    ConfigError if the file is not a JSON object of em. keys."""
+    ConfigError if the file is not a JSON object of em. keys, or if the
+    record's check refuses a value."""
     env = env if env is not None else os.environ
     path = env.get("ZETASCOPE_CONFIG")
     em = EulerMaclaurinConfig()
@@ -83,9 +85,7 @@ def load_config(env: dict | None = None) -> EulerMaclaurinConfig:
     unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys {', '.join(unknown)}")
-    return em._replace(
-        **{k: _typed(key, data[key], getattr(em, k)) for key, k in keys.items() if key in data}
-    )
+    return em._replace(**{k: data[key] for key, k in keys.items() if key in data})
 
 
 def _read_text(path) -> str:
@@ -106,17 +106,6 @@ def _output(name: str) -> str:
             f"cannot write {name!r}: it is empty or a directory, or its directory does not exist"
         )
     return name
-
-
-def _typed(key: str, value, default):
-    """value, if it has the type of the key's default (an int may stand for
-    a float); ConfigError otherwise."""
-    kind = type(default)
-    if isinstance(value, bool) or not (
-        isinstance(value, kind) or (kind is float and isinstance(value, int))
-    ):
-        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 def parse_complex(text: str) -> complex:
@@ -175,8 +164,17 @@ def write_zeros_csv(records: list[ZeroRecord], path) -> None:
             fh.write(",".join((str(r.index), *map(repr, fields))) + "\r\n")
 
 
+def _finite(text: str) -> float:
+    """The float a field spells; ValueError unless it is finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
 def read_zeros_csv(path) -> list[ZeroRecord]:
-    """The records of a zeros CSV; UsageError if a row is malformed."""
+    """The records of a zeros CSV; UsageError if a row is malformed or a
+    number in it is not finite."""
     import csv  # only verify reads a zeros file
 
     records = []
@@ -189,10 +187,10 @@ def read_zeros_csv(path) -> list[ZeroRecord]:
             records.append(
                 ZeroRecord(
                     index=int(row["index"]),
-                    t=float(row["t"]),
-                    rho=complex(float(row["re_rho"]), float(row["im_rho"])),
-                    bracket=(float(row["bracket_lo"]), float(row["bracket_hi"])),
-                    residual=float(row["residual"]),
+                    t=_finite(row["t"]),
+                    rho=complex(_finite(row["re_rho"]), _finite(row["im_rho"])),
+                    bracket=(_finite(row["bracket_lo"]), _finite(row["bracket_hi"])),
+                    residual=_finite(row["residual"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -217,8 +215,10 @@ def cmd_zeros(args, em: EulerMaclaurinConfig) -> int:
 def cmd_verify(args, em: EulerMaclaurinConfig) -> int:
     from pathlib import Path  # the report's zeros_file is the path as pathlib normalises it
 
+    from . import convergence
+
     try:
-        _check_grid(args.n0, args.doublings)
+        plan = convergence.SweepPlan(n0=args.n0, doublings=args.doublings, cfg=em)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     out = _output(args.out)
@@ -226,9 +226,6 @@ def cmd_verify(args, em: EulerMaclaurinConfig) -> int:
     records = read_zeros_csv(zeros_path)
     if not records:
         raise UsageError(f"zeros file {zeros_path} holds no zeros")
-    from . import convergence
-
-    plan = convergence.SweepPlan(n0=args.n0, doublings=args.doublings, cfg=em)
     try:  # a zero that no sweep reaches is refused before any work
         rows = convergence.verify_claims(records, plan)
     except DomainError as exc:

@@ -52,9 +52,13 @@ class EulerMaclaurinConfig(
     __slots__ = ()
 
     def _check(self):
-        for name, value in (("depth", self.depth), ("n_base", self.n_base)):
-            if type(value) is not int:  # not isinstance: a bool is an int
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # depth and n_base take an int, the others an int or a float; a bool,
+        # though Python counts it an int, is refused everywhere
+        for name, value in zip(self._fields, self):
+            integer = name in ("depth", "n_base")
+            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                kind = "an integer" if integer else "a number"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         if not 1 <= self.depth <= 30:
             raise ConfigError(f"depth must be in [1, 30], got {self.depth}")
         if not 10 <= self.n_base <= N_CAP:

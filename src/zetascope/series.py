@@ -19,10 +19,14 @@ the sum errs by less than 2^-74 of each chunk's largest term, which is
 within 1 ulp of the correctly rounded sum unless the terms cancel to below
 about 2^-20 of those terms. Nothing in the sum at n depends on the other n of
 the pass: sigma comes from the fixed chunk, not from where the pass stops.
-Memory is a few chunk-sized arrays at any n. Everything is a pure function
-of (z, n) and safe to call concurrently. raw_sums_at reads one z at many n,
-as the sweeps and claims need. The zero scan does not come here: its short
-sums are plain Python (euler_maclaurin), so a scan never loads numpy.
+Memory is a few chunk-sized arrays at any n. numpy does the arrays of
+terms; Python ints and floats do the per-chunk bookkeeping (the n each
+chunk holds, each row's sigma, the overflow check), because every numpy
+path run on a handful of values pages in code that the terms never need.
+Everything is a pure function of (z, n) and safe to call concurrently.
+raw_sums_at reads one z at many n, as the sweeps and claims need. The zero
+scan does not come here: its short sums are plain Python (euler_maclaurin),
+so a scan never loads numpy.
 
 The pass is sign-symmetric: numpy's cos is even and its sin odd, a row and
 its negation get the same sigma, fl(x + sigma) rounds every x of the row on
@@ -40,6 +44,8 @@ the quantities built from them are the registry in functional_eq.
 from __future__ import annotations
 
 import cmath
+import math
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -110,18 +116,23 @@ def _chunk_sums(
     ulp(sigma) / 2, are summed in one fixed order per cut. A row whose sigma
     would overflow is scaled by an exact power of two.
     """
-    e = np.frexp(np.maximum(x.max(axis=1), -x.min(axis=1)))[1] + _HEADROOM
-    scale = np.maximum(e - 1023, 0)[:, None]
-    if scale.any():
-        np.ldexp(x, -scale, out=x)
+    scale, sigma = [], []
+    for hi, lo in zip(x.max(axis=1).tolist(), x.min(axis=1).tolist()):
+        e = math.frexp(max(hi, -lo))[1] + _HEADROOM
+        scale.append(max(e - 1023, 0))
+        sigma.append(math.ldexp(1.5, e - scale[-1]))
+    if any(scale):
+        for row, shift in zip(x, scale):
+            np.ldexp(row, -shift, out=row)
     # row by row: a scalar sigma takes numpy's fast path, a broadcast column does not
-    for row, q_row, sigma in zip(x, q, np.ldexp(1.5, e - scale[:, 0]).tolist()):
-        np.add(row, sigma, out=q_row)
-        q_row -= sigma
+    for row, q_row, sig in zip(x, q, sigma):
+        np.add(row, sig, out=q_row)
+        q_row -= sig
         row -= q_row
     exact, rest = _halves(q, cuts), _halves(x, cuts)
-    if scale.any():
-        exact, rest = np.ldexp(exact, scale), np.ldexp(rest, scale)
+    if any(scale):
+        column = np.array(scale)[:, None]
+        exact, rest = np.ldexp(exact, column), np.ldexp(rest, column)
     return _components(exact), _components(rest)
 
 
@@ -132,16 +143,17 @@ def _sums(z: complex, ns: np.ndarray, components: int) -> np.ndarray:
     into the next chunk as a double-double. Raises SumOverflowError (an
     OverflowError) if a sum leaves the finite floats.
     """
-    out = np.empty((ns.size, components))
-    top = int(ns.max())
+    ns = ns.tolist()
+    out = np.empty((len(ns), components))
     carry, carry_err = np.zeros((2, components, 1))
     # one chunk's terms (then their rests) and rounded parts, reused by every
     # chunk: a fresh array costs more in page faults than the sums over it
     x, q = np.empty((2, components - 2, _CHUNK))
+    i = 0  # ns[i] is the first n that no earlier chunk holds
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, top, _CHUNK):
-            j = np.nonzero((lo < ns) & (ns <= lo + _CHUNK))[0]  # the n this chunk holds
-            cuts = (ns[j] - lo).tolist()
+        for lo in range(0, ns[-1], _CHUNK):
+            end = bisect_right(ns, lo + _CHUNK, i)  # ns[i:end] are the n this chunk holds
+            cuts = [n - lo for n in ns[i:end]]
             if not cuts or cuts[-1] != _CHUNK:
                 cuts.append(_CHUNK)
             _chunk_terms(z, lo, x)
@@ -151,11 +163,12 @@ def _sums(z: complex, ns: np.ndarray, components: int) -> np.ndarray:
             virtual = s - carry
             small = ((carry - (s - virtual)) + (exact - virtual)) + (carry_err + rest)
             total = s + small
-            out[j] = total[:, : j.size].T
+            out[i:end] = total[:, : end - i].T
             s, small, carry = s[:, -1:], small[:, -1:], total[:, -1:]
             virtual = carry - s
             carry_err = (s - (carry - virtual)) + (small - virtual)
-    if not np.isfinite(out).all():
+            i = end
+    if not all(map(math.isfinite, out.ravel().tolist())):
         raise SumOverflowError(f"partial sum overflowed at z={z}")
     return out
 

@@ -399,22 +399,33 @@ class TestBoundaryProbes:
         assert main(["eval", "--what", what, "--z", "nan"]) == EXIT_MODULE_ERROR
         assert "finite" in capsys.readouterr().err
 
-    def test_malformed_zeros_csv_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,abc,0.5,14.1,0.0,14.1,14.1",
+            # a non-finite number is refused as input: inf once reached the
+            # claims (exit 3), nan a validity-window message about n0
+            "1,14.1,inf,14.1,0.0,14.1,14.1",
+            "1,nan,0.5,nan,0.0,14.1,14.1",
+            "1,14.1,0.5,14.1,-inf,14.1,14.1",
+        ],
+    )
+    def test_malformed_zeros_csv_is_usage_error(self, row, tmp_path, capsys):
         path = tmp_path / "zeros.csv"
-        path.write_text(
-            "index,t,re_rho,im_rho,residual,bracket_lo,bracket_hi\n"
-            "1,abc,0.5,14.1,0.0,14.1,14.1\n"
-        )
-        code = main(["verify", "--zeros", str(path), "--out", str(tmp_path / "r.json")])
+        path.write_text("index,t,re_rho,im_rho,residual,bracket_lo,bracket_hi\n" + row + "\n")
+        report = tmp_path / "r.json"
+        code = main(["verify", "--zeros", str(path), "--out", str(report)])
         assert code == EXIT_USAGE
-        assert "line 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"malformed zeros file {path}, line 2" in err
+        assert not report.exists()
 
     def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"em.depth": "abc"}))
         monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
         assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
-        assert "'em.depth' must be int" in capsys.readouterr().err
+        assert "depth must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_report_without_results_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -683,7 +694,9 @@ class TestBoundaryProbes:
         )
         report = tmp_path / "r.json"
         assert main(["verify", "--zeros", str(path), "--out", str(report)]) == EXIT_USAGE
-        assert "validity window" in capsys.readouterr().err
+        # refused as input, before the sweep's validity window sees the NaN
+        assert "line 2: ValueError(\"'nan' is not a finite number\")" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_config_file_holding_an_array_is_config_error(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "cfg.json"

@@ -49,6 +49,9 @@ class TestConfig:
             {"window_C": 1.0},
             {"window_C": math.inf},
             {"window_C": math.nan},
+            # the type rule the config file once had to itself
+            {"target_rel_error": True},
+            {"window_C": "2"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -367,6 +367,22 @@ class TestCutInsideChunk:
             ]
 
 
+class TestBookkeepingInPython:
+    def test_pass_needs_no_small_array_numpy_paths(self, monkeypatch):
+        """Which n a chunk holds, each row's sigma and the overflow check are
+        Python arithmetic: numpy only computes and sums the chunks' terms."""
+        ns = (1, 4095, 4096, 4097, 8192, 65536)
+        want = raw_sums_at(RHO_1, ns, include_derivative=True)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the pass ran a numpy path on its bookkeeping")
+
+        for name in ("nonzero", "isfinite", "frexp"):
+            monkeypatch.setattr(np, name, refused)
+        got = raw_sums_at(RHO_1, ns, include_derivative=True)
+        assert {n: _bits(s) for n, s in got.items()} == {n: _bits(s) for n, s in want.items()}
+
+
 class TestOverflowEdge:
     def test_sigma_past_the_floats_is_scaled_not_overflowed(self):
         # 1.5 * 2**e overflows for the derivative row here; the sums do not
