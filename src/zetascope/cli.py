@@ -18,11 +18,9 @@ from types import SimpleNamespace
 
 import zetascope
 
-from . import zeros as zeros_mod
 from .errors import ConfigError, DomainError, ZetascopeError
 from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
-from .special import N_CAP
-from .zeros import ZeroRecord
+from .special import N_CAP, T_CEILING, ZeroRecord, h_hat_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,15 +35,15 @@ class UsageError(ZetascopeError):
 
 
 #: eval --what name -> (value at (z, n, Euler-Maclaurin config), the multiple
-#: of n it sums to: 0 if it does not depend on n); the series and
-#: functional_eq names are read from the package, so only eval loads those
-#: modules (and numpy)
+#: of n it sums to: 0 if it does not depend on n); the finite-n series and
+#: functional_eq names are read from the package, so only their evals load
+#: those modules (and numpy), and H_hat, zeta_hat and R_n load neither
 _QUANTITIES = {
     "zeta_n": (lambda z, n, em: zetascope.zeta_partial(z, n), 1),
     "xi_n": (lambda z, n, em: zetascope.xi_partial(z, n), 1),
     "zeta_hat_n": (lambda z, n, em: zetascope.zeta_hat_partial(z, n), 1),
     "zeta_hat": (lambda z, n, em: zeta_hat_reference(z, em), 0),
-    "H_hat": (lambda z, n, em: zetascope.h_hat_exact(z), 0),
+    "H_hat": (lambda z, n, em: h_hat_exact(z), 0),
     "H_hat_n": (lambda z, n, em: zetascope.h_hat_n(z, n), 1),
     "H_n": (lambda z, n, em: zetascope.h_n(z, n), 1),
     "h_2n": (lambda z, n, em: zetascope.small_h_2n(z, n), 2),
@@ -199,6 +197,8 @@ def read_zeros_csv(path) -> list[ZeroRecord]:
 
 
 def cmd_zeros(args, em: EulerMaclaurinConfig) -> int:
+    from . import zeros as zeros_mod  # only a scan loads the scan
+
     try:
         zeros_mod._check_scan(args.t_min, args.t_max, em)
     except DomainError as exc:
@@ -297,7 +297,7 @@ _COMMANDS = {
     }),
     "zeros": (cmd_zeros, "scan for critical-line zeros", {
         "--t-min": (float, 10.0, "lower end of the scan window"),
-        "--t-max": (float, 50.0, f"upper end of the scan window, at most {zeros_mod.T_CEILING}"),
+        "--t-max": (float, 50.0, f"upper end of the scan window, at most {T_CEILING}"),
         "--out": (str, "zeros.csv", "CSV file to write"),
     }),
     "verify": (cmd_verify, "run the claim checks at each zero", {

@@ -28,8 +28,6 @@ import warnings
 from collections import namedtuple
 from collections.abc import Sequence
 
-import numpy as np
-
 from .errors import DegenerateSeriesError, DomainError
 from .euler_maclaurin import EulerMaclaurinConfig, _leading_terms, remainder_with_bound
 from .functional_eq import (
@@ -39,11 +37,9 @@ from .functional_eq import (
     _ratio,
     _tables,
     _value,
-    h_hat_exact,
 )
 from .series import RawSums, raw_sums_at
-from .special import N_CAP, _check_grid, _Checked, complex_pow_base_real
-from .zeros import ZeroRecord
+from .special import N_CAP, ZeroRecord, _check_grid, _Checked, complex_pow_base_real, h_hat_exact
 
 
 class ConvergenceSeries(namedtuple("ConvergenceSeries", ("quantity", "rho", "points"))):
@@ -175,19 +171,21 @@ def sweep(
 def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
     """Least-squares slope of ln|value| against ln n, in closed form from the
     centred sums: slope = sum(dx dy) / sum(dx^2), with dx = x - mean(x) and
-    dy = y - mean(y). Ufuncs and sums only, so no BLAS or LAPACK call (and
-    none of its buffers) is made."""
+    dy = y - mean(y). math.log and math.fsum only: no numpy, and each sum is
+    correctly rounded, so the fit rounds alike on every Python."""
     if len(series.points) < 4:
         raise DegenerateSeriesError("power-law fit needs at least 4 points")
     mods = [abs(v) for v in series.values()]
     if any(m == 0.0 for m in mods):
         raise DegenerateSeriesError("power-law fit hit a zero-modulus point")
-    x = np.log(np.array(series.ns(), dtype=float))
-    y = np.log(np.array(mods))
-    dx, dy = x - x.mean(), y - y.mean()
-    slope = (dx * dy).sum() / (dx * dx).sum()
-    resid = np.abs(dy - slope * dx).max()
-    return SlopeFit(float(slope), float(resid))
+    x = [math.log(n) for n in series.ns()]
+    y = [math.log(m) for m in mods]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    resid = max(abs(b - slope * a) for a, b in zip(dx, dy))
+    return SlopeFit(slope, resid)
 
 
 def ratio_limit(series: ConvergenceSeries) -> RatioLimit:

@@ -1,27 +1,23 @@
-"""The finite-n quantity registry and the functional-equation factor.
+"""The finite-n quantity registry.
 
 Each finite-n quantity the claims study is one row of ``_value``, which reads
 sums tables at rho and at 1 - rho; ``_tables`` builds the smallest tables a
 quantity reads, and ``_mirror`` is the one rule for the table at 1 - rho. The
 sweeps and claims in ``convergence`` and the one-point functions below all
 read these, so each formula is written once; the Euler-Maclaurin terms they
-read are ``euler_maclaurin._leading_terms``'s. h_hat_exact is the exact
-factor H_hat_n tends to.
+read are ``euler_maclaurin._leading_terms``'s. h_hat_exact, the exact
+factor H_hat_n tends to, is ``special``'s, read from here too.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections.abc import Sequence
 from enum import Enum
 
-from .errors import DegenerateRatioError, DomainError, PoleError
+from .errors import DegenerateRatioError, DomainError
 from .euler_maclaurin import _leading_terms
 from .series import RawSums, _hat, _hat_prime, raw_sums_at
-from .special import LN_TWO_PI, log_gamma
-
-LN_2 = math.log(2.0)
+from .special import h_hat_exact  # public here too: zetascope.h_hat_exact reads it from here
 
 #: denominator moduli below this raise DegenerateRatioError
 DENOMINATOR_FLOOR = 1e-300
@@ -111,45 +107,6 @@ def _value(
 def _at(quantity: Quantity, z: complex, n: int) -> complex:
     """``quantity`` at one point (z, n), from the smallest tables it reads."""
     return _value(quantity, z, n, *_tables(quantity, z, (n,)))
-
-
-def h_hat_exact(z: complex) -> complex:
-    """2 Gamma(1-z) (2 pi)^(z-1) sin(pi z / 2), accumulated in log space.
-
-    The log-space route keeps large |Im z| safe, where Gamma(1-z) and the
-    sine factor have huge opposing moduli. Beyond |Im z| = 100 log sin w,
-    w = pi z / 2, is taken as -iw + log(i/2) + log(1 - e^(2iw)) for
-    Im w > 0 and as its mirror below, since sin w itself overflows from
-    |Im z| ~ 453; any branch of the log serves, as the sum is exponentiated.
-    Exact even-integer arguments are
-    special-cased: the sine zero makes the factor exactly 0 for z <= 0, and
-    for positive even z it cancels the Gamma pole, leaving the finite limit
-    (-1)^(z/2) (2 pi)^(z-1) pi / (z-1)!.
-    """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"H_hat needs a finite z, got {z}")
-    if z == 1:
-        raise PoleError("Gamma(1-z) has a pole at z=1")
-    if z.imag == 0.0 and z.real == int(z.real) and int(z.real) % 2 == 0:
-        m = int(z.real)
-        if m <= 0:
-            return 0.0 + 0.0j
-        sign = -1.0 if (m // 2) % 2 else 1.0
-        return complex(
-            sign
-            * math.exp((m - 1) * LN_TWO_PI + math.log(math.pi) - math.lgamma(m)),
-            0.0,
-        )
-    w = 0.5 * cmath.pi * z
-    if abs(z.imag) <= 100.0:
-        log_sin = cmath.log(cmath.sin(w))
-    else:
-        sign = 1.0 if w.imag > 0 else -1.0
-        log_sin = (
-            -sign * 1j * w + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(2j * sign * w))
-        )
-    return cmath.exp(LN_2 + log_gamma(1.0 - z) + (z - 1.0) * LN_TWO_PI + log_sin)
 
 
 def h_hat_n(z: complex, n: int) -> complex:

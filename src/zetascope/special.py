@@ -1,25 +1,32 @@
 """Complex elementary and special functions used by every other module.
 
 Everything here is a pure function of its arguments: complex powers of a
-positive real base, the log-gamma function, and Bernoulli numbers from
-integer tangent numbers. It also holds N_CAP, the cap on every n, the checks
-of one n and of the dyadic grid a sweep sums to, and _Checked, the check of
-a config record, so that modules without numpy (the reference evaluator, the
-zero scan, the CLI) read them without loading the partial sums.
+positive real base, the log-gamma function, Bernoulli numbers from integer
+tangent numbers, and h_hat_exact, the functional-equation factor H_hat. It
+also holds N_CAP, the cap on every n, the checks of one n and of the dyadic
+grid a sweep sums to, _Checked, the check of a config record, and the zero
+scan's T_CEILING and ZeroRecord. So the modules without numpy (the reference
+evaluator, the zero scan, the CLI) read them without loading the partial
+sums, and the claims read the zeros' record without loading the scan.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 
 from .errors import ConfigError, DomainError, PoleError
 
 #: hard cap on n; keeps every sum at desk scale
 N_CAP = 2**24
 
+#: the largest t that hardy_z, the zero count and a scan accept
+T_CEILING = 100
+
 TWO_PI = 2.0 * math.pi
 LN_TWO_PI = math.log(TWO_PI)
+LN_2 = math.log(2.0)
 #: the most unit steps log_gamma lifts a point by; bounds its work
 _MAX_LIFT = 2**12
 
@@ -63,6 +70,13 @@ def _check_grid(n0: int, doublings: int) -> None:
         raise DomainError(f"a sweep needs at least 4 doublings, got {doublings!r}")
     if n0 > N_CAP >> doublings:
         raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
+
+
+class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket", "residual"))):
+    """A refined on-line zero rho = 1/2 + i t: its 1-based index (int), t
+    (float), rho (complex), bracket (lo, hi) and residual |zeta(rho)| (float)."""
+
+    __slots__ = ()
 
 
 class _Checked:
@@ -119,6 +133,45 @@ def log_gamma(z: complex) -> complex:
         s += _LANCZOS_C[i] / (w - 1.0 + i)
     t = w + (_LANCZOS_G - 0.5)
     return 0.5 * LN_TWO_PI + (w - 0.5) * cmath.log(t) - t + cmath.log(s) - shift
+
+
+def h_hat_exact(z: complex) -> complex:
+    """2 Gamma(1-z) (2 pi)^(z-1) sin(pi z / 2), accumulated in log space.
+
+    The log-space route keeps large |Im z| safe, where Gamma(1-z) and the
+    sine factor have huge opposing moduli. Beyond |Im z| = 100 log sin w,
+    w = pi z / 2, is taken as -iw + log(i/2) + log(1 - e^(2iw)) for
+    Im w > 0 and as its mirror below, since sin w itself overflows from
+    |Im z| ~ 453; any branch of the log serves, as the sum is exponentiated.
+    Exact even-integer arguments are
+    special-cased: the sine zero makes the factor exactly 0 for z <= 0, and
+    for positive even z it cancels the Gamma pole, leaving the finite limit
+    (-1)^(z/2) (2 pi)^(z-1) pi / (z-1)!.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"H_hat needs a finite z, got {z}")
+    if z == 1:
+        raise PoleError("Gamma(1-z) has a pole at z=1")
+    if z.imag == 0.0 and z.real == int(z.real) and int(z.real) % 2 == 0:
+        m = int(z.real)
+        if m <= 0:
+            return 0.0 + 0.0j
+        sign = -1.0 if (m // 2) % 2 else 1.0
+        return complex(
+            sign
+            * math.exp((m - 1) * LN_TWO_PI + math.log(math.pi) - math.lgamma(m)),
+            0.0,
+        )
+    w = 0.5 * cmath.pi * z
+    if abs(z.imag) <= 100.0:
+        log_sin = cmath.log(cmath.sin(w))
+    else:
+        sign = 1.0 if w.imag > 0 else -1.0
+        log_sin = (
+            -sign * 1j * w + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(2j * sign * w))
+        )
+    return cmath.exp(LN_2 + log_gamma(1.0 - z) + (z - 1.0) * LN_TWO_PI + log_sin)
 
 
 def bernoulli_numbers(m: int) -> tuple[float, ...]:

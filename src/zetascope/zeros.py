@@ -14,21 +14,18 @@ loudly instead of going missing. ITP (_bisect) then refines each bracket
 (t_lo, t_hi] that holds a zero (_holds_zero), one bracket at a time.
 
 Everything here is plain math/cmath code at one t, so a scan never loads
-numpy.
+numpy. ZeroRecord and T_CEILING are ``special``'s, read from here too, so
+``verify`` reads a zeros file without loading the scan.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 
 from .errors import DomainError, PrecisionError
 from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference
-from .special import TWO_PI, log_gamma
-
-#: the largest t that hardy_z, the zero count and a scan accept
-T_CEILING = 100
+from .special import T_CEILING, TWO_PI, ZeroRecord, log_gamma
 
 #: maximum tolerated |Im(exp(i theta) zeta)| before hardy_z refuses the value;
 #: a scan point whose |Z| is not above it has no sign that a count could back
@@ -67,13 +64,6 @@ _COUNT_TOL = 1e-6
 #: times the reference's n at t_max. The widest scan under the default
 #: config needs under 2^18, and a large n_base or window_C cannot hang one
 _MAX_SCAN_TERMS = 2**27
-
-
-class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket", "residual"))):
-    """A refined on-line zero rho = 1/2 + i t: its 1-based index (int), t
-    (float), rho (complex), bracket (lo, hi) and residual |zeta(rho)| (float)."""
-
-    __slots__ = ()
 
 
 def riemann_siegel_theta(t: float) -> float:

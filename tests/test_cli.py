@@ -96,18 +96,29 @@ class TestProcess:
             assert name not in modules
 
     def test_verify_loads_no_dataclasses_or_fractions(self, tmp_path):
-        # numpy imports inspect itself, so only these two can be pinned here
-        zeros_csv, report = str(tmp_path / "z.csv"), str(tmp_path / "r.json")
-        codes, modules = self._modules_after(
-            ["zeros", "--t-min", "14", "--t-max", "15", "--out", zeros_csv],
-            ["verify", "--zeros", zeros_csv, "--out", report],
-        )
-        assert codes == [EXIT_OK, EXIT_OK]
+        # numpy imports inspect itself, so only these two can be pinned here;
+        # the zeros' record is special's, so verify never loads the scan
+        zeros_csv, report = tmp_path / "z.csv", str(tmp_path / "r.json")
+        golden = (ROOT / "tests" / "golden" / "zeros_50.csv").read_bytes()
+        zeros_csv.write_bytes(b"".join(golden.splitlines(keepends=True)[:2]))
+        codes, modules = self._modules_after(["verify", "--zeros", str(zeros_csv), "--out", report])
+        assert codes == [EXIT_OK]
         assert "zetascope.convergence" in modules
+        assert "zetascope.zeros" not in modules
         assert "dataclasses" not in modules
         assert "fractions" not in modules
         assert "argparse" not in modules
         assert "gettext" not in modules
+
+    def test_exact_evals_load_no_numpy(self):
+        # H_hat is special's, zeta_hat and R_n euler_maclaurin's: none of the
+        # three reads the partial sums
+        argvs = [["eval", "--what", what, "--z", "0.3+5i"] for what in ("H_hat", "zeta_hat", "R_n")]
+        codes, modules = self._modules_after(*argvs)
+        assert codes == [EXIT_OK] * 3
+        assert "zetascope.special" in modules
+        for name in ("numpy", "zetascope.series", "zetascope.functional_eq", "zetascope.zeros"):
+            assert name not in modules
 
     def test_run_freezes_the_collector_and_exits_with_main_code(self, monkeypatch):
         from zetascope import cli

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,26 @@ class TestFitting:
         assert fit.exponent == pytest.approx(slope, rel=0, abs=1e-12)
         resid = np.max(np.abs(y - (slope * x + intercept)))
         assert fit.max_abs_residual == pytest.approx(resid, rel=0, abs=1e-12)
+
+    def test_closed_form_agrees_with_exact_arithmetic(self):
+        # C1's series at each zero below t = 100, against the same closed form
+        # in exact rationals from the same math.log values. The residual is a
+        # small difference of centred logs of size ~10, and the rounded means
+        # shift it by an ulp of those logs, so it is held to 4 ulp of the
+        # largest |ln|value||, and the slope to 4 ulp of itself
+        for zr in read_zeros_csv(GOLDEN / "zeros_100.csv"):
+            ser = sweep(Quantity.SMALL_H_2N, zr.rho, n0=64, doublings=8)
+            x = [Fraction(math.log(n)) for n in ser.ns()]
+            y = [Fraction(math.log(abs(v))) for v in ser.values()]
+            x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+            dx = [v - x_mean for v in x]
+            dy = [v - y_mean for v in y]
+            slope = sum(a * b for a, b in zip(dx, dy)) / sum(a * a for a in dx)
+            resid = max(abs(b - slope * a) for a, b in zip(dx, dy))
+            fit = fit_power_law(ser)
+            assert abs(Fraction(fit.exponent) - slope) <= 4 * math.ulp(float(slope)), zr.index
+            log_ulp = math.ulp(float(max(abs(v) for v in y)))
+            assert abs(Fraction(fit.max_abs_residual) - resid) <= 4 * log_ulp, zr.index
 
     def test_c1_passes_without_lapack(self, monkeypatch):
         # the fit is closed form, so a verify process never initialises LAPACK

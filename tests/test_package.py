@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -38,3 +39,20 @@ def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         zetascope.nope
     assert not hasattr(zetascope, "_bisect")
+
+
+def test_only_series_imports_numpy():
+    # so every other module a verify process runs is compiled before numpy
+    # loads, and a scan, the exact evals and the CLI never load it
+    importers = set()
+    for path in sorted((ROOT / "src" / "zetascope").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"series.py"}
