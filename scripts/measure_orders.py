@@ -23,13 +23,13 @@ from zetascope.convergence import (
     _sweep_ns,
     fit_power_law,
 )
-from zetascope.euler_maclaurin import EulerMaclaurinConfig, remainder
+from zetascope.euler_maclaurin import remainder
 from zetascope.functional_eq import _tables
 from zetascope.zeros import find_zeros
 
 
-def remainder_series(rho: complex, ns: list[int], cfg: EulerMaclaurinConfig):
-    pts = tuple((n, remainder(rho, n, cfg)) for n in ns)
+def remainder_series(rho: complex, ns: list[int]):
+    pts = tuple((n, remainder(rho, n)) for n in ns)
     return ConvergenceSeries(quantity=Quantity.ZETA_HAT_AT_RHO, rho=rho, points=pts)
 
 
@@ -39,9 +39,8 @@ def main() -> None:
     parser.add_argument("--doublings", type=int, default=10)
     args = parser.parse_args()
 
-    cfg = EulerMaclaurinConfig()
-    zeros = find_zeros(10, 50, cfg)
-    plan = SweepPlan(args.n0, args.doublings, cfg)
+    zeros = find_zeros(10, 50)
+    plan = SweepPlan(args.n0, args.doublings)
 
     print(f"{'t':>12}  {'|zeta_hat_n| (-0.5)':>20}  {'|h_2n| (-1.5)':>14}  "
           f"{'|R_n| (-1.5)':>13}")
@@ -53,7 +52,7 @@ def main() -> None:
             fit_power_law(_series_from_table(q, zr.rho, ns, *table)).exponent
             for q in (Quantity.ZETA_HAT_AT_RHO, Quantity.SMALL_H_2N)
         )
-        e_rem = fit_power_law(remainder_series(zr.rho, ns, cfg)).exponent
+        e_rem = fit_power_law(remainder_series(zr.rho, ns)).exponent
         print(f"{zr.t:12.6f}  {e_hat:20.4f}  {e_h2n:14.4f}  {e_rem:13.4f}")
 
 

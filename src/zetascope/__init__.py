@@ -20,7 +20,6 @@ _EXPORTS = {
     "ratio_limit": "convergence",
     "sweep": "convergence",
     "verify_claims": "convergence",
-    "EulerMaclaurinConfig": "euler_maclaurin",
     "remainder": "euler_maclaurin",
     "remainder_with_bound": "euler_maclaurin",
     "zeta_hat_reference": "euler_maclaurin",

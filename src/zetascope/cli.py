@@ -1,10 +1,8 @@
 """Command-line surface: eval, zeros, verify, report.
 
-Flags set the run: the scan window, the sweep and the paths. The JSON file
-named by the ZETASCOPE_CONFIG environment variable sets only the em.* keys,
-the Euler-Maclaurin config, which no flag sets. Data files are
-byte-deterministic for identical configuration; run parameters live in a
-sidecar field of the JSON report, never timestamps.
+Flags set the run, and nothing else does: the scan window, the sweep and
+the paths. Data files are byte-deterministic for identical flags; run
+parameters live in a sidecar field of the JSON report, never timestamps.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ from types import SimpleNamespace
 
 import zetascope
 
-from .errors import ConfigError, DomainError, ZetascopeError
-from .euler_maclaurin import EulerMaclaurinConfig, remainder, zeta_hat_reference
+from .errors import DomainError, ZetascopeError
+from .euler_maclaurin import remainder, zeta_hat_reference
 from .special import N_CAP, T_CEILING, ZeroRecord, h_hat_exact
 
 EXIT_OK = 0
@@ -31,24 +29,24 @@ REPORT_SCHEMA = 1
 
 
 class UsageError(ZetascopeError):
-    """A bad flag, config value or input file; the command exits with EXIT_USAGE."""
+    """A bad flag or input file; the command exits with EXIT_USAGE."""
 
 
-#: eval --what name -> (value at (z, n, Euler-Maclaurin config), the multiple
-#: of n it sums to: 0 if it does not depend on n); the finite-n series and
-#: functional_eq names are read from the package, so only their evals load
-#: those modules (and numpy), and H_hat, zeta_hat and R_n load neither
+#: eval --what name -> (value at (z, n), the multiple of n it sums to: 0 if
+#: it does not depend on n); the finite-n series and functional_eq names are
+#: read from the package, so only their evals load those modules (and
+#: numpy), and H_hat, zeta_hat and R_n load neither
 _QUANTITIES = {
-    "zeta_n": (lambda z, n, em: zetascope.zeta_partial(z, n), 1),
-    "xi_n": (lambda z, n, em: zetascope.xi_partial(z, n), 1),
-    "zeta_hat_n": (lambda z, n, em: zetascope.zeta_hat_partial(z, n), 1),
-    "zeta_hat": (lambda z, n, em: zeta_hat_reference(z, em), 0),
-    "H_hat": (lambda z, n, em: h_hat_exact(z), 0),
-    "H_hat_n": (lambda z, n, em: zetascope.h_hat_n(z, n), 1),
-    "H_n": (lambda z, n, em: zetascope.h_n(z, n), 1),
-    "h_2n": (lambda z, n, em: zetascope.small_h_2n(z, n), 2),
-    "g_2n": (lambda z, n, em: zetascope.small_g_2n(z, n), 2),
-    "R_n": (lambda z, n, em: remainder(z, n, em), 1),
+    "zeta_n": (lambda z, n: zetascope.zeta_partial(z, n), 1),
+    "xi_n": (lambda z, n: zetascope.xi_partial(z, n), 1),
+    "zeta_hat_n": (lambda z, n: zetascope.zeta_hat_partial(z, n), 1),
+    "zeta_hat": (lambda z, n: zeta_hat_reference(z), 0),
+    "H_hat": (lambda z, n: h_hat_exact(z), 0),
+    "H_hat_n": (lambda z, n: zetascope.h_hat_n(z, n), 1),
+    "H_n": (lambda z, n: zetascope.h_n(z, n), 1),
+    "h_2n": (lambda z, n: zetascope.small_h_2n(z, n), 2),
+    "g_2n": (lambda z, n: zetascope.small_g_2n(z, n), 2),
+    "R_n": (lambda z, n: remainder(z, n), 1),
 }
 
 ZEROS_CSV_COLUMNS = (
@@ -60,30 +58,6 @@ ZEROS_CSV_COLUMNS = (
     "bracket_lo",
     "bracket_hi",
 )
-
-
-def load_config(env: dict | None = None) -> EulerMaclaurinConfig:
-    """The default EulerMaclaurinConfig, overlaid with the em. keys of the
-    flat dotted-key JSON file named by ZETASCOPE_CONFIG when set;
-    ConfigError if the file is not a JSON object of em. keys, or if the
-    record's check refuses a value."""
-    env = env if env is not None else os.environ
-    path = env.get("ZETASCOPE_CONFIG")
-    em = EulerMaclaurinConfig()
-    if not path:
-        return em
-    import json  # only a run with a config file reads JSON
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    keys = {f"em.{k}": k for k in em._fields}
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise ConfigError(f"config file {path} has unknown keys {', '.join(unknown)}")
-    return em._replace(**{k: data[key] for key, k in keys.items() if key in data})
 
 
 def _read_text(path) -> str:
@@ -133,7 +107,7 @@ def format_value(v: complex) -> str:
     return _format_real(v.real) + _format_real(v.imag, signed=True) + "i"
 
 
-def cmd_eval(args, em: EulerMaclaurinConfig) -> int:
+def cmd_eval(args) -> int:
     if args.z is None:
         raise UsageError("provide --z")
     z = parse_complex(args.z)
@@ -145,7 +119,7 @@ def cmd_eval(args, em: EulerMaclaurinConfig) -> int:
     cap = N_CAP // max(reach, 1)
     if not 1 <= args.n <= cap:
         raise UsageError(f"--n must lie in [1, {cap}], got {args.n}")
-    print(format_value(fn(z, args.n, em)))
+    print(format_value(fn(z, args.n)))
     if reach:
         print(f"n = {args.n}")
     return EXIT_OK
@@ -196,29 +170,27 @@ def read_zeros_csv(path) -> list[ZeroRecord]:
     return records
 
 
-def cmd_zeros(args, em: EulerMaclaurinConfig) -> int:
+def cmd_zeros(args) -> int:
     from . import zeros as zeros_mod  # only a scan loads the scan
 
     try:
-        zeros_mod._check_scan(args.t_min, args.t_max, em)
+        zeros_mod._check_scan(args.t_min, args.t_max)
     except DomainError as exc:
-        raise UsageError(
-            f"{exc} (the scan is set by --t-min, --t-max, em.n_base and em.window_C)"
-        ) from exc
+        raise UsageError(f"{exc} (the scan is set by --t-min and --t-max)") from exc
     out = _output(args.out)
-    records = zeros_mod.find_zeros(args.t_min, args.t_max, em)
+    records = zeros_mod.find_zeros(args.t_min, args.t_max)
     write_zeros_csv(records, out)
     print(len(records))
     return EXIT_OK
 
 
-def cmd_verify(args, em: EulerMaclaurinConfig) -> int:
+def cmd_verify(args) -> int:
     from pathlib import Path  # the report's zeros_file is the path as pathlib normalises it
 
     from . import convergence
 
     try:
-        plan = convergence.SweepPlan(n0=args.n0, doublings=args.doublings, cfg=em)
+        plan = convergence.SweepPlan(n0=args.n0, doublings=args.doublings)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     out = _output(args.out)
@@ -229,7 +201,7 @@ def cmd_verify(args, em: EulerMaclaurinConfig) -> int:
     try:  # a zero that no sweep reaches is refused before any work
         rows = convergence.verify_claims(records, plan)
     except DomainError as exc:
-        raise UsageError(f"{exc} (the sweep is set by --n0, --doublings and em.window_C)") from exc
+        raise UsageError(f"{exc} (the sweep is set by --n0 and --doublings)") from exc
     report = {
         "schema": REPORT_SCHEMA,
         "run": {
@@ -254,7 +226,7 @@ def cmd_verify(args, em: EulerMaclaurinConfig) -> int:
     return EXIT_OK
 
 
-def cmd_report(args, em: EulerMaclaurinConfig) -> int:
+def cmd_report(args) -> int:
     import json
     path = getattr(args, "in")
     header = ("zero", "claim", "expected", "measured", "tol", "pass")
@@ -401,12 +373,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        em = load_config()
-    except (OSError, ZetascopeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        code = _COMMANDS[args.command][0](args, em)
+        code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

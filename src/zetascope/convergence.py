@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import DegenerateSeriesError, DomainError
-from .euler_maclaurin import EulerMaclaurinConfig, _leading_terms, remainder_with_bound
+from .euler_maclaurin import _leading_terms, max_im, remainder_with_bound
 from .functional_eq import (
     Quantity,
     _corrected_prime,
@@ -66,14 +66,8 @@ class RatioLimit(namedtuple("RatioLimit", ("limit", "last_delta"))):
     __slots__ = ()
 
 
-class SweepPlan(
-    _Checked,
-    namedtuple(
-        "SweepPlan", ("n0", "doublings", "cfg"), defaults=(64, 10, EulerMaclaurinConfig())
-    ),
-):
-    """Sweep geometry, n0 and doublings (ints), plus the EulerMaclaurinConfig
-    of the window shift."""
+class SweepPlan(_Checked, namedtuple("SweepPlan", ("n0", "doublings"), defaults=(64, 10))):
+    """Sweep geometry: n0 and doublings (ints)."""
 
     __slots__ = ()
 
@@ -83,9 +77,6 @@ class SweepPlan(
 
 #: the n values of the identity checks (C7, C8)
 IDENTITY_NS = (2**8, 2**10, 2**12)
-#: the identity checks keep the remainder truncation shallow, so its reported
-#: bound dominates rounding and zero-residual floors
-IDENTITY_CFG = EulerMaclaurinConfig(depth=1, target_rel_error=0.5)
 
 
 def _pow_1_minus_2rho(n: int, rho: complex) -> complex:
@@ -127,7 +118,7 @@ def _sweep_ns(rho: complex, plan: SweepPlan) -> list[int]:
     their caller's line.
     """
     n0 = plan.n0
-    while not abs(rho.imag) <= plan.cfg.max_im(n0):
+    while not abs(rho.imag) <= max_im(n0):
         n0 *= 2
         if n0 > N_CAP >> plan.doublings:
             raise DomainError(
@@ -160,11 +151,10 @@ def sweep(
     rho: complex,
     n0: int = 64,
     doublings: int = 10,
-    cfg: EulerMaclaurinConfig | None = None,
 ) -> ConvergenceSeries:
     """Evaluate ``quantity`` at n = n0 * 2^k for k = 0..doublings."""
     rho = complex(rho)
-    ns = _sweep_ns(rho, SweepPlan(n0, doublings, cfg or EulerMaclaurinConfig()))
+    ns = _sweep_ns(rho, SweepPlan(n0, doublings))
     return _series_from_table(quantity, rho, ns, *_tables(quantity, rho, ns))
 
 
@@ -355,8 +345,13 @@ def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
 
     @functools.cache  # C7 and C8 share the remainders at each (n, 2n) pair
     def remainders():
+        # the truncation is kept shallow, so its reported bound dominates
+        # rounding and zero-residual floors
         return [
-            tuple(remainder_with_bound(rho, m, IDENTITY_CFG) for m in (n, 2 * n))
+            tuple(
+                remainder_with_bound(rho, m, depth=1, target_rel_error=0.5)
+                for m in (n, 2 * n)
+            )
             for n in IDENTITY_NS
         ]
 

@@ -5,7 +5,9 @@ Zeta Function", ch. 6): _leading_terms writes the tail and boundary terms and
 their z-derivatives, remainder_with_bound the Bernoulli remainder R_n(z), and
 zeta_hat_reference adds them up, a regularized zeta value in Re z > 0. The
 Hardy-Littlewood window |Im z| <= 2 pi n / C that gates the last two is written
-once, as ``EulerMaclaurinConfig.max_im``; the convergence sweeps read it too.
+once, as ``max_im``; the convergence sweeps read it too. N_BASE and WINDOW_C,
+the reference's least n and the window's C, are constants: only
+remainder_with_bound takes the remainder's depth and target as arguments.
 
 All three are plain math/cmath code at one z: the zero scan calls them a few
 hundred times on sums of at most a few hundred terms, where numpy's per-call
@@ -14,8 +16,7 @@ numpy. The reference's partial sum computes each term k^(-z) once, in
 chunks of _CHUNK terms, and sums each part by math.fsum: up to _CHUNK terms
 that is one correctly rounded fsum per part, and past it the chunks' fsums
 are summed by one more. Memory stays at one chunk at any n, and the start n
-is refused past N_CAP, so no z or window constant can start an unbounded
-sum.
+is refused past N_CAP, so no z can start an unbounded sum.
 """
 
 from __future__ import annotations
@@ -32,55 +33,48 @@ from .errors import (
     PrecisionNotReachedError,
     WindowError,
 )
-from .special import N_CAP, TWO_PI, _check_n, _Checked, bernoulli_numbers, complex_pow_base_real
+from .special import N_CAP, TWO_PI, bernoulli_numbers, complex_pow_base_real
 
 #: terms per chunk of the reference's partial sum; bounds its memory at any n
 _CHUNK = 2**12
 
 
-class EulerMaclaurinConfig(
-    _Checked,
-    namedtuple(
-        "EulerMaclaurinConfig",
-        ("depth", "n_base", "target_rel_error", "window_C"),
-        defaults=(10, 50, 1e-12, 2.0),
-    ),
-):
-    """Truncation depth (int), base summation length (int), accuracy target
-    (float), window constant (float)."""
+#: the reference's least n: it sums at least this many terms at any |Im z|
+N_BASE = 50
 
-    __slots__ = ()
-
-    def _check(self):
-        # depth and n_base take an int, the others an int or a float; a bool,
-        # though Python counts it an int, is refused everywhere
-        for name, value in zip(self._fields, self):
-            integer = name in ("depth", "n_base")
-            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-                kind = "an integer" if integer else "a number"
-                raise ConfigError(f"{name} must be {kind}, got {value!r}")
-        if not 1 <= self.depth <= 30:
-            raise ConfigError(f"depth must be in [1, 30], got {self.depth}")
-        if not 10 <= self.n_base <= N_CAP:
-            raise ConfigError(f"n_base must be in [10, {N_CAP}], got {self.n_base}")
-        if not 0 < self.target_rel_error < math.inf:
-            raise ConfigError(
-                f"target_rel_error must be positive and finite, got {self.target_rel_error}"
-            )
-        if not 1 < self.window_C < math.inf:
-            raise ConfigError(f"window constant C must be finite and exceed 1, got {self.window_C}")
-
-    def max_im(self, n: int) -> float:
-        """The largest |Im z| of the validity window at n: 2 pi n / C."""
-        return TWO_PI * n / self.window_C
-
-    def reference_n(self, im: float) -> int:
-        """The n the reference evaluator starts from at |Im z| = |im| (finite):
-        the window met with a 4x margin, at least n_base."""
-        return max(self.n_base, math.ceil(4.0 * self.window_C * abs(im) / TWO_PI))
+#: C of the Hardy-Littlewood window |Im z| <= 2 pi n / C (Edwards, ch. 6)
+WINDOW_C = 2.0
 
 
-DEFAULT_CONFIG = EulerMaclaurinConfig()
+def max_im(n: int) -> float:
+    """The largest |Im z| of the validity window at n: 2 pi n / C."""
+    return TWO_PI * n / WINDOW_C
+
+
+def reference_n(im: float) -> int:
+    """The n the reference evaluator starts from at |Im z| = |im|: the
+    window met with a 4x margin, at least N_BASE. DomainError, before the
+    rounding up, if that passes N_CAP (as it does for an infinite im)."""
+    n = 4.0 * WINDOW_C * abs(im) / TWO_PI
+    if not n <= N_CAP:
+        raise DomainError(f"n={n:g} exceeds the configured cap {N_CAP}")
+    return max(N_BASE, math.ceil(n))
+
+
+def _check_truncation(depth: int, target_rel_error: float) -> None:
+    """ConfigError unless depth is an int in [1, 30] and target_rel_error a
+    positive, finite int or float; a bool, though Python counts it an int,
+    is refused."""
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise ConfigError(f"depth must be an integer, got {depth!r}")
+    if isinstance(target_rel_error, bool) or not isinstance(target_rel_error, (int, float)):
+        raise ConfigError(f"target_rel_error must be a number, got {target_rel_error!r}")
+    if not 1 <= depth <= 30:
+        raise ConfigError(f"depth must be in [1, 30], got {depth}")
+    if not 0 < target_rel_error < math.inf:
+        raise ConfigError(
+            f"target_rel_error must be positive and finite, got {target_rel_error}"
+        )
 
 
 class RemainderResult(namedtuple("RemainderResult", ("value", "bound", "terms_used"))):
@@ -146,33 +140,35 @@ def _leading_terms(z: complex, n: int, derivative: bool = False, tail: bool = Tr
 
 
 def remainder_with_bound(
-    z: complex, n: int, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
+    z: complex, n: int, *, depth: int = 10, target_rel_error: float = 1e-12
 ) -> RemainderResult:
     """R_n(z) = sum_k B_{2k}/(2k)! (z)(z+1)...(z+2k-2) n^(1-z-2k), truncated.
 
     Terms are added while they keep shrinking and stay above the relative
-    target; the reported bound is the modulus of the first term not added
-    (standard practice for a divergent asymptotic series). A term that does
-    not shrink, or term depth + 1, stops the sum unadded. Raises DomainError
+    target_rel_error; the reported bound is the modulus of the first term
+    not added (standard practice for a divergent asymptotic series). A term
+    that does not shrink, or term depth + 1, stops the sum unadded. Raises
+    ConfigError for a depth or target _check_truncation refuses, DomainError
     unless Re z > 0, WindowError outside the validity window, and
     PrecisionNotReachedError, carrying the partial value and its bound, if
     the series starts growing before the target accuracy is met.
     """
+    _check_truncation(depth, target_rel_error)
     z = complex(z)
     if not z.real > 0:
         raise DomainError(f"remainder requires Re z > 0, got {z}")
-    if not abs(z.imag) <= cfg.max_im(n):
+    if not abs(z.imag) <= max_im(n):
         raise WindowError(
-            f"|Im z|={abs(z.imag):.6g} exceeds the window 2*pi*{n}/{cfg.window_C}"
+            f"|Im z|={abs(z.imag):.6g} exceeds the window 2*pi*{n}/{WINDOW_C}"
         )
-    coeff = _coefficients(cfg.depth)
+    coeff = _coefficients(depth)
     ln_n = math.log(n)
     acc, poch, prev, k = 0j, z, math.inf, 1
     while True:
         term = coeff[k - 1] * poch * cmath.exp(-(z + (2 * k - 1)) * ln_n)
         mod = abs(term)
-        if mod >= prev or k > cfg.depth:
-            if mod >= prev and mod > cfg.target_rel_error * abs(acc):
+        if mod >= prev or k > depth:
+            if mod >= prev and mod > target_rel_error * abs(acc):
                 raise PrecisionNotReachedError(
                     f"remainder series diverges at k={k} with bound {mod:.3e}",
                     value=acc,
@@ -180,16 +176,16 @@ def remainder_with_bound(
                 )
             return RemainderResult(value=acc, bound=mod, terms_used=k - 1)
         acc += term
-        if mod <= cfg.target_rel_error * abs(acc):
+        if mod <= target_rel_error * abs(acc):
             return RemainderResult(value=acc, bound=mod, terms_used=k)
         prev = mod
         poch *= (z + (2 * k - 1)) * (z + 2 * k)
         k += 1
 
 
-def remainder(z: complex, n: int, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> complex:
+def remainder(z: complex, n: int) -> complex:
     """Truncated Bernoulli remainder R_n(z); see remainder_with_bound."""
-    return remainder_with_bound(z, n, cfg).value
+    return remainder_with_bound(z, n).value
 
 
 #: ln k and k^(-1/2) at index k - 1, for k up to the largest n the first
@@ -235,16 +231,15 @@ def _partial_sum(z: complex, n: int) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
-def zeta_hat_reference(
-    z: complex, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
-) -> complex:
+def zeta_hat_reference(z: complex) -> complex:
     """High-accuracy regularized zeta value in Re z > 0, z != 1.
 
-    Evaluates zeta_n(z) - n^(1-z)/(1-z) - 1/(2 n^z) + R_n(z) at an n chosen
-    from the config; the result is n-independent up to target_rel_error. In
-    the strip this equals the analytic continuation of zeta. Where the
-    remainder diverges, n is doubled, up to N_CAP. Raises DomainError,
-    before any sum, if the start n (reference_n) exceeds N_CAP.
+    Evaluates zeta_n(z) - n^(1-z)/(1-z) - 1/(2 n^z) + R_n(z) at n =
+    reference_n(Im z); the result is n-independent up to the remainder's
+    default target, 1e-12. In the strip this equals the analytic
+    continuation of zeta. Where the remainder diverges, n is doubled, up to
+    N_CAP. Raises DomainError, before any sum, if the start n (reference_n)
+    exceeds N_CAP.
     """
     z = complex(z)
     if not (cmath.isfinite(z) and z.real > 0):
@@ -253,11 +248,10 @@ def zeta_hat_reference(
         )
     if z == 1:
         raise PoleError("zeta has its pole at z=1")
-    n = cfg.reference_n(z.imag)
-    _check_n(n)
+    n = reference_n(z.imag)
     while True:
         try:
-            rem = remainder_with_bound(z, n, cfg).value
+            rem = remainder_with_bound(z, n).value
             break
         except PrecisionNotReachedError:
             if 2 * n > N_CAP:

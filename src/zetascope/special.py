@@ -4,7 +4,7 @@ Everything here is a pure function of its arguments: complex powers of a
 positive real base, the log-gamma function, Bernoulli numbers from integer
 tangent numbers, and h_hat_exact, the functional-equation factor H_hat. It
 also holds N_CAP, the cap on every n, the checks of one n and of the dyadic
-grid a sweep sums to, _Checked, the check of a config record, and the zero
+grid a sweep sums to, _Checked, the check of a record's values, and the zero
 scan's T_CEILING and ZeroRecord. So the modules without numpy (the reference
 evaluator, the zero scan, the CLI) read them without loading the partial
 sums, and the claims read the zeros' record without loading the scan.
@@ -146,7 +146,10 @@ def h_hat_exact(z: complex) -> complex:
     Exact even-integer arguments are
     special-cased: the sine zero makes the factor exactly 0 for z <= 0, and
     for positive even z it cancels the Gamma pole, leaving the finite limit
-    (-1)^(z/2) (2 pi)^(z-1) pi / (z-1)!.
+    (-1)^(z/2) (2 pi)^(z-1) pi / (z-1)!, which is 0 in floats from z = 272
+    on, also where (z-1)! itself passes them. Raises DomainError where the
+    value overflows the floats, as it does on the real axis from about
+    z = -260.2 leftwards, and where log_gamma refuses 1 - z.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -158,20 +161,25 @@ def h_hat_exact(z: complex) -> complex:
         if m <= 0:
             return 0.0 + 0.0j
         sign = -1.0 if (m // 2) % 2 else 1.0
-        return complex(
-            sign
-            * math.exp((m - 1) * LN_TWO_PI + math.log(math.pi) - math.lgamma(m)),
-            0.0,
-        )
+        try:
+            log_mod = (m - 1) * LN_TWO_PI + math.log(math.pi) - math.lgamma(m)
+        except OverflowError:  # (m-1)! passes the floats: the value is far below them
+            log_mod = -math.inf
+        return complex(sign * math.exp(log_mod), 0.0)
+    # first, so that log_gamma refuses a large Re z before the sine's phase overflows
+    log_gamma_1mz = log_gamma(1.0 - z)
     w = 0.5 * cmath.pi * z
-    if abs(z.imag) <= 100.0:
-        log_sin = cmath.log(cmath.sin(w))
-    else:
-        sign = 1.0 if w.imag > 0 else -1.0
-        log_sin = (
-            -sign * 1j * w + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(2j * sign * w))
-        )
-    return cmath.exp(LN_2 + log_gamma(1.0 - z) + (z - 1.0) * LN_TWO_PI + log_sin)
+    try:
+        if abs(z.imag) <= 100.0:
+            log_sin = cmath.log(cmath.sin(w))
+        else:
+            sign = 1.0 if w.imag > 0 else -1.0
+            log_sin = (
+                -sign * 1j * w + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(2j * sign * w))
+            )
+        return cmath.exp(LN_2 + log_gamma_1mz + (z - 1.0) * LN_TWO_PI + log_sin)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"H_hat overflows the floats at z={z}") from exc
 
 
 def bernoulli_numbers(m: int) -> tuple[float, ...]:

@@ -24,7 +24,7 @@ import cmath
 import math
 
 from .errors import DomainError, PrecisionError
-from .euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig, zeta_hat_reference
+from .euler_maclaurin import zeta_hat_reference
 from .special import T_CEILING, TWO_PI, ZeroRecord, log_gamma
 
 #: maximum tolerated |Im(exp(i theta) zeta)| before hardy_z refuses the value;
@@ -60,11 +60,6 @@ _COUNT_EVALS = 64
 #: a zero count farther than this from an integer is refused
 _COUNT_TOL = 1e-6
 
-#: the most terms a scan may sum: its Z and zeta evaluations (_check_scan)
-#: times the reference's n at t_max. The widest scan under the default
-#: config needs under 2^18, and a large n_base or window_C cannot hang one
-_MAX_SCAN_TERMS = 2**27
-
 
 def riemann_siegel_theta(t: float) -> float:
     """theta(t) = Im log Gamma(1/4 + i t / 2) - (t / 2) ln pi, for t > 0."""
@@ -73,7 +68,7 @@ def riemann_siegel_theta(t: float) -> float:
     return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
 
 
-def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
+def hardy_z(t: float) -> float:
     """Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)], leakage checked.
 
     Raises DomainError unless 0 < t <= T_CEILING, and PrecisionError if the
@@ -81,7 +76,7 @@ def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
     """
     if not 0 < t <= T_CEILING:
         raise DomainError(f"hardy_z is supported for t in (0, {T_CEILING}], got {t}")
-    w = cmath.exp(1j * riemann_siegel_theta(t)) * zeta_hat_reference(complex(0.5, t), cfg)
+    w = cmath.exp(1j * riemann_siegel_theta(t)) * zeta_hat_reference(complex(0.5, t))
     if abs(w.imag) > IM_LEAK_LIMIT:
         raise PrecisionError(
             f"imaginary leakage {abs(w.imag):.3e} exceeds {IM_LEAK_LIMIT} at t={t}"
@@ -89,7 +84,7 @@ def hardy_z(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
     return w.real
 
 
-def zero_count(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
+def zero_count(t: float) -> float:
     """N(t), the number of zeros with 0 < Im rho <= t, unrounded.
 
     N(t) = theta(t) / pi + 1 + arg zeta(1/2 + i t) / pi, the argument
@@ -109,7 +104,7 @@ def zero_count(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
 
     def f(sigma: float) -> complex:
         z = complex(sigma, t)
-        value = (z - 1.0) * zeta_hat_reference(z, cfg)
+        value = (z - 1.0) * zeta_hat_reference(z)
         if value == 0:
             raise DomainError(f"zeta vanishes on the zero count's path at z={z}")
         return value
@@ -135,9 +130,9 @@ def zero_count(t: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> float:
     return riemann_siegel_theta(t) / math.pi + 1.0 + arg_zeta / math.pi
 
 
-def _checked_count(t: float, cfg: EulerMaclaurinConfig) -> int:
+def _checked_count(t: float) -> int:
     """zero_count(t), refused with DomainError unless within _COUNT_TOL of an integer."""
-    count = zero_count(t, cfg)
+    count = zero_count(t)
     if not (math.isfinite(count) and abs(count - round(count)) <= _COUNT_TOL):
         raise DomainError(f"the zero count at t={t} is {count!r}, not an integer")
     return round(count)
@@ -148,24 +143,20 @@ def _theta_slope(t: float) -> float:
     return 0.5 * math.log(t / TWO_PI) - 1.0 / (48.0 * t**2) - 7.0 / (1920.0 * t**4)
 
 
-def _gram_indices(t_min: float, t_max: float) -> range:
-    """The j whose Gram point g_j lies in (t_min, t_max): j pi strictly
-    between theta's values at the window's ends on the rising branch."""
-    lo = max(t_min, _THETA_RISES)
-    if not lo < t_max:
-        return range(0)
-    j_first = math.floor(riemann_siegel_theta(lo) / math.pi) + 1
-    return range(j_first, math.ceil(riemann_siegel_theta(t_max) / math.pi))
-
-
 def _gram_points(t_min: float, t_max: float) -> list[float]:
     """The Gram points in (t_min, t_max), increasing: theta(g_j) = j pi on
-    theta's rising branch, each by Newton from the one above it (the highest
+    theta's rising branch, for each j pi strictly between theta's values at
+    the window's ends, each by Newton from the one above it (the highest
     from t_max). theta is convex there, so every Newton step from the right
     stays right of its root; a point that does not land strictly between
     t_min and the point above it is left out."""
+    lo = max(t_min, _THETA_RISES)
+    if not lo < t_max:
+        return []
+    j_first = math.floor(riemann_siegel_theta(lo) / math.pi) + 1
+    j_end = math.ceil(riemann_siegel_theta(t_max) / math.pi)
     points, t = [], t_max
-    for j in reversed(_gram_indices(t_min, t_max)):
+    for j in reversed(range(j_first, j_end)):
         for _ in range(_GRAM_STEPS):
             dt = (riemann_siegel_theta(t) - j * math.pi) / _theta_slope(t)
             t -= dt
@@ -187,9 +178,7 @@ def _itp_steps(width: float) -> int:
     return max(0, math.ceil(math.log2(width / BRACKET_WIDTH)) + _ITP_N0 + 1)
 
 
-def _bisect(
-    t_lo: float, z_lo: float, t_hi: float, z_hi: float, cfg: EulerMaclaurinConfig
-) -> tuple[float, float]:
+def _bisect(t_lo: float, z_lo: float, t_hi: float, z_hi: float) -> tuple[float, float]:
     """Refine one bracket by ITP; returns (lo, hi).
 
     z_lo and z_hi are Z at t_lo and t_hi, and (t_lo, t_hi] holds a zero
@@ -216,7 +205,7 @@ def _bisect(
         if not abs(x - mid) <= r:
             x = mid - sigma * r
         x = min(max(x, math.nextafter(t_lo, t_hi)), math.nextafter(t_hi, t_lo))
-        z_x = hardy_z(x, cfg)
+        z_x = hardy_z(x)
         if _holds_zero(z_lo, z_x):
             t_hi, z_hi = x, z_x
         else:
@@ -225,47 +214,28 @@ def _bisect(
     return t_lo, t_hi
 
 
-def _check_scan(t_min: float, t_max: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG) -> int:
-    """A bound on the scan's Z and zeta evaluations; DomainError unless
-    0 < t_min < t_max <= T_CEILING (a NaN fails the comparisons) and the bound
-    times the reference's n at t_max is at most _MAX_SCAN_TERMS.
-
-    The bound counts the two ends, the Gram points, ITP's steps plus the
-    residual for each bracket (a bracket lies between neighbouring scan
-    points, so it is at most t_max - t_min wide, and there is at most one
-    per gap) and the step limit of both zero counts. It reads theta but
-    evaluates no Z.
-    """
+def _check_scan(t_min: float, t_max: float) -> None:
+    """DomainError unless 0 < t_min < t_max <= T_CEILING; a NaN fails the
+    comparisons."""
     if not 0 < t_min < t_max <= T_CEILING:
         raise DomainError(f"need 0 < t_min < t_max <= {T_CEILING}, got ({t_min}, {t_max})")
-    gram = len(_gram_indices(t_min, t_max))
-    evaluations = 2 + gram + (gram + 1) * (_itp_steps(t_max - t_min) + 1) + 2 * _COUNT_EVALS
-    n = cfg.reference_n(t_max)
-    if evaluations * n > _MAX_SCAN_TERMS:
-        raise DomainError(
-            f"a scan of up to {evaluations} evaluations at n={n} may sum over "
-            f"{_MAX_SCAN_TERMS} terms"
-        )
-    return evaluations
 
 
-def find_zeros(
-    t_min: float, t_max: float, cfg: EulerMaclaurinConfig = DEFAULT_CONFIG
-) -> list[ZeroRecord]:
+def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     """The zeros rho = 1/2 + i t with t in (t_min, t_max], each refined by ITP.
 
     Z is evaluated at t_min, the Gram points between and t_max. Each sign
     change between neighbours is a bracket, and there must be
     N(t_max) - N(t_min) of them (zero_count). Raises DomainError, before
-    any Z evaluation, for a window or config _check_scan refuses, and after
+    any Z evaluation, for a window _check_scan refuses, and after
     the scan if |Z| at a scan point is not above IM_LEAK_LIMIT (its sign
     backs no count), if a count is not an integer or if the brackets do not
     match the count. Returns records ordered and 1-indexed by increasing t.
     Deterministic for identical inputs.
     """
-    _check_scan(t_min, t_max, cfg)
+    _check_scan(t_min, t_max)
     t = [t_min, *_gram_points(t_min, t_max), t_max]
-    z = [hardy_z(x, cfg) for x in t]
+    z = [hardy_z(x) for x in t]
     for x, z_x in zip(t, z):
         if not abs(z_x) > IM_LEAK_LIMIT:
             raise DomainError(
@@ -275,7 +245,7 @@ def find_zeros(
     brackets = [
         (a, z_a, b, z_b) for a, z_a, b, z_b in zip(t, z, t[1:], z[1:]) if _holds_zero(z_a, z_b)
     ]
-    count = _checked_count(t_max, cfg) - _checked_count(t_min, cfg)
+    count = _checked_count(t_max) - _checked_count(t_min)
     if len(brackets) != count:
         raise DomainError(
             f"Z changes sign {len(brackets)} times on ({t_min}, {t_max}], but the "
@@ -283,9 +253,9 @@ def find_zeros(
         )
     records = []
     for k, bracket in enumerate(brackets, start=1):
-        lo, hi = _bisect(*bracket, cfg)
+        lo, hi = _bisect(*bracket)
         t_zero = 0.5 * (lo + hi)
         rho = complex(0.5, t_zero)
-        residual = abs(zeta_hat_reference(rho, cfg))
+        residual = abs(zeta_hat_reference(rho))
         records.append(ZeroRecord(k, t_zero, rho, (lo, hi), residual))
     return records

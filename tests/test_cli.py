@@ -19,14 +19,12 @@ from zetascope.cli import (
     REPORT_SCHEMA,
     ZEROS_CSV_COLUMNS,
     format_value,
-    load_config,
     main,
     parse_complex,
     read_zeros_csv,
     write_zeros_csv,
 )
-from zetascope.errors import ConfigError, ZetascopeError
-from zetascope.euler_maclaurin import EulerMaclaurinConfig
+from zetascope.errors import ZetascopeError
 from zetascope.zeros import ZeroRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,8 +70,7 @@ class TestProcess:
     def test_zeros_loads_no_claim_modules(self, tmp_path):
         # a scan needs neither the claims nor the functional equation, nor
         # the numpy partial sums; its records are named tuples, its
-        # Bernoulli numbers integer arithmetic, and without a config file it
-        # reads no JSON. The child runs without site-packages, which also
+        # Bernoulli numbers integer arithmetic, and it reads no JSON. The child runs without site-packages, which also
         # shows that the scan needs none
         argv = ["zeros", "--t-min", "14", "--t-max", "15", "--out", str(tmp_path / "z.csv")]
         codes, modules = self._modules_after(argv, site=False)
@@ -210,45 +207,6 @@ class TestFormatting:
 
     def test_small_magnitudes_use_exponent(self):
         assert "e" in format_value(complex(3.0e-9, 0.0))
-
-
-class TestConfig:
-    def test_defaults_without_env(self):
-        assert load_config(env={}) == EulerMaclaurinConfig()
-
-    def test_dotted_keys_overlay(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"em.depth": 6, "em.window_C": 3.0}))
-        em = load_config(env={"ZETASCOPE_CONFIG": str(path)})
-        assert (em.depth, em.window_C) == (6, 3.0)
-        assert em.n_base == 50  # untouched keys keep defaults
-        # the run settings are flags only: a file naming one is refused
-        path.write_text(json.dumps({"em.depth": 6, "n0": 128}))
-        with pytest.raises(ConfigError, match="unknown keys n0"):
-            load_config(env={"ZETASCOPE_CONFIG": str(path)})
-
-    def test_invalid_file_exits_usage(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        code = main(["eval", "--what", "zeta_n", "--z", "2"])
-        assert code == EXIT_USAGE
-        assert "config error" in capsys.readouterr().err
-
-    def test_invalid_file_is_config_error(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="line 1 column 2"):
-            load_config(env={"ZETASCOPE_CONFIG": str(path)})
-
-    def test_run_key_in_file_is_config_error(self, first_zero_csv, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n0": 128}))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        report = tmp_path / "r.json"
-        assert main(["verify", "--zeros", str(first_zero_csv), "--out", str(report)]) == EXIT_USAGE
-        assert "unknown keys n0" in capsys.readouterr().err
-        assert not report.exists()
 
 
 class TestEval:
@@ -431,13 +389,6 @@ class TestBoundaryProbes:
         assert f"malformed zeros file {path}, line 2" in err
         assert not report.exists()
 
-    def test_wrongly_typed_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"em.depth": "abc"}))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
-        assert "depth must be an integer, got 'abc'" in capsys.readouterr().err
-
     def test_report_without_results_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({"schema": REPORT_SCHEMA}))
@@ -451,12 +402,6 @@ class TestBoundaryProbes:
         assert main(["verify", "--zeros", str(path), "--out", str(report)]) == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
         assert not report.exists()
-
-    def test_deepest_remainder_config_evaluates(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"em.depth": 30, "em.target_rel_error": 1e-300}))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        assert main(["eval", "--what", "R_n", "--z", "2", "--n", "100"]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -489,19 +434,13 @@ class TestBoundaryProbes:
         assert flags[-1] in capsys.readouterr().err
         assert not out.exists()
 
-    def test_step_is_gone(self, tmp_path, monkeypatch, capsys):
-        # the scan has no step grid: the flag is a malformed command line and
-        # the config key an unknown key, and both exit 1
+    def test_step_is_gone(self, tmp_path, capsys):
+        # the scan has no step grid: the flag is a malformed command line
         out = tmp_path / "zeros.csv"
         with pytest.raises(SystemExit) as exc:
             main(["zeros", "--step", "0.05", "--out", str(out)])
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --step" in capsys.readouterr().err
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"step": 0.05}))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        assert main(["zeros", "--out", str(out)]) == EXIT_USAGE
-        assert "unknown keys step" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "-5", str(2**24 + 1)])
@@ -528,37 +467,52 @@ class TestBoundaryProbes:
         assert proc.returncode == EXIT_MODULE_ERROR
         assert proc.stderr.startswith("error: log_gamma needs Re z >= -4095.5")
 
-    @pytest.mark.parametrize(
-        "z,config",
-        [
-            ("0.5+1e9i", {}),
-            ("0.5+1e300i", {}),
-            # a window constant the config check allows
-            ("0.5+1e4i", {"em.window_C": 1e4}),
-        ],
-    )
-    def test_zeta_hat_past_the_cap_is_numerical_error_at_once(self, z, config, tmp_path):
-        # the reference would start from n >= 6.3e7; a child process, so a
+    @pytest.mark.parametrize("z", ["0.5+1e9i", "0.5+1e300i"])
+    def test_zeta_hat_past_the_cap_is_numerical_error_at_once(self, z, tmp_path):
+        # the reference would start from n >= 1.3e9; a child process, so a
         # hang fails on the timeout
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        proc = _spawn(["eval", "--what", "zeta_hat", "--z", z], tmp_path, ZETASCOPE_CONFIG=str(path))
+        proc = _spawn(["eval", "--what", "zeta_hat", "--z", z], tmp_path)
         assert proc.returncode == EXIT_MODULE_ERROR
         assert proc.stderr.startswith("error: n=")
         assert proc.stderr.rstrip().endswith("exceeds the configured cap 16777216")
+
+    @pytest.mark.parametrize(
+        "what,z,message",
+        [
+            # the start n is infinite: math.ceil raised OverflowError, and a
+            # finite n past the cap printed all of its 301 digits
+            ("zeta_hat", "360+1e308i", "n=inf exceeds the configured cap 16777216"),
+            ("zeta_hat", "0.5+1e300i", "n=1.27324e+300 exceeds the configured cap 16777216"),
+            # Gamma(1 - z) (2 pi)^(z - 1) passes the largest float: the final
+            # exp raised OverflowError
+            ("H_hat", "-22241", "H_hat overflows the floats at z=(-22241+0j)"),
+            ("H_hat", "-1000+3i", "H_hat overflows the floats at z=(-1000+3j)"),
+            ("H_hat", "-300+200i", "H_hat overflows the floats at z=(-300+200j)"),
+            # the sine's phase 2 w passes the floats: cmath.exp raised ValueError
+            ("H_hat", "-1e308+300i", "H_hat overflows the floats at z=(-1e+308+300j)"),
+            (
+                "H_hat",
+                "1e308+300i",
+                "log_gamma needs Re z >= -4095.5 (a lift of at most 4096 steps), "
+                "got z=(-1e+308-300j)",
+            ),
+        ],
+    )
+    def test_overflow_is_one_line_numerical_error(self, what, z, message, tmp_path):
+        proc = _spawn(["eval", "--what", what, f"--z={z}"], tmp_path)
+        assert (proc.returncode, proc.stdout) == (EXIT_MODULE_ERROR, "")
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_h_hat_far_right_underflows_to_zero(self, capsys):
+        # (z - 1)! passes the floats: math.lgamma raised OverflowError
+        assert main(["eval", "--what", "H_hat", "--z=1e308"]) == EXIT_OK
+        assert capsys.readouterr().out == "0\n"
 
     def test_h_hat_beyond_the_sine_overflow_evaluates(self, capsys):
         assert main(["eval", "--what", "H_hat", "--z", "0.5+500i"]) == EXIT_OK
         # on the critical line |H_hat| = 1
         value = parse_complex(capsys.readouterr().out.strip())
         assert abs(value) == pytest.approx(1.0, rel=1e-11)
-
-    def test_unknown_config_key_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"em.dpeth": 5, "doublngs": 2}))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
-        assert "unknown keys doublngs, em.dpeth" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -577,13 +531,6 @@ class TestBoundaryProbes:
                  "latin1": latin1}
         assert main([a.format(**names) for a in argv]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
-
-    def test_non_utf8_config_is_config_error(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_bytes(b'{"n0": "\xe9"}')
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
-        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -608,26 +555,6 @@ class TestBoundaryProbes:
         assert exc.value.code == EXIT_OK
         assert "usage: zetascope" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "key,argv",
-        [
-            ("em.window_C", ["zeros", "--t-min", "10", "--t-max", "20", "--out", "{out}"]),
-            ("em.target_rel_error", ["eval", "--what", "zeta_hat", "--z", "0.5+14.134725141734693i"]),
-        ],
-    )
-    def test_non_finite_config_value_is_config_error(self, key, argv, tmp_path, monkeypatch, capsys):
-        # JSON reads 1e400 as inf: the window overflowed math.ceil, and an
-        # infinite target stopped the remainder at once, with a wrong value
-        path = tmp_path / "cfg.json"
-        path.write_text(f'{{"{key}": 1e400}}')
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        out = tmp_path / "zeros.csv"
-        assert main([a.format(out=out) for a in argv]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err.startswith("config error:") and "finite" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
-
     def test_unparsable_point_is_usage_error(self, capsys):
         assert main(["eval", "--what", "zeta_n", "--z", "inf"]) == EXIT_USAGE
         assert "cannot parse complex value 'inf'" in capsys.readouterr().err
@@ -637,64 +564,29 @@ class TestBoundaryProbes:
         assert main(["eval", "--what", what, "--z", "2", "--n", str(2**24)]) == EXIT_USAGE
         assert f"--n must lie in [1, {2**23}], got {2**24}" in capsys.readouterr().err
 
-    def test_n_base_past_the_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"em.n_base": 10**8}))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        assert main(["eval", "--what", "zeta_hat", "--z", "2"]) == EXIT_USAGE
-        assert f"n_base must be in [10, {2**24}], got {10**8}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("config", [{"em.n_base": 2**24}, {"em.window_C": 1e5}])
-    def test_unbounded_scan_work_is_config_error_at_once(
-        self, config, tmp_path, monkeypatch, capsys
-    ):
-        def no_work(*args, **kwargs):
-            raise AssertionError("the scan's work was not bounded first")
-
-        monkeypatch.setattr(zeros_mod, "find_zeros", no_work)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
+    def test_scan_range_error_names_the_flags_that_set_it(self, tmp_path, capsys):
+        # the message says which flags to change
         out = tmp_path / "zeros.csv"
-        assert main(["zeros", "--out", str(out)]) == EXIT_USAGE
-        assert "may sum over 134217728 terms" in capsys.readouterr().err
+        assert main(["zeros", "--t-max", "200", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.rstrip().endswith("(the scan is set by --t-min and --t-max)")
         assert not out.exists()
 
-    def test_scan_work_error_names_the_keys_that_set_it(self, tmp_path, monkeypatch, capsys):
-        # the message says which flags and keys to change
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"em.window_C": 1e5}))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        out = tmp_path / "zeros.csv"
-        assert main(["zeros", "--out", str(out)]) == EXIT_USAGE
-        assert "--t-min, --t-max, em.n_base and em.window_C" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "config,argv",
-        [
-            # the window shifts n0 past what the doublings allow: 64 to 2^18 or
-            # more under window_C = 1e5, and 2 to 8 at t = 14.1 with 23 doublings
-            ({"em.window_C": 1e5}, []),
-            ({}, ["--n0", "2", "--doublings", "23"]),
-        ],
-    )
     def test_window_shift_past_the_cap_is_usage_error_at_once(
-        self, config, argv, first_zero_csv, tmp_path, monkeypatch, capsys
+        self, first_zero_csv, tmp_path, monkeypatch, capsys
     ):
+        # the window shifts n0 from 2 to 4 at t = 14.1, past what 23
+        # doublings allow
         def no_work(*args, **kwargs):
             raise AssertionError("the sweeps' reach was not checked first")
 
         monkeypatch.setattr(convergence, "_claims_for_zero", no_work)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
         report = tmp_path / "r.json"
-        argv = ["verify", "--zeros", str(first_zero_csv), "--out", str(report), *argv]
+        argv = ["verify", "--zeros", str(first_zero_csv), "--out", str(report),
+                "--n0", "2", "--doublings", "23"]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "zero 1 at t=14.13" in err and "exceeds the cap" in err
-        assert "--n0, --doublings and em.window_C" in err
+        assert err.rstrip().endswith("(the sweep is set by --n0 and --doublings)")
         assert not report.exists()
 
     def test_non_finite_ordinate_is_usage_error(self, tmp_path, capsys):
@@ -709,13 +601,6 @@ class TestBoundaryProbes:
         assert "line 2: ValueError(\"'nan' is not a finite number\")" in capsys.readouterr().err
         assert not report.exists()
 
-    def test_config_file_holding_an_array_is_config_error(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text("[1, 2]")
-        monkeypatch.setenv("ZETASCOPE_CONFIG", str(path))
-        assert main(["eval", "--what", "zeta_n", "--z", "2"]) == EXIT_USAGE
-        assert "must hold a JSON object" in capsys.readouterr().err
-
     def test_zeros_csv_lacking_a_column_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "zeros.csv"
         path.write_text("index,t,re_rho,im_rho,bracket_lo,bracket_hi\n1,14.1,0.5,14.1,14.1,14.1\n")
@@ -725,18 +610,15 @@ class TestBoundaryProbes:
         assert not report.exists()
 
     @pytest.mark.parametrize(
-        "argv,config",
+        "argv",
         [
-            (["verify", "--zeros", "{latin1}", "--out", "{dir}/r.json"], False),
-            (["eval", "--what", "zeta_n", "--z", "2"], True),
-            (["report", "--in", "{latin1}"], False),
+            ["verify", "--zeros", "{latin1}", "--out", "{dir}/r.json"],
+            ["report", "--in", "{latin1}"],
         ],
     )
-    def test_non_utf8_input_names_the_file(self, argv, config, tmp_path, monkeypatch, capsys):
+    def test_non_utf8_input_names_the_file(self, argv, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes(b'{"n0": "caf\xe9"}\n')
-        if config:
-            monkeypatch.setenv("ZETASCOPE_CONFIG", str(latin1))
         assert main([a.format(latin1=latin1, dir=tmp_path) for a in argv]) == EXIT_USAGE
         assert str(latin1) in capsys.readouterr().err
 

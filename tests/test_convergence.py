@@ -9,7 +9,6 @@ import pytest
 from zetascope.convergence import (
     C1_FIT_MAX_N,
     CLAIM_IDS,
-    IDENTITY_CFG,
     IDENTITY_NS,
     LIMIT_TOL,
     ClaimResult,
@@ -353,7 +352,7 @@ class TestSharedTable:
                 shared = _series_from_table(
                     quantity, RHO_1, ns[: doublings + 1], at_rho, at_mirror
                 )
-                alone = sweep(quantity, RHO_1, plan.n0, doublings, plan.cfg)
+                alone = sweep(quantity, RHO_1, plan.n0, doublings)
                 assert shared == alone, (quantity, doublings)
 
     @pytest.mark.parametrize("t", [14.134725141734694, 49.773832477672302, 77.1448400688748])
@@ -389,16 +388,19 @@ class TestSharedTable:
             assert (v.real.hex(), v.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_identity_claims_share_one_remainder_call(self, monkeypatch):
-        # C7 and C8 share one remainder per (n, 2n) identity point
-        calls = []
+        # C7 and C8 share one remainder per (n, 2n) identity point, each
+        # truncated shallow: depth 1, target 0.5
+        calls, truncations = [], []
 
-        def counting(z, n, cfg):
+        def counting(z, n, **truncation):
             calls.append(n)
-            return remainder_with_bound(z, n, cfg)
+            truncations.append(truncation)
+            return remainder_with_bound(z, n, **truncation)
 
         monkeypatch.setattr(convergence, "remainder_with_bound", counting)
         rows = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))
         assert calls == [256, 512, 1024, 2048, 4096, 8192]
+        assert truncations == [{"depth": 1, "target_rel_error": 0.5}] * 6
         assert [r.passed for r in rows if r.claim in ("C7", "C8")] == [True, True]
 
     def test_identity_sums_equal_standalone(self):
@@ -552,12 +554,15 @@ class TestGateMargins:
         two_pow = complex_pow_base_real(2.0, RHO_1 - 1.0)
         bound_at = {}
         for n in IDENTITY_NS:
-            r_n, r_2n = (remainder_with_bound(RHO_1, m, IDENTITY_CFG).value for m in (n, 2 * n))
+            r_n, r_2n = (
+                remainder_with_bound(RHO_1, m, depth=1, target_rel_error=0.5).value
+                for m in (n, 2 * n)
+            )
             err = abs(at(RHO_1, n) - (-weight * r_2n + two_pow * r_n))
             bound_at[2 * n] = err / multiple
 
-        def stub(z, m, cfg):
-            return remainder_with_bound(z, m, cfg)._replace(bound=bound_at.get(m, 0.0))
+        def stub(z, m, **truncation):
+            return remainder_with_bound(z, m, **truncation)._replace(bound=bound_at.get(m, 0.0))
 
         monkeypatch.setattr(convergence, "remainder_with_bound", stub)
         row = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))[

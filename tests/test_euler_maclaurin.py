@@ -15,10 +15,13 @@ from zetascope.errors import (
 )
 from zetascope import euler_maclaurin
 from zetascope.euler_maclaurin import (
-    DEFAULT_CONFIG,
-    EulerMaclaurinConfig,
+    N_BASE,
+    WINDOW_C,
     RemainderResult,
     _leading_terms,
+    _partial_sum,
+    max_im,
+    reference_n,
     remainder,
     remainder_with_bound,
     zeta_hat_reference,
@@ -32,54 +35,66 @@ PI2_6 = math.pi**2 / 6.0
 ZETA_HALF = -1.46035450880958681288949915252  # frozen high-precision value
 
 
-class TestConfig:
-    def test_defaults_valid(self):
-        cfg = EulerMaclaurinConfig()
-        assert cfg.depth == 10 and cfg.n_base == 50
-
+class TestTruncationArguments:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"depth": 0},
             {"depth": 31},
-            {"n_base": 5},
             {"target_rel_error": 0.0},
             {"target_rel_error": math.inf},
             {"target_rel_error": math.nan},
-            {"window_C": 1.0},
-            {"window_C": math.inf},
-            {"window_C": math.nan},
-            # the type rule the config file once had to itself
+            {"target_rel_error": -1e-12},
             {"target_rel_error": True},
-            {"window_C": "2"},
+            {"target_rel_error": "1e-12"},
+            {"target_rel_error": None},
+            {"depth": "10"},
+            {"depth": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
-            EulerMaclaurinConfig(**kwargs)
+            remainder_with_bound(2.0, 10, **kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"depth": 2.5}, {"n_base": 50.5}, {"depth": True}])
-    def test_rejects_non_integer_fields_at_construction(self, kwargs):
-        # before the check, these failed only at first use (or, for True, ran as depth 1)
-        (name, value), = kwargs.items()
-        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
-            EulerMaclaurinConfig(**kwargs)
+    @pytest.mark.parametrize("depth", [2.5, True])
+    def test_rejects_non_integer_depth(self, depth):
+        # refused by type, not only by range: True would run as depth 1
+        with pytest.raises(ConfigError, match=f"depth must be an integer, got {depth!r}"):
+            remainder_with_bound(2.0, 10, depth=depth)
+
+    def test_truncation_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            remainder_with_bound(2.0, 10, 4)
 
 
 class TestWindow:
     def test_real_axis_always_inside(self):
-        assert 0.0 <= EulerMaclaurinConfig(window_C=2.0).max_im(10)
+        assert 0.0 <= max_im(10)
 
     def test_high_ordinate_outside(self):
-        assert not 100.0 <= EulerMaclaurinConfig(window_C=2.0).max_im(10)
+        assert not 100.0 <= max_im(10)
 
     def test_first_zero_ordinate_inside_small_n(self):
-        assert 14.13 <= EulerMaclaurinConfig(window_C=2.0).max_im(5)
+        assert 14.13 <= max_im(5)
+
+    def test_window_constant(self):
+        assert max_im(10) == 2.0 * math.pi * 10 / WINDOW_C and WINDOW_C == 2.0
+
+    def test_reference_n(self):
+        # the window met 4x over, at least N_BASE: 128 at t = 100, the scan's top
+        assert reference_n(0.0) == reference_n(-39.0) == N_BASE == 50
+        assert reference_n(100.0) == reference_n(-100.0) == 128
+        assert reference_n(2**24 * math.pi / 4) == 2**24
+
+    @pytest.mark.parametrize("im", [2**24 * math.pi / 4 * (1 + 1e-15), 1e300, math.inf, math.nan])
+    def test_reference_n_past_the_cap_refused_before_rounding(self, im):
+        with pytest.raises(DomainError, match=r"^n=\S+ exceeds the configured cap 16777216$"):
+            reference_n(im)
 
 
 class TestRemainder:
     def test_single_leading_term(self):
-        r = remainder(2.0 + 0.0j, 10, EulerMaclaurinConfig(depth=1))
+        r = remainder_with_bound(2.0 + 0.0j, 10, depth=1).value
         assert r.real == pytest.approx((2.0 / 12.0) * 10.0**-3, rel=1e-13)
 
     def test_closes_the_summation_formula(self):
@@ -97,8 +112,8 @@ class TestRemainder:
 
     def test_depth_stability(self):
         # two adjacent depths agree to the reported bound
-        a = remainder_with_bound(RHO_1, 2**8, EulerMaclaurinConfig(depth=4))
-        b = remainder_with_bound(RHO_1, 2**8, EulerMaclaurinConfig(depth=5))
+        a = remainder_with_bound(RHO_1, 2**8, depth=4)
+        b = remainder_with_bound(RHO_1, 2**8, depth=5)
         assert abs(a.value - b.value) <= 2.0 * a.bound
 
     def test_requires_positive_real_part(self):
@@ -111,14 +126,13 @@ class TestRemainder:
 
     def test_deepest_truncation_bounds_with_the_next_term(self):
         # at depth 30 the bound is the 31st term, B_62 (2)(3)...(62) / 62! 10^(-63)
-        cfg = EulerMaclaurinConfig(depth=30, target_rel_error=1e-300)
-        r = remainder_with_bound(2.0, 10, cfg)
+        r = remainder_with_bound(2.0, 10, depth=30, target_rel_error=1e-300)
         assert r.terms_used == 30
         assert r.bound == pytest.approx(abs(bernoulli_numbers(31)[30]) * 1e-63, rel=1e-12)
 
     def test_divergence_before_target_reported(self):
         with pytest.raises(PrecisionNotReachedError) as exc:
-            remainder(complex(0.5, 30.0), 10, EulerMaclaurinConfig(depth=30))
+            remainder_with_bound(complex(0.5, 30.0), 10, depth=30)
         assert exc.value.bound > 0
 
     def test_order_tracks_minus_one_minus_re_z(self):
@@ -204,13 +218,14 @@ class TestReference:
         [0.1 + 0.0j, 0.5 + 14.0j, 2.5 - 37.0j, 0.9 + 50.0j, 3.0 + 0.0j],
     )
     def test_n_independence(self, z):
-        cfg = EulerMaclaurinConfig()
-        a = zeta_hat_reference(z, cfg)
-        b = zeta_hat_reference(z, EulerMaclaurinConfig(n_base=113))
-        c = zeta_hat_reference(z, EulerMaclaurinConfig(n_base=400))
+        # the expansion summed at n = 113 and 400 gives the reference's value
+        # (at n = 50 or 64 here) to its target, 1e-12
+        a = zeta_hat_reference(z)
         scale = max(abs(a), 1e-6)
-        assert abs(a - b) <= 10.0 * cfg.target_rel_error * scale
-        assert abs(a - c) <= 10.0 * cfg.target_rel_error * scale
+        for n in (113, 400):
+            lead = _leading_terms(z, n)
+            b = _partial_sum(z, n) - lead.tail - lead.boundary + remainder(z, n)
+            assert abs(a - b) <= 10.0 * 1e-12 * scale, n
 
     def test_pole_and_domain(self):
         with pytest.raises(PoleError):
@@ -218,22 +233,15 @@ class TestReference:
         with pytest.raises(DomainError):
             zeta_hat_reference(complex(-0.2, 5.0))
 
-    @pytest.mark.parametrize(
-        "z,cfg",
-        [
-            (0.5 + 1e9j, DEFAULT_CONFIG),
-            (0.5 - 1e300j, DEFAULT_CONFIG),
-            (0.5 + 14.0j, EulerMaclaurinConfig(window_C=1e12)),
-        ],
-    )
-    def test_start_n_past_the_cap_refused_before_any_sum(self, z, cfg, monkeypatch):
+    @pytest.mark.parametrize("z", [0.5 + 1e9j, 0.5 - 1e300j, 360 + 1e308j])
+    def test_start_n_past_the_cap_refused_before_any_sum(self, z, monkeypatch):
         def no_work(*args):
             raise AssertionError("summed past the cap check")
 
         monkeypatch.setattr(euler_maclaurin, "_partial_sum", no_work)
         monkeypatch.setattr(euler_maclaurin, "remainder_with_bound", no_work)
         with pytest.raises(DomainError, match="exceeds the configured cap 16777216"):
-            zeta_hat_reference(z, cfg)
+            zeta_hat_reference(z)
 
     @pytest.mark.parametrize("z,n", [(2.0 + 0.0j, 64), (0.5 + 14.0j, 128), (0.7 - 25.0j, 256)])
     def test_difference_identity(self, z, n):
@@ -268,11 +276,11 @@ class TestReferenceArray:
         remainder_at = euler_maclaurin.remainder_with_bound
         seen = []
 
-        def diverge_once(z, n, cfg):
+        def diverge_once(z, n):
             seen.append(n)
             if len(seen) == 1:
                 raise PrecisionNotReachedError("diverged", value=0j, bound=1.0)
-            return remainder_at(z, n, cfg)
+            return remainder_at(z, n)
 
         monkeypatch.setattr(euler_maclaurin, "remainder_with_bound", diverge_once)
         z = complex(0.5, 40.0)
@@ -282,7 +290,7 @@ class TestReferenceArray:
         assert got == pytest.approx(zeta_hat_reference(z), rel=1e-11)
 
     def test_diverged_row_at_the_cap_raises(self, monkeypatch):
-        def always(z, n, cfg):
+        def always(z, n):
             if n > 60:
                 raise PrecisionNotReachedError("diverged", value=0j, bound=1.0)
             return RemainderResult(0j, 1.0, 0)
@@ -337,31 +345,31 @@ class TestPartialSumAgainstComplexExp:
         assert len(euler_maclaurin._LOGS) == euler_maclaurin._CHUNK
 
 
-def _loop_remainder(z: complex, n: int, cfg: EulerMaclaurinConfig):
+def _loop_remainder(z: complex, n: int, depth: int, target: float):
     """The recurrence written out, one term at a time: (value, bound, terms, diverged)."""
-    b2k = bernoulli_numbers(cfg.depth + 1)
+    b2k = bernoulli_numbers(depth + 1)
     acc, poch, prev_mod, k = 0j, z, math.inf, 1
     while True:
         term = b2k[k - 1] / math.factorial(2 * k) * poch * cmath.exp(-(z + 2 * k - 1) * math.log(n))
         mod = abs(term)
-        if mod >= prev_mod or k > cfg.depth:
-            diverged = mod >= prev_mod and mod > cfg.target_rel_error * abs(acc)
+        if mod >= prev_mod or k > depth:
+            diverged = mod >= prev_mod and mod > target * abs(acc)
             return acc, mod, k - 1, diverged
         acc += term
         prev_mod = mod
-        if mod <= cfg.target_rel_error * abs(acc):
+        if mod <= target * abs(acc):
             return acc, mod, k, False
         poch *= (z + (2 * k - 1)) * (z + 2 * k)
         k += 1
 
 
-def _remainder_parts(z: complex, n: int, cfg: EulerMaclaurinConfig):
+def _remainder_parts(z: complex, n: int, depth: int, target: float):
     """remainder_with_bound as (value, bound, terms, diverged); a diverged
     sum carries no terms count, so it reports the loop's."""
     try:
-        r = remainder_with_bound(z, n, cfg)
+        r = remainder_with_bound(z, n, depth=depth, target_rel_error=target)
     except PrecisionNotReachedError as exc:
-        return exc.value, exc.bound, _loop_remainder(z, n, cfg)[2], True
+        return exc.value, exc.bound, _loop_remainder(z, n, depth, target)[2], True
     return r.value, r.bound, r.terms_used, False
 
 
@@ -381,11 +389,10 @@ class TestRemainderRowsAgainstLoop:
     )
     @settings(max_examples=60, deadline=None)
     def test_each_row_follows_its_own_stopping_rule(self, rows, depth, target):
-        cfg = EulerMaclaurinConfig(depth=depth, target_rel_error=target)
         rows = [(complex(re, im), n) for re, im, n in rows if abs(im) <= math.pi * n]
         for zi, ni in rows:
-            got = _remainder_parts(zi, ni, cfg)
-            want = _loop_remainder(zi, ni, cfg)
+            got = _remainder_parts(zi, ni, depth, target)
+            want = _loop_remainder(zi, ni, depth, target)
             assert got[2:] == want[2:]
             assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
             assert got[1] == pytest.approx(want[1], rel=1e-13)
@@ -408,13 +415,12 @@ class TestRemainderRowsAgainstLoop:
         """At |Im z| = pi n and depth 30 the Pochhammer product grows fast
         from n = 2^16 on; no warning escapes, and each sum stops as the
         written-out loop does."""
-        cfg = EulerMaclaurinConfig(depth=30, target_rel_error=target)
         for re, sign, n in rows:
-            z = complex(re, sign * cfg.max_im(n))
+            z = complex(re, sign * max_im(n))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = _remainder_parts(z, n, cfg)
-            want = _loop_remainder(z, n, cfg)
+                got = _remainder_parts(z, n, 30, target)
+            want = _loop_remainder(z, n, 30, target)
             assert got[2:] == want[2:]
             assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
             assert got[1] == pytest.approx(want[1], rel=1e-13)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from zetascope import functional_eq
 from zetascope.convergence import sweep
-from zetascope.errors import DegenerateRatioError, PoleError
+from zetascope.errors import DegenerateRatioError, DomainError, PoleError
 from zetascope.functional_eq import (
     Quantity,
     _ratio,
@@ -81,6 +81,41 @@ class TestExactFactor:
     def test_pole_at_one(self):
         with pytest.raises(PoleError):
             h_hat_exact(1.0 + 0.0j)
+
+    # the last two take the far-from-the-axis branch of log sin
+    @pytest.mark.parametrize(
+        "z",
+        [
+            -22241.0 + 0.0j,
+            complex(-1000.0, 3.0),
+            -260.5 + 0.0j,
+            complex(-300.0, 200.0),
+            complex(-1e308, 300.0),
+        ],
+    )
+    def test_overflow_is_a_domain_error_naming_z(self, z):
+        # Gamma(1 - z) (2 pi)^(z - 1) passes the largest float: the final
+        # exp overflowed with OverflowError, and at Re z = -1e308 the
+        # sine's phase 2 w with ValueError
+        with pytest.raises(DomainError) as exc:
+            h_hat_exact(z)
+        assert str(exc.value) == f"H_hat overflows the floats at z={z}"
+
+    def test_large_negative_reals_evaluate(self):
+        # 4.7e172 at -171.5, where Gamma(1 - z) alone passes the floats;
+        # -259.5 is still inside them
+        assert h_hat_exact(-171.5 + 0.0j).real == pytest.approx(4.739302330550294e172, rel=1e-12)
+        assert math.isfinite(abs(h_hat_exact(-259.5 + 0.0j)))
+
+    def test_far_right_underflows_or_is_refused(self):
+        # from z = 272 the value is 0 in floats; at an even z past 2.5e305,
+        # where (z - 1)! passes the floats, math.lgamma raised OverflowError
+        assert h_hat_exact(1e308 + 0.0j) == 0.0
+        assert h_hat_exact(2e305 + 0.0j) == 0.0
+        # off the axis, log_gamma refuses 1 - z before the sine's phase
+        # 2 w overflows (it raised ValueError)
+        with pytest.raises(DomainError, match=r"^log_gamma needs Re z >= "):
+            h_hat_exact(complex(1e308, 300.0))
 
     @given(t=st.floats(1.0, 45.0))
     @settings(max_examples=60)

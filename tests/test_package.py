@@ -41,6 +41,13 @@ def test_unknown_name_is_attribute_error():
     assert not hasattr(zetascope, "_bisect")
 
 
+def test_no_module_reads_the_environment():
+    # flags are the only way in: no environment variable sets anything
+    for path in sorted((ROOT / "src" / "zetascope").glob("*.py")):
+        text = path.read_text()
+        assert "environ" not in text and "getenv" not in text, path.name
+
+
 def test_only_series_imports_numpy():
     # so every other module a verify process runs is compiled before numpy
     # loads, and a scan, the exact evals and the CLI never load it

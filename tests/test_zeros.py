@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zetascope import zeros
 from zetascope.cli import EXIT_MODULE_ERROR, main
 from zetascope.errors import DomainError, PrecisionError
-from zetascope.euler_maclaurin import DEFAULT_CONFIG, EulerMaclaurinConfig
 from zetascope.zeros import (
     BRACKET_WIDTH,
     ZeroRecord,
@@ -110,8 +109,8 @@ class TestHardyZArray:
     def test_leakage_error_names_the_row(self, monkeypatch):
         reference = zeros.zeta_hat_reference
 
-        def leaky(z, cfg):
-            value = reference(z, cfg)
+        def leaky(z):
+            value = reference(z)
             return value * (1.0 + 1e-6j) if z.imag == 30.0 else value
 
         monkeypatch.setattr(zeros, "zeta_hat_reference", leaky)
@@ -142,20 +141,20 @@ class TestZeroCount:
     def test_count_off_an_integer_is_refused(self, monkeypatch):
         # a stubbed count half-way between 9 and 10 at t_max, and a NaN one
         for stub in (9.5, math.nan):
-            monkeypatch.setattr(zeros, "zero_count", lambda t, cfg, stub=stub: stub if t == 50 else 0.0)
+            monkeypatch.setattr(zeros, "zero_count", lambda t, stub=stub: stub if t == 50 else 0.0)
             with pytest.raises(DomainError, match="not an integer"):
                 find_zeros(10.0, 50.0)
 
     @pytest.mark.parametrize("off", [1e-5, -1e-5])
     def test_count_just_outside_the_tolerance_is_refused(self, off, monkeypatch):
         # N(50) = 10; a count 1e-5 from it is 10 times _COUNT_TOL away
-        monkeypatch.setattr(zeros, "zero_count", lambda t, cfg: 10.0 + off if t == 50 else 0.0)
+        monkeypatch.setattr(zeros, "zero_count", lambda t: 10.0 + off if t == 50 else 0.0)
         with pytest.raises(DomainError, match="not an integer"):
             find_zeros(10.0, 50.0)
 
     @pytest.mark.parametrize("off", [1e-7, -1e-7])
     def test_count_just_inside_the_tolerance_is_accepted(self, off, monkeypatch):
-        monkeypatch.setattr(zeros, "zero_count", lambda t, cfg: 10.0 + off if t == 50 else 0.0)
+        monkeypatch.setattr(zeros, "zero_count", lambda t: 10.0 + off if t == 50 else 0.0)
         assert len(find_zeros(10.0, 50.0)) == 10
 
     @pytest.mark.parametrize("t", [0.0, -1.0, 100.5, math.nan, math.inf])
@@ -165,7 +164,7 @@ class TestZeroCount:
 
     def test_steps_are_limited(self, monkeypatch):
         # an argument that turns faster than any step can follow
-        monkeypatch.setattr(zeros, "zeta_hat_reference", lambda z, cfg: cmath.exp(1e3j * z.real**2))
+        monkeypatch.setattr(zeros, "zeta_hat_reference", lambda z: cmath.exp(1e3j * z.real**2))
         with pytest.raises(DomainError, match="needs over 64 evaluations"):
             zero_count(20.0)
 
@@ -229,7 +228,7 @@ def _counted(monkeypatch, z):
     """Replace Z by z, recording each point it is evaluated at."""
     calls = []
 
-    def counted(t, cfg=DEFAULT_CONFIG):
+    def counted(t):
         calls.append(t)
         return z(t)
 
@@ -244,9 +243,8 @@ class TestLockstepBisection:
         # a bracket already narrower than BRACKET_WIDTH is returned as is,
         # while another is refined around the first zero
         narrow = (20.0, 20.0 + BRACKET_WIDTH / 2)
-        assert _bisect(narrow[0], hardy_z(narrow[0]), narrow[1], hardy_z(narrow[1]),
-                       DEFAULT_CONFIG) == narrow
-        lo, hi = _bisect(14.0, hardy_z(14.0), 14.3, hardy_z(14.3), DEFAULT_CONFIG)
+        assert _bisect(narrow[0], hardy_z(narrow[0]), narrow[1], hardy_z(narrow[1])) == narrow
+        lo, hi = _bisect(14.0, hardy_z(14.0), 14.3, hardy_z(14.3))
         assert hi - lo <= BRACKET_WIDTH
         assert 0.5 * (lo + hi) == pytest.approx(KNOWN_ZERO_T[0], abs=1e-9)
 
@@ -265,7 +263,7 @@ class TestLockstepBisection:
         # and its regula falsi point: the bracket keeps (1, 1.5] and ends as
         # narrow as any other
         _counted(monkeypatch, lambda t: sign * (t - 1.5))
-        lo, hi = _bisect(1.0, -0.5 * sign, 2.0, 0.5 * sign, DEFAULT_CONFIG)
+        lo, hi = _bisect(1.0, -0.5 * sign, 2.0, 0.5 * sign)
         assert lo < 1.5 <= hi
         assert hi - lo <= BRACKET_WIDTH
 
@@ -280,12 +278,12 @@ class TestLockstepBisection:
             a = 10.0 + 2.0 * k
             root = a + j / 2.0**d
 
-            def z_of(t, cfg=None, root=root, sign=sign, power=power):
+            def z_of(t, root=root, sign=sign, power=power):
                 return sign * (t - root) ** power
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(zeros, "hardy_z", z_of)
-                lo, hi = _bisect(a, z_of(a), a + 1.0, z_of(a + 1.0), DEFAULT_CONFIG)
+                lo, hi = _bisect(a, z_of(a), a + 1.0, z_of(a + 1.0))
             want = _reference_itp(a, a + 1.0, z_of)
             assert (lo.hex(), hi.hex()) == (want[0].hex(), want[1].hex())
             assert lo < root <= hi
@@ -299,7 +297,7 @@ class TestLockstepBisection:
         calls = _counted(monkeypatch, hardy_z)
         for bracket in brackets:
             del calls[:]
-            lo, hi = _bisect(*bracket, DEFAULT_CONFIG)
+            lo, hi = _bisect(*bracket)
             assert len(calls) <= 10
             assert hi - lo <= BRACKET_WIDTH
 
@@ -315,15 +313,15 @@ class TestLockstepBisection:
     def test_steps_bounded_where_interpolation_fails(self, z, monkeypatch):
         # regula falsi crawls on these; ITP's projection keeps the bracket
         # to bisection's 40 steps on (1, 2] plus _ITP_N0, plus one step where
-        # rounding leaves the last width a few ulps above BRACKET_WIDTH: the
-        # bound _itp_steps gives the scan's work cap
+        # rounding leaves the last width a few ulps above BRACKET_WIDTH, the
+        # bound _itp_steps gives
         def bounded(t):
             if len(calls) > 100:
                 raise AssertionError("regula falsi crawls: the projection does not bound it")
             return z(t)
 
         calls = _counted(monkeypatch, bounded)
-        lo, hi = _bisect(1.0, z(1.0), 2.0, z(2.0), DEFAULT_CONFIG)
+        lo, hi = _bisect(1.0, z(1.0), 2.0, z(2.0))
         assert len(calls) <= 40 + zeros._ITP_N0 + 1 == zeros._itp_steps(1.0)
         assert lo < hi and hi - lo <= BRACKET_WIDTH
 
@@ -332,21 +330,15 @@ def _with_pair(monkeypatch, a: float, b: float) -> None:
     """Z times (t - a)(t - b), two more zeros on the line, and the zero count
     that sees them."""
     hardy, count = zeros.hardy_z, zeros.zero_count
-    monkeypatch.setattr(
-        zeros, "hardy_z", lambda t, cfg=DEFAULT_CONFIG: hardy(t, cfg) * (t - a) * (t - b)
-    )
-    monkeypatch.setattr(
-        zeros, "zero_count", lambda t, cfg=DEFAULT_CONFIG: count(t, cfg) + (t > a) + (t > b)
-    )
+    monkeypatch.setattr(zeros, "hardy_z", lambda t: hardy(t) * (t - a) * (t - b))
+    monkeypatch.setattr(zeros, "zero_count", lambda t: count(t) + (t > a) + (t > b))
 
 
 def _with_lost_sign_change(monkeypatch) -> None:
     """Z with its sign flipped above t = 24, inside (g_1, g_2), which holds
     the zero at 25.01: the Gram points see one sign change fewer."""
     hardy = zeros.hardy_z
-    monkeypatch.setattr(
-        zeros, "hardy_z", lambda t, cfg=DEFAULT_CONFIG: hardy(t, cfg) * (1 if t < 24 else -1)
-    )
+    monkeypatch.setattr(zeros, "hardy_z", lambda t: hardy(t) * (1 if t < 24 else -1))
 
 
 class TestGramScan:
@@ -409,9 +401,7 @@ class TestGramScan:
     def test_unbacked_sign_is_refused(self, monkeypatch):
         # |Z| at a scan point within the leakage limit backs no count
         hardy = zeros.hardy_z
-        monkeypatch.setattr(
-            zeros, "hardy_z", lambda t, cfg=DEFAULT_CONFIG: 1e-10 if t == 50.0 else hardy(t, cfg)
-        )
+        monkeypatch.setattr(zeros, "hardy_z", lambda t: 1e-10 if t == 50.0 else hardy(t))
         with pytest.raises(DomainError, match=r"\|Z\(50.0\)\| = 1.000e-10 is not above"):
             find_zeros(10.0, 50.0)
 
@@ -504,33 +494,17 @@ class TestFindZeros:
         with pytest.raises(DomainError, match=r"need 0 < t_min < t_max <= 100"):
             zeros._check_scan(*args)
 
-    @pytest.mark.parametrize(
-        "cfg", [EulerMaclaurinConfig(n_base=2**24), EulerMaclaurinConfig(window_C=1e5)]
-    )
-    def test_unbounded_scan_work_refused(self, cfg, monkeypatch):
-        # up to 629 evaluations, each summing 2^24 or about 3.2e6 terms
-        with pytest.raises(DomainError, match="may sum over 134217728 terms"):
-            zeros._check_scan(10.0, 50.0, cfg)
+    def test_widest_window_is_checked_without_theta(self, monkeypatch):
+        # the check is the window's bounds alone: it reads no theta and no Z
+        def no_work(*args):
+            raise AssertionError("the check evaluated theta")
 
-        def no_work(t, cfg):
-            raise AssertionError("the scan's work was not bounded first")
-
-        monkeypatch.setattr(zeros, "hardy_z", no_work)
-        with pytest.raises(DomainError, match="terms"):
-            find_zeros(10.0, 50.0, cfg)
-
-    def test_largest_default_scan_work_allowed(self):
-        # the widest window: 30 Gram points and 31 gaps, each bracket up to
-        # 49 ITP steps and a residual, two counts of up to 64 evaluations,
-        # at n = 128, the reference's n at t = 100
-        assert DEFAULT_CONFIG.reference_n(100.0) == 128
-        evaluations = zeros._check_scan(1e-300, 100.0)
-        assert evaluations == 2 + 30 + 31 * (49 + 1) + 2 * 64
-        assert evaluations * 128 <= zeros._MAX_SCAN_TERMS
+        monkeypatch.setattr(zeros, "riemann_siegel_theta", no_work)
+        assert zeros._check_scan(1e-300, 100.0) is None
 
     def test_scan_evaluates_each_grid_point_once(self, monkeypatch):
         calls = _counted(monkeypatch, hardy_z)
-        monkeypatch.setattr(zeros, "_bisect", lambda t_lo, z_lo, t_hi, z_hi, cfg: (t_lo, t_hi))
+        monkeypatch.setattr(zeros, "_bisect", lambda t_lo, z_lo, t_hi, z_hi: (t_lo, t_hi))
         find_zeros(10.0123, 100.0)
         assert calls == [10.0123, *zeros._gram_points(10.0123, 100.0), 100.0]
         assert len(calls) == 31
@@ -541,7 +515,7 @@ class TestFindZeros:
 
     def test_window_below_the_rising_branch(self):
         # theta falls below t = 6.29: the window holds no Gram point at all
-        assert zeros._gram_indices(0.5, 5.0) == range(0)
+        assert zeros._gram_points(0.5, 5.0) == []
         assert find_zeros(0.5, 5.0) == []
 
     def test_record_type(self, scanned_zeros):
