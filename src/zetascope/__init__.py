@@ -24,7 +24,6 @@ _EXPORTS = {
     "remainder_with_bound": "euler_maclaurin",
     "zeta_hat_reference": "euler_maclaurin",
     "Quantity": "functional_eq",
-    "h_hat_exact": "functional_eq",
     "h_hat_n": "functional_eq",
     "h_n": "functional_eq",
     "small_g_2n": "functional_eq",
@@ -36,8 +35,9 @@ _EXPORTS = {
     "zeta_partial_derivative": "series",
     "bernoulli_numbers": "special",
     "complex_pow_base_real": "special",
+    "h_hat_exact": "special",
     "log_gamma": "special",
-    "ZeroRecord": "zeros",
+    "ZeroRecord": "special",
     "find_zeros": "zeros",
     "hardy_z": "zeros",
     "riemann_siegel_theta": "zeros",

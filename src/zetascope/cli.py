@@ -18,7 +18,7 @@ import zetascope
 
 from .errors import DomainError, ZetascopeError
 from .euler_maclaurin import remainder, zeta_hat_reference
-from .special import N_CAP, T_CEILING, ZeroRecord, h_hat_exact
+from .special import N_CAP, T_CEILING, ZeroRecord, _check_grid, h_hat_exact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,8 +108,6 @@ def format_value(v: complex) -> str:
 
 
 def cmd_eval(args) -> int:
-    if args.z is None:
-        raise UsageError("provide --z")
     z = parse_complex(args.z)
     if args.what not in _QUANTITIES:
         raise UsageError(
@@ -190,7 +188,7 @@ def cmd_verify(args) -> int:
     from . import convergence
 
     try:
-        plan = convergence.SweepPlan(n0=args.n0, doublings=args.doublings)
+        _check_grid(args.n0, args.doublings)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     out = _output(args.out)
@@ -199,7 +197,7 @@ def cmd_verify(args) -> int:
     if not records:
         raise UsageError(f"zeros file {zeros_path} holds no zeros")
     try:  # a zero that no sweep reaches is refused before any work
-        rows = convergence.verify_claims(records, plan)
+        rows = convergence.verify_claims(records, convergence.SweepPlan(args.n0, args.doublings))
     except DomainError as exc:
         raise UsageError(f"{exc} (the sweep is set by --n0 and --doublings)") from exc
     report = {
@@ -263,7 +261,7 @@ _REQUIRED = object()
 #: "-" read as "_"
 _COMMANDS = {
     "eval": (cmd_eval, "evaluate one quantity at a point", {
-        "--z": (str, None, "complex point, e.g. 0.5+14.13i or -0.7+40i"),
+        "--z": (str, _REQUIRED, "complex point, e.g. 0.5+14.13i or -0.7+40i"),
         "--what": (str, _REQUIRED, "quantity name: " + ", ".join(_QUANTITIES)),
         "--n": (int, 1024, "truncation length for finite sums"),
     }),
@@ -313,7 +311,7 @@ def _help(command: str | None):
             attr = _attribute(flag)
             if default is _REQUIRED:
                 note += " (required)"
-            elif default is not None:
+            else:
                 note += f" (default: {default})"
             lines.append(f"  {flag + ' ' + attr.upper():<24}{note}")
         lines.append("")

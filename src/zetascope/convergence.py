@@ -39,7 +39,7 @@ from .functional_eq import (
     _value,
 )
 from .series import RawSums, raw_sums_at
-from .special import N_CAP, ZeroRecord, _check_grid, _Checked, complex_pow_base_real, h_hat_exact
+from .special import N_CAP, ZeroRecord, _check_grid, complex_pow_base_real, h_hat_exact
 
 
 class ConvergenceSeries(namedtuple("ConvergenceSeries", ("quantity", "rho", "points"))):
@@ -66,13 +66,10 @@ class RatioLimit(namedtuple("RatioLimit", ("limit", "last_delta"))):
     __slots__ = ()
 
 
-class SweepPlan(_Checked, namedtuple("SweepPlan", ("n0", "doublings"), defaults=(64, 10))):
-    """Sweep geometry: n0 and doublings (ints)."""
+class SweepPlan(namedtuple("SweepPlan", ("n0", "doublings"), defaults=(64, 10))):
+    """Sweep geometry: n0 and doublings (ints), checked by the sweep that reads them."""
 
     __slots__ = ()
-
-    def _check(self):
-        _check_grid(self.n0, self.doublings)
 
 
 #: the n values of the identity checks (C7, C8)
@@ -112,11 +109,12 @@ def _sweep_ns(rho: complex, plan: SweepPlan) -> list[int]:
     """The n of a sweep at rho: n0 doubled until |Im rho| <= 2 pi n0 / C, the
     validity window, then doubled ``plan.doublings`` times.
 
-    Raises DomainError, before any work, once the shifted n0 passes
-    N_CAP >> doublings (as it does for a NaN or infinite Im rho). Warns once
-    when n0 moves; only the public functions call this, so the warning names
-    their caller's line.
+    Raises DomainError, before any work, for a plan _check_grid refuses and
+    once the shifted n0 passes N_CAP >> doublings (as it does for a NaN or
+    infinite Im rho). Warns once when n0 moves; only the public functions
+    call this, so the warning names their caller's line.
     """
+    _check_grid(plan.n0, plan.doublings)  # n0 = 0 would never meet the window
     n0 = plan.n0
     while not abs(rho.imag) <= max_im(n0):
         n0 *= 2

@@ -13,14 +13,6 @@ class PoleError(DomainError):
     """The requested point is a pole of the function being evaluated."""
 
 
-class ConfigError(ZetascopeError, ValueError):
-    """A configuration value violates its documented range."""
-
-
-class WindowError(ZetascopeError, ValueError):
-    """The (z, n) pair violates the Hardy-Littlewood validity window."""
-
-
 class PrecisionNotReachedError(ZetascopeError):
     """The asymptotic series started diverging before the accuracy target.
 

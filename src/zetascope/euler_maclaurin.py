@@ -26,13 +26,7 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    PoleError,
-    PrecisionNotReachedError,
-    WindowError,
-)
+from .errors import DomainError, PoleError, PrecisionNotReachedError
 from .special import N_CAP, TWO_PI, bernoulli_numbers, complex_pow_base_real
 
 #: terms per chunk of the reference's partial sum; bounds its memory at any n
@@ -57,22 +51,22 @@ def reference_n(im: float) -> int:
     rounding up, if that passes N_CAP (as it does for an infinite im)."""
     n = 4.0 * WINDOW_C * abs(im) / TWO_PI
     if not n <= N_CAP:
-        raise DomainError(f"n={n:g} exceeds the configured cap {N_CAP}")
+        raise DomainError(f"n={n:g} exceeds the cap {N_CAP}")
     return max(N_BASE, math.ceil(n))
 
 
 def _check_truncation(depth: int, target_rel_error: float) -> None:
-    """ConfigError unless depth is an int in [1, 30] and target_rel_error a
+    """DomainError unless depth is an int in [1, 30] and target_rel_error a
     positive, finite int or float; a bool, though Python counts it an int,
     is refused."""
     if isinstance(depth, bool) or not isinstance(depth, int):
-        raise ConfigError(f"depth must be an integer, got {depth!r}")
+        raise DomainError(f"depth must be an integer, got {depth!r}")
     if isinstance(target_rel_error, bool) or not isinstance(target_rel_error, (int, float)):
-        raise ConfigError(f"target_rel_error must be a number, got {target_rel_error!r}")
+        raise DomainError(f"target_rel_error must be a number, got {target_rel_error!r}")
     if not 1 <= depth <= 30:
-        raise ConfigError(f"depth must be in [1, 30], got {depth}")
+        raise DomainError(f"depth must be in [1, 30], got {depth}")
     if not 0 < target_rel_error < math.inf:
-        raise ConfigError(
+        raise DomainError(
             f"target_rel_error must be positive and finite, got {target_rel_error}"
         )
 
@@ -148,17 +142,17 @@ def remainder_with_bound(
     target_rel_error; the reported bound is the modulus of the first term
     not added (standard practice for a divergent asymptotic series). A term
     that does not shrink, or term depth + 1, stops the sum unadded. Raises
-    ConfigError for a depth or target _check_truncation refuses, DomainError
-    unless Re z > 0, WindowError outside the validity window, and
-    PrecisionNotReachedError, carrying the partial value and its bound, if
-    the series starts growing before the target accuracy is met.
+    DomainError for a depth or target _check_truncation refuses, unless
+    Re z > 0, and outside the validity window; and PrecisionNotReachedError,
+    carrying the partial value and its bound, if the series starts growing
+    before the target accuracy is met.
     """
     _check_truncation(depth, target_rel_error)
     z = complex(z)
     if not z.real > 0:
         raise DomainError(f"remainder requires Re z > 0, got {z}")
     if not abs(z.imag) <= max_im(n):
-        raise WindowError(
+        raise DomainError(
             f"|Im z|={abs(z.imag):.6g} exceeds the window 2*pi*{n}/{WINDOW_C}"
         )
     coeff = _coefficients(depth)

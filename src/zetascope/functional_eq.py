@@ -5,8 +5,7 @@ sums tables at rho and at 1 - rho; ``_tables`` builds the smallest tables a
 quantity reads, and ``_mirror`` is the one rule for the table at 1 - rho. The
 sweeps and claims in ``convergence`` and the one-point functions below all
 read these, so each formula is written once; the Euler-Maclaurin terms they
-read are ``euler_maclaurin._leading_terms``'s. h_hat_exact, the exact
-factor H_hat_n tends to, is ``special``'s, read from here too.
+read are ``euler_maclaurin._leading_terms``'s.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from enum import Enum
 from .errors import DegenerateRatioError, DomainError
 from .euler_maclaurin import _leading_terms
 from .series import RawSums, _hat, _hat_prime, raw_sums_at
-from .special import h_hat_exact  # public here too: zetascope.h_hat_exact reads it from here
 
 #: denominator moduli below this raise DegenerateRatioError
 DENOMINATOR_FLOOR = 1e-300

@@ -4,10 +4,10 @@ Everything here is a pure function of its arguments: complex powers of a
 positive real base, the log-gamma function, Bernoulli numbers from integer
 tangent numbers, and h_hat_exact, the functional-equation factor H_hat. It
 also holds N_CAP, the cap on every n, the checks of one n and of the dyadic
-grid a sweep sums to, _Checked, the check of a record's values, and the zero
-scan's T_CEILING and ZeroRecord. So the modules without numpy (the reference
-evaluator, the zero scan, the CLI) read them without loading the partial
-sums, and the claims read the zeros' record without loading the scan.
+grid a sweep sums to, and the zero scan's T_CEILING and ZeroRecord. So the
+modules without numpy (the reference evaluator, the zero scan, the CLI) read
+them without loading the partial sums, and the claims read the zeros' record
+without loading the scan. Every refused argument raises DomainError.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import ConfigError, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 #: hard cap on n; keeps every sum at desk scale
 N_CAP = 2**24
@@ -57,7 +57,7 @@ def _check_n(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if n > N_CAP:
-        raise DomainError(f"n={n} exceeds the configured cap {N_CAP}")
+        raise DomainError(f"n={n} exceeds the cap {N_CAP}")
 
 
 def _check_grid(n0: int, doublings: int) -> None:
@@ -77,20 +77,6 @@ class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket", "resi
     (float), rho (complex), bracket (lo, hi) and residual |zeta(rho)| (float)."""
 
     __slots__ = ()
-
-
-class _Checked:
-    """Mixin for a namedtuple record whose _check raises on a bad value, on
-    construction and on _replace (which builds by _make, skipping __init__)."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        self._check()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def complex_pow_base_real(k: float, z: complex) -> complex:
@@ -186,9 +172,10 @@ def bernoulli_numbers(m: int) -> tuple[float, ...]:
     """(B_2, B_4, ..., B_{2m}), exact then rounded once: B_2k = (-1)^(k-1) 2k
     T_k / (4^k (4^k - 1)), one int/int division, with the tangent numbers T_k
     by Brent and Harvey's integer recurrence (2013). m reaches 31 because a
-    30-term remainder bounds its error with term 31."""
-    if not isinstance(m, int) or not 1 <= m <= 31:
-        raise ConfigError(f"bernoulli depth must be an integer in [1, 31], got {m}")
+    30-term remainder bounds its error with term 31. DomainError unless m
+    is an int in [1, 31]; a bool is refused."""
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= 31:
+        raise DomainError(f"bernoulli depth must be an integer in [1, 31], got {m!r}")
     t = [0, *(math.factorial(k - 1) for k in range(1, m + 1))]  # (k-1)!; the sweeps make T_k
     for k in range(2, m + 1):
         for j in range(k, m + 1):

@@ -21,9 +21,8 @@ from zetascope.convergence import (
     sweep,
 )
 from zetascope.euler_maclaurin import zeta_hat_reference
-from zetascope.functional_eq import h_hat_exact
 from zetascope.series import zeta_hat_partial
-from zetascope.special import complex_pow_base_real
+from zetascope.special import complex_pow_base_real, h_hat_exact
 
 from conftest import KNOWN_ZERO_T
 

@@ -1,16 +1,21 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from zetascope import convergence, zeros as zeros_mod
+from zetascope import cli, convergence, zeros as zeros_mod
 from zetascope.cli import (
     EXIT_CLAIMS_FAILED,
     EXIT_MODULE_ERROR,
@@ -230,8 +235,10 @@ class TestEval:
         assert capsys.readouterr().out.splitlines()[0] == "1.000000000000000"
 
     def test_missing_point_is_usage_error(self, capsys):
-        assert main(["eval", "--what", "zeta_n"]) == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", "--what", "zeta_n"])
+        assert exited.value.code == EXIT_USAGE
+        assert "required: --z" in capsys.readouterr().err
 
     def test_unknown_quantity_is_usage_error(self, capsys):
         assert main(["eval", "--what", "nope", "--z", "2"]) == EXIT_USAGE
@@ -474,15 +481,15 @@ class TestBoundaryProbes:
         proc = _spawn(["eval", "--what", "zeta_hat", "--z", z], tmp_path)
         assert proc.returncode == EXIT_MODULE_ERROR
         assert proc.stderr.startswith("error: n=")
-        assert proc.stderr.rstrip().endswith("exceeds the configured cap 16777216")
+        assert proc.stderr.rstrip().endswith("exceeds the cap 16777216")
 
     @pytest.mark.parametrize(
         "what,z,message",
         [
             # the start n is infinite: math.ceil raised OverflowError, and a
             # finite n past the cap printed all of its 301 digits
-            ("zeta_hat", "360+1e308i", "n=inf exceeds the configured cap 16777216"),
-            ("zeta_hat", "0.5+1e300i", "n=1.27324e+300 exceeds the configured cap 16777216"),
+            ("zeta_hat", "360+1e308i", "n=inf exceeds the cap 16777216"),
+            ("zeta_hat", "0.5+1e300i", "n=1.27324e+300 exceeds the cap 16777216"),
             # Gamma(1 - z) (2 pi)^(z - 1) passes the largest float: the final
             # exp raised OverflowError
             ("H_hat", "-22241", "H_hat overflows the floats at z=(-22241+0j)"),
@@ -641,3 +648,81 @@ class TestBoundaryProbes:
         out = out.format(absent=tmp_path / "absent", dir=tmp_path)
         assert main([a.format(out=out, csv=first_zero_csv) for a in argv]) == EXIT_USAGE
         assert out in capsys.readouterr().err
+
+
+#: the number grammar of the boundary fuzzer: non-finite values, signed
+#: zeros, the float extremes, huge ints, underscores, non-ASCII digits and
+#: near-numbers
+_NUMBERS = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "Infinity", "0", "-0", "0.0", "-0.0",
+    "1e308", "-1e308", "1e309", "5e-324", "-5e-324", "2.2250738585072014e-308",
+    "1", "-1", "2", "0.5", "14.134725", "100", "16777216", "16777217",
+    str(10**30), "9" * 400, "1_000", "1__0", "_1", "١٢", "１２",
+    "٣.٥", "", " ", "1e", "0x10",
+])
+#: complex points: a number of the grammar, or a sum of two with an i or j
+_POINTS = st.one_of(
+    _NUMBERS,
+    st.builds(
+        "{}{}{}{}".format, _NUMBERS, st.sampled_from(["+", "-", ""]), _NUMBERS,
+        st.sampled_from(["i", "j"]),
+    ),
+)
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command of cli._COMMANDS with each required flag and some of the
+    others, as --flag value or --flag=value: a quantity name for --what, a
+    number of the grammar for a numeric flag, else a point (paths too)."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for flag, (kind, default, _) in cli._COMMANDS[command][2].items():
+        if default is cli._REQUIRED or draw(st.booleans()):
+            if flag == "--what":
+                value = draw(st.sampled_from(sorted(cli._QUANTITIES)))
+            else:
+                value = draw(_POINTS if kind is str else _NUMBERS)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def _overran(signum, frame):
+    pytest.fail("a fuzzed command ran past its time budget")
+
+
+class TestBoundaryFuzz:
+    """Any command line the flags' table admits exits through a documented
+    code: 0-3 from main, or SystemExit 0 or 1 from the parser."""
+
+    #: seconds one call may take; a pass to N_CAP terms takes about 1.5 s
+    BUDGET = 10
+
+    @example(argv=["eval", "--what", "H_hat", "--z=-22241"])
+    @example(argv=["eval", "--what", "zeta_hat", "--z=-22241"])
+    @example(argv=["eval", "--what", "H_hat", "--z=360+1e308i"])
+    @example(argv=["eval", "--what", "zeta_hat", "--z=360+1e308i"])
+    @example(argv=["eval", "--what", "H_hat", "--z=1e308+300i"])
+    @example(argv=["eval", "--what", "zeta_hat", "--z=1e308+300i"])
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_command_lines())
+    def test_exits_through_a_documented_code(self, argv, tmp_path):
+        workdir = tempfile.mkdtemp(dir=tmp_path)  # every file a call writes lands here
+        cwd, err = os.getcwd(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _overran)
+        signal.alarm(self.BUDGET)
+        try:
+            os.chdir(workdir)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    assert exc.code in (EXIT_OK, EXIT_USAGE), argv
+                else:
+                    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MODULE_ERROR, EXIT_CLAIMS_FAILED)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            os.chdir(cwd)
+        assert "Traceback" not in err.getvalue(), argv

@@ -33,9 +33,9 @@ from zetascope import convergence, functional_eq, series
 from zetascope.cli import read_zeros_csv
 from zetascope.errors import DegenerateRatioError, DegenerateSeriesError, DomainError
 from zetascope.euler_maclaurin import remainder_with_bound
-from zetascope.functional_eq import h_hat_exact, h_hat_n, small_g_2n, small_h_2n
+from zetascope.functional_eq import h_hat_n, small_g_2n, small_h_2n
 from zetascope.series import N_CAP, raw_sums_at, zeta_hat_partial
-from zetascope.special import complex_pow_base_real
+from zetascope.special import complex_pow_base_real, h_hat_exact
 from zetascope.zeros import ZeroRecord
 
 from conftest import KNOWN_ZERO_T, RHO_1
@@ -87,21 +87,22 @@ class TestSweep:
         with pytest.raises(DomainError, match="validity window"):
             sweep(Quantity.ZETA_HAT_AT_RHO, complex(0.5, im), n0=64, doublings=4)
 
-    @pytest.mark.parametrize("n0", [0, -4, True])
-    def test_bad_n0_rejected(self, n0):
-        with pytest.raises(DomainError):
-            sweep(Quantity.ZETA_HAT_AT_RHO, RHO_1, n0=n0, doublings=4)
-
-    @pytest.mark.parametrize("n0,doublings", [(64, 100_000), (64, 19), (N_CAP, 4), (64, 4.0)])
-    def test_grid_checked_before_any_work(self, n0, doublings):
-        # 2^100000 is never built: the check compares n0 with N_CAP >> doublings
+    @pytest.mark.parametrize(
+        "n0,doublings",
+        [(0, 4), (-4, 4), (True, 4), (64, 100_000), (64, 19), (N_CAP, 4), (64, 4.0)],
+    )
+    def test_grid_checked_before_any_work(self, monkeypatch, n0, doublings):
+        # 2^100000 is never built: the check compares n0 with N_CAP >> doublings;
+        # n0 = 0 would never meet the window
+        calls = _count_passes(monkeypatch)
         with pytest.raises(DomainError):
             sweep(Quantity.ZETA_HAT_AT_RHO, RHO_1, n0=n0, doublings=doublings)
         with pytest.raises(DomainError):
-            SweepPlan(n0=n0, doublings=doublings)
+            verify_claims([_zero(RHO_1.imag)], SweepPlan(n0=n0, doublings=doublings))
+        assert calls == []
 
     def test_grid_reaching_the_cap_is_accepted(self):
-        assert SweepPlan(n0=64, doublings=18).doublings == 18
+        assert _sweep_ns(RHO_1, SweepPlan(n0=64, doublings=18))[-1] == N_CAP
         assert _sweep_ns(RHO_1, SweepPlan(n0=N_CAP >> 4, doublings=4))[-1] == N_CAP
 
 

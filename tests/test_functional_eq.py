@@ -11,14 +11,13 @@ from zetascope.functional_eq import (
     Quantity,
     _ratio,
     _value,
-    h_hat_exact,
     h_hat_n,
     h_n,
     small_g_2n,
     small_h_2n,
 )
 from zetascope.series import RawSums, xi_partial, zeta_hat_partial, zeta_partial
-from zetascope.special import complex_pow_base_real
+from zetascope.special import complex_pow_base_real, h_hat_exact
 
 from conftest import RHO_1
 

@@ -30,7 +30,7 @@ def test_import_loads_no_module():
 def test_each_name_is_the_defining_module_object():
     for name in zetascope.__all__:
         obj = getattr(zetascope, name)
-        assert obj.__module__.startswith("zetascope."), name
+        assert obj.__module__ == "zetascope." + zetascope._EXPORTS[name], name
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
         assert name in dir(zetascope), name
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zetascope.errors import ConfigError, DomainError, PoleError
+from zetascope.errors import DomainError, PoleError
 from zetascope.special import (
     bernoulli_numbers,
     complex_pow_base_real,
@@ -190,9 +190,10 @@ class TestBernoulli:
         assert t[0] == pytest.approx(1.0 / 6.0, rel=1e-15)
         assert t[1] == pytest.approx(-1.0 / 30.0, rel=1e-15)
 
-    @pytest.mark.parametrize("m", [0, -1, 32])
+    @pytest.mark.parametrize("m", [0, -1, 32, True, 2.0])
     def test_depth_out_of_range(self, m):
-        with pytest.raises(ConfigError):
+        # True is refused by type: it would run as depth 1
+        with pytest.raises(DomainError, match=f"got {m!r}$"):
             bernoulli_numbers(m)
 
     def test_against_zeta_oracle(self):
