@@ -81,8 +81,11 @@ def _output(name: str) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Accepts '2', '0.5+14.1i', '-1.5-3e-2i' (i or j suffix)."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    """Accepts '2', '0.5+14.1i', '-1.5-3e-2i', 'inf' (i or j suffix; only a
+    trailing i is the imaginary unit, so 'inf' and '1+infi' keep their i)."""
+    cleaned = text.strip().replace(" ", "")
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError as exc:
@@ -143,16 +146,21 @@ def _finite(text: str) -> float:
 
 
 def read_zeros_csv(path) -> list[ZeroRecord]:
-    """The records of a zeros CSV; UsageError if a row is malformed or a
-    number in it is not finite."""
+    """The records of a zeros CSV; UsageError if a row is malformed (a field
+    past csv's size limit too) or a number in it is not finite."""
     import csv  # only verify reads a zeros file
 
     records = []
     reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
-    missing = [c for c in ZEROS_CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    try:
+        columns, rows = reader.fieldnames or (), list(reader)
+    except csv.Error as exc:
+        line = reader.line_num + 1  # the first line of the record it stopped in
+        raise UsageError(f"malformed zeros file {path}, line {line}: {exc!r}") from exc
+    missing = [c for c in ZEROS_CSV_COLUMNS if c not in columns]
     if missing:
         raise UsageError(f"zeros file {path} lacks the columns {', '.join(missing)}")
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(rows, start=2):
         try:
             records.append(
                 ZeroRecord(
@@ -171,12 +179,11 @@ def read_zeros_csv(path) -> list[ZeroRecord]:
 def cmd_zeros(args) -> int:
     from . import zeros as zeros_mod  # only a scan loads the scan
 
-    try:
-        zeros_mod._check_scan(args.t_min, args.t_max)
+    out = _output(args.out)
+    try:  # a failed scan is a NumericalError: every DomainError is the window
+        records = zeros_mod.find_zeros(args.t_min, args.t_max)
     except DomainError as exc:
         raise UsageError(f"{exc} (the scan is set by --t-min and --t-max)") from exc
-    out = _output(args.out)
-    records = zeros_mod.find_zeros(args.t_min, args.t_max)
     write_zeros_csv(records, out)
     print(len(records))
     return EXIT_OK
@@ -239,7 +246,7 @@ def cmd_report(args) -> int:
             )
             widths = [max(w, len(c)) for w, c in zip(widths, line)]
             table.append(line)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # deep nesting too
         raise UsageError(f"malformed report {path}: {exc!r}") from exc
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     print(fmt.format(*header))

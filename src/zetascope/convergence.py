@@ -28,7 +28,7 @@ import warnings
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import DegenerateSeriesError, DomainError
+from .errors import DomainError, NumericalError
 from .euler_maclaurin import _leading_terms, max_im, remainder_with_bound
 from .functional_eq import (
     Quantity,
@@ -83,7 +83,7 @@ def _pow_1_minus_2rho(n: int, rho: complex) -> complex:
 
 def _normalized(series: ConvergenceSeries) -> ConvergenceSeries:
     """``series`` with each value divided by n^(1-2 rho), the growth H_hat_n
-    and H_n share; DegenerateRatioError where n^(1-2 rho) underflows."""
+    and H_n share; NumericalError where n^(1-2 rho) underflows."""
     points = tuple(
         (n, _ratio(v, _pow_1_minus_2rho(n, series.rho), series.quantity))
         for n, v in series.points
@@ -162,10 +162,10 @@ def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
     dy = y - mean(y). math.log and math.fsum only: no numpy, and each sum is
     correctly rounded, so the fit rounds alike on every Python."""
     if len(series.points) < 4:
-        raise DegenerateSeriesError("power-law fit needs at least 4 points")
+        raise DomainError("power-law fit needs at least 4 points")
     mods = [abs(v) for v in series.values()]
     if any(m == 0.0 for m in mods):
-        raise DegenerateSeriesError("power-law fit hit a zero-modulus point")
+        raise NumericalError("power-law fit hit a zero-modulus point")
     x = [math.log(n) for n in series.ns()]
     y = [math.log(m) for m in mods]
     x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
@@ -183,7 +183,7 @@ def ratio_limit(series: ConvergenceSeries) -> RatioLimit:
     reported, however large.
     """
     if len(series.points) < 4:
-        raise DegenerateSeriesError("ratio limit needs at least 4 points")
+        raise DomainError("ratio limit needs at least 4 points")
     (_, prev), (_, last) = series.points[-2:]
     denom = abs(last)
     delta = abs(last - prev) / denom if denom > 0 else math.inf

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types: a refused argument is a DomainError, a failed computation a NumericalError."""
 
 
 class ZetascopeError(Exception):
@@ -13,7 +13,12 @@ class PoleError(DomainError):
     """The requested point is a pole of the function being evaluated."""
 
 
-class PrecisionNotReachedError(ZetascopeError):
+class NumericalError(ZetascopeError):
+    """A computation failed on an accepted argument: a sum overflowed, a value
+    leaked or vanished, or the zero count did not back the scan."""
+
+
+class PrecisionNotReachedError(NumericalError):
     """The asymptotic series started diverging before the accuracy target.
 
     Carries the best achieved truncation bound in ``bound`` and the partial
@@ -24,19 +29,3 @@ class PrecisionNotReachedError(ZetascopeError):
         super().__init__(message)
         self.value = value
         self.bound = bound
-
-
-class SumOverflowError(ZetascopeError, OverflowError):
-    """A partial sum left the finite floats."""
-
-
-class PrecisionError(ZetascopeError):
-    """A quantity that must be real carries too much imaginary leakage."""
-
-
-class DegenerateRatioError(ZetascopeError, ZeroDivisionError):
-    """The denominator of a ratio fell below functional_eq.DENOMINATOR_FLOOR in modulus."""
-
-
-class DegenerateSeriesError(ZetascopeError, ValueError):
-    """A convergence series cannot be fitted or extrapolated (zero modulus or too few points)."""

@@ -143,9 +143,9 @@ def remainder_with_bound(
     not added (standard practice for a divergent asymptotic series). A term
     that does not shrink, or term depth + 1, stops the sum unadded. Raises
     DomainError for a depth or target _check_truncation refuses, unless
-    Re z > 0, and outside the validity window; and PrecisionNotReachedError,
-    carrying the partial value and its bound, if the series starts growing
-    before the target accuracy is met.
+    0 < Re z < inf, and outside the validity window; and
+    PrecisionNotReachedError, carrying the partial value and its bound, if
+    the series starts growing before the target accuracy is met.
     """
     _check_truncation(depth, target_rel_error)
     z = complex(z)
@@ -155,6 +155,8 @@ def remainder_with_bound(
         raise DomainError(
             f"|Im z|={abs(z.imag):.6g} exceeds the window 2*pi*{n}/{WINDOW_C}"
         )
+    if z.real == math.inf:  # each term would be nan
+        raise DomainError(f"remainder needs a finite z, got {z}")
     coeff = _coefficients(depth)
     ln_n = math.log(n)
     acc, poch, prev, k = 0j, z, math.inf, 1

@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from enum import Enum
 
-from .errors import DegenerateRatioError, DomainError
+from .errors import DomainError, NumericalError
 from .euler_maclaurin import _leading_terms
 from .series import RawSums, _hat, _hat_prime, raw_sums_at
 
-#: denominator moduli below this raise DegenerateRatioError
+#: denominator moduli below this raise NumericalError
 DENOMINATOR_FLOOR = 1e-300
 
 
@@ -64,7 +64,7 @@ def _tables(
 
 def _ratio(num: complex, den: complex, quantity: Quantity) -> complex:
     if abs(den) < DENOMINATOR_FLOOR:
-        raise DegenerateRatioError(
+        raise NumericalError(
             f"{quantity.value}: denominator modulus below {DENOMINATOR_FLOOR:g}"
         )
     return num / den

@@ -51,7 +51,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import DomainError, SumOverflowError
+from .errors import DomainError, NumericalError
 from .euler_maclaurin import _leading_terms
 from .special import N_CAP, _check_n
 
@@ -140,8 +140,8 @@ def _sums(z: complex, ns: np.ndarray, components: int) -> np.ndarray:
     """The first ``components`` (4 or 6) real sums of z to each n of ``ns``,
     sorted, unique, positive and at most N_CAP, as out[j]. Each chunk is
     summed at the n it holds and at its end, and its end carries the pass
-    into the next chunk as a double-double. Raises SumOverflowError (an
-    OverflowError) if a sum leaves the finite floats.
+    into the next chunk as a double-double. Raises NumericalError if a sum
+    leaves the finite floats.
     """
     ns = ns.tolist()
     out = np.empty((len(ns), components))
@@ -169,7 +169,7 @@ def _sums(z: complex, ns: np.ndarray, components: int) -> np.ndarray:
             carry_err = (s - (carry - virtual)) + (small - virtual)
             i = end
     if not all(map(math.isfinite, out.ravel().tolist())):
-        raise SumOverflowError(f"partial sum overflowed at z={z}")
+        raise NumericalError(f"partial sum overflowed at z={z}")
     return out
 
 
@@ -179,8 +179,8 @@ def raw_sums_at(
     """The sums at each checkpoint, from one ascending pass.
 
     ``checkpoints`` must be positive integers; they are deduplicated and
-    visited in increasing order. Raises SumOverflowError (an OverflowError)
-    if a sum leaves the finite floats.
+    visited in increasing order. Raises NumericalError if a sum leaves the
+    finite floats.
     """
     z = complex(z)
     if not cmath.isfinite(z):

@@ -8,7 +8,7 @@ first fails at g_126, near t = 282.5; Brent, Math. Comp. 33, 1979), so about
 30 points stand in for a grid. Nothing rests on Gram's law, though: the
 sign changes found must number N(t_max) - N(t_min), where N is the zero
 count by the argument principle (zero_count; Backlund, see Edwards,
-Riemann's Zeta Function, ch. 6), and a mismatch raises DomainError. So a
+Riemann's Zeta Function, ch. 6), and a mismatch raises NumericalError. So a
 close pair of zeros inside one interval, or a lost sign change, fails
 loudly instead of going missing. ITP (_bisect) then refines each bracket
 (t_lo, t_hi] that holds a zero (_holds_zero), one bracket at a time.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, NumericalError
 from .euler_maclaurin import zeta_hat_reference
 from .special import T_CEILING, TWO_PI, ZeroRecord, log_gamma
 
@@ -71,14 +71,14 @@ def riemann_siegel_theta(t: float) -> float:
 def hardy_z(t: float) -> float:
     """Z(t) = Re[exp(i theta(t)) zeta(1/2 + i t)], leakage checked.
 
-    Raises DomainError unless 0 < t <= T_CEILING, and PrecisionError if the
+    Raises DomainError unless 0 < t <= T_CEILING, and NumericalError if the
     imaginary part exceeds IM_LEAK_LIMIT.
     """
     if not 0 < t <= T_CEILING:
         raise DomainError(f"hardy_z is supported for t in (0, {T_CEILING}], got {t}")
     w = cmath.exp(1j * riemann_siegel_theta(t)) * zeta_hat_reference(complex(0.5, t))
     if abs(w.imag) > IM_LEAK_LIMIT:
-        raise PrecisionError(
+        raise NumericalError(
             f"imaginary leakage {abs(w.imag):.3e} exceeds {IM_LEAK_LIMIT} at t={t}"
         )
     return w.real
@@ -95,9 +95,9 @@ def zero_count(t: float) -> float:
     exactly. Each step's change of argument is the principal argument of
     f(next) / f(previous), and a step is halved while that exceeds
     _COUNT_ARG_STEP. The result is an integer up to rounding wherever
-    zeta(1/2 + i t) != 0. Raises DomainError unless 0 < t <= T_CEILING, if zeta
-    vanishes on the path, or if the steps need more than _COUNT_EVALS
-    evaluations.
+    zeta(1/2 + i t) != 0. Raises DomainError unless 0 < t <= T_CEILING, and
+    NumericalError if zeta vanishes on the path or the steps need more than
+    _COUNT_EVALS evaluations.
     """
     if not 0 < t <= T_CEILING:
         raise DomainError(f"the zero count is supported for t in (0, {T_CEILING}], got {t}")
@@ -106,7 +106,7 @@ def zero_count(t: float) -> float:
         z = complex(sigma, t)
         value = (z - 1.0) * zeta_hat_reference(z)
         if value == 0:
-            raise DomainError(f"zeta vanishes on the zero count's path at z={z}")
+            raise NumericalError(f"zeta vanishes on the zero count's path at z={z}")
         return value
 
     width = (2.0 - 0.5) / _COUNT_STEPS
@@ -117,7 +117,7 @@ def zero_count(t: float) -> float:
         s, v = pending.pop()
         if v is None:
             if evals == _COUNT_EVALS:
-                raise DomainError(
+                raise NumericalError(
                     f"the zero count at t={t} needs over {_COUNT_EVALS} evaluations"
                 )
             v, evals = f(s), evals + 1
@@ -131,10 +131,10 @@ def zero_count(t: float) -> float:
 
 
 def _checked_count(t: float) -> int:
-    """zero_count(t), refused with DomainError unless within _COUNT_TOL of an integer."""
+    """zero_count(t); NumericalError unless it is within _COUNT_TOL of an integer."""
     count = zero_count(t)
     if not (math.isfinite(count) and abs(count - round(count)) <= _COUNT_TOL):
-        raise DomainError(f"the zero count at t={t} is {count!r}, not an integer")
+        raise NumericalError(f"the zero count at t={t} is {count!r}, not an integer")
     return round(count)
 
 
@@ -227,10 +227,10 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     Z is evaluated at t_min, the Gram points between and t_max. Each sign
     change between neighbours is a bracket, and there must be
     N(t_max) - N(t_min) of them (zero_count). Raises DomainError, before
-    any Z evaluation, for a window _check_scan refuses, and after
-    the scan if |Z| at a scan point is not above IM_LEAK_LIMIT (its sign
-    backs no count), if a count is not an integer or if the brackets do not
-    match the count. Returns records ordered and 1-indexed by increasing t.
+    any Z evaluation, for a window _check_scan refuses, and NumericalError
+    after the scan if |Z| at a scan point is not above IM_LEAK_LIMIT (its
+    sign backs no count), if a count is not an integer or if the brackets do
+    not match the count. Returns records ordered and 1-indexed by increasing t.
     Deterministic for identical inputs.
     """
     _check_scan(t_min, t_max)
@@ -238,7 +238,7 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     z = [hardy_z(x) for x in t]
     for x, z_x in zip(t, z):
         if not abs(z_x) > IM_LEAK_LIMIT:
-            raise DomainError(
+            raise NumericalError(
                 f"|Z({x})| = {abs(z_x):.3e} is not above the leakage limit "
                 f"{IM_LEAK_LIMIT}, so its sign backs no zero count"
             )
@@ -247,7 +247,7 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     ]
     count = _checked_count(t_max) - _checked_count(t_min)
     if len(brackets) != count:
-        raise DomainError(
+        raise NumericalError(
             f"Z changes sign {len(brackets)} times on ({t_min}, {t_max}], but the "
             f"zero count N(t_max) - N(t_min) is {count}"
         )

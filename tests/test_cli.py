@@ -183,6 +183,11 @@ class TestParsing:
             ("0.5+14.1j", complex(0.5, 14.1)),
             ("-1.5-3e-2i", complex(-1.5, -0.03)),
             (" 1 + 2i ", complex(1, 2)),
+            # only a trailing i is the imaginary unit: inf keeps its i
+            ("inf", complex(math.inf, 0)),
+            ("-inf", complex(-math.inf, 0)),
+            ("1+infi", complex(1, math.inf)),
+            ("infj", complex(0, math.inf)),
         ],
     )
     def test_complex_forms(self, text, expected):
@@ -402,6 +407,30 @@ class TestBoundaryProbes:
         assert main(["report", "--in", str(path)]) == EXIT_USAGE
         assert "results" in capsys.readouterr().err
 
+    def test_deeply_nested_report_is_usage_error(self, tmp_path, capsys):
+        # the decoder's RecursionError was a traceback
+        path = tmp_path / "report.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["report", "--in", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: malformed report {path}: RecursionError(")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_oversized_csv_field_is_usage_error(self, line, tmp_path, capsys):
+        # a field past csv's limit of 131,072 characters raised csv.Error, a
+        # traceback, from the header row or from a data row
+        lines = [",".join(ZEROS_CSV_COLUMNS), "1,14.1,0.5,14.1,0.0,14.1,14.1"]
+        lines[line - 1] += "9" * 131073
+        path = tmp_path / "zeros.csv"
+        path.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.json"
+        assert main(["verify", "--zeros", str(path), "--out", str(report)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"malformed zeros file {path}, line {line}: Error('field larger than" in err
+        assert err.count("\n") == 1
+        assert not report.exists()
+
     def test_zeros_file_without_zeros_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "zeros.csv"
         assert main(["zeros", "--t-min", "2", "--t-max", "13", "--out", str(path)]) == EXIT_OK
@@ -563,8 +592,29 @@ class TestBoundaryProbes:
         assert "usage: zetascope" in capsys.readouterr().out
 
     def test_unparsable_point_is_usage_error(self, capsys):
-        assert main(["eval", "--what", "zeta_n", "--z", "inf"]) == EXIT_USAGE
-        assert "cannot parse complex value 'inf'" in capsys.readouterr().err
+        assert main(["eval", "--what", "zeta_n", "--z", "1+2k"]) == EXIT_USAGE
+        assert "cannot parse complex value '1+2k'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "what,z",
+        [("zeta_n", z) for z in ("inf", "-inf", "1+infi", "infj", "1e309")]
+        + [("R_n", "inf"), ("R_n", "1e309")],
+    )
+    def test_infinite_point_is_numerical_error(self, what, z, capsys):
+        # inf is the value 1e309 rounds to: refused as not finite, not as
+        # unparsable; R_n at Re z = inf printed nan+nani and exited 0
+        assert main(["eval", "--what", what, "--z", z]) == EXIT_MODULE_ERROR
+        assert "finite" in capsys.readouterr().err
+
+    def test_failed_scan_is_numerical_error(self, tmp_path, capsys):
+        # the window is accepted, but it ends on the first zero, where |Z| backs
+        # no count: a failed computation exits 2, not the window's usage error
+        out = tmp_path / "zeros.csv"
+        argv = ["zeros", "--t-min", "10", "--t-max", "14.134725141734693", "--out", str(out)]
+        assert main(argv) == EXIT_MODULE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("what", ["h_2n", "g_2n"])
     def test_n_past_half_the_cap_is_usage_error_for_2n_sums(self, what, capsys):
@@ -670,6 +720,77 @@ _POINTS = st.one_of(
 )
 
 
+#: the input files a fuzzed verify or report call finds in its directory
+_ZEROS_FILE, _REPORT_FILE = "zeros.csv", "report.json"
+#: a field one character past csv's default limit
+_OVERSIZED = "9" * (131072 + 1)
+#: JSON nested past the decoder's recursion limit
+_DEEP = "[" * 100000 + "]" * 100000
+#: up to two (position, value) edits of a row, each value from the number grammar
+_EDITS = st.lists(st.tuples(st.integers(0, 7), _NUMBERS), max_size=2)
+
+
+def _edited(fields: tuple, edits: list) -> list:
+    """``fields`` with each (position, value) of ``edits`` written in."""
+    out = list(fields)
+    for at, value in edits:
+        out[at % len(out)] = value
+    return out
+
+
+#: a zeros CSV header: the columns, or them with one missing or one extra
+_CSV_HEADERS = st.one_of(st.just(ZEROS_CSV_COLUMNS), st.sampled_from([
+    *(ZEROS_CSV_COLUMNS[:i] + ZEROS_CSV_COLUMNS[i + 1:] for i in range(7)),
+    *(ZEROS_CSV_COLUMNS[:i] + ("extra",) + ZEROS_CSV_COLUMNS[i:] for i in range(8)),
+]))
+#: the first zero's row, which verify accepts, and one more field
+_CSV_ROW = ("1", "14.134725", "0.5", "14.134725", "0.0", "14.134725", "14.134725", "1")
+#: rows of a zeros CSV: _CSV_ROW edited, each a field short, whole or long
+_CSV_ROWS = st.lists(
+    st.builds(
+        lambda edits, width: _edited(_CSV_ROW, edits)[:width], _EDITS, st.sampled_from([7, 8, 6])
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _zeros_csvs(draw) -> str:
+    """A zeros CSV: a header and up to three rows, maybe one field oversized."""
+    lines = [list(draw(_CSV_HEADERS)), *draw(_CSV_ROWS)]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, 63))
+        line = lines[at % len(lines)]
+        line[at % len(line)] = _OVERSIZED
+    return "".join(",".join(line) + "\r\n" for line in lines)
+
+
+#: a report row's fields, and their values as JSON, as verify writes them
+_REPORT_KEYS = ("zero_index", "claim", "expected", "measured", "tolerance", "pass")
+_REPORT_VALUES = ("1", '"C1"', '"-1.5"', '"-1.49"', "0.15", "true")
+#: a report value: a number of the grammar as a token (which may not parse)
+#: or as a string, null or an empty container
+_JSON_VALUES = st.one_of(_NUMBERS, _NUMBERS.map(json.dumps), st.sampled_from(["null", "[]", "{}"]))
+#: report JSON: up to three rows, each with up to two values edited and
+#: maybe one field missing; or JSON nested past the decoder's limit, or an
+#: oversized number
+_REPORTS = st.one_of(
+    st.lists(
+        st.builds(
+            lambda edits, missing: "{%s}" % ", ".join(
+                f'"{k}": {v}'
+                for i, (k, v) in enumerate(zip(_REPORT_KEYS, _edited(_REPORT_VALUES, edits)))
+                if i != missing
+            ),
+            st.lists(st.tuples(st.integers(0, 5), _JSON_VALUES), max_size=2),
+            st.integers(0, 11),  # the field left out, if below 6
+        ),
+        max_size=3,
+    ).map(lambda rows: '{"schema": 1, "results": [%s]}' % ", ".join(rows)),
+    st.sampled_from([_DEEP, '{"results": [{"zero_index": %s}]}' % _OVERSIZED]),
+)
+
+
 @st.composite
 def _command_lines(draw) -> list[str]:
     """A command of cli._COMMANDS with each required flag and some of the
@@ -692,8 +813,9 @@ def _overran(signum, frame):
 
 
 class TestBoundaryFuzz:
-    """Any command line the flags' table admits exits through a documented
-    code: 0-3 from main, or SystemExit 0 or 1 from the parser."""
+    """Any command line the flags' table admits, and verify or report on any
+    generated zeros CSV or report JSON, exits through a documented code:
+    0-3 from main, or SystemExit 0 or 1 from the parser."""
 
     #: seconds one call may take; a pass to N_CAP terms takes about 1.5 s
     BUDGET = 10
@@ -704,11 +826,36 @@ class TestBoundaryFuzz:
     @example(argv=["eval", "--what", "zeta_hat", "--z=360+1e308i"])
     @example(argv=["eval", "--what", "H_hat", "--z=1e308+300i"])
     @example(argv=["eval", "--what", "zeta_hat", "--z=1e308+300i"])
+    @example(argv=["eval", "--what", "zeta_n", "--z", "inf"])
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=_command_lines())
     def test_exits_through_a_documented_code(self, argv, tmp_path):
+        self._run(argv, {}, tmp_path)
+
+    @example(argv=["report", "--in", _REPORT_FILE], files={_REPORT_FILE: _DEEP})
+    @example(argv=["verify", "--zeros", _ZEROS_FILE], files={_ZEROS_FILE: "index,t" + _OVERSIZED})
+    @example(argv=["verify", "--zeros", _ZEROS_FILE],
+             files={_ZEROS_FILE: ",".join(ZEROS_CSV_COLUMNS) + "\r\n1," + _OVERSIZED + "\r\n"})
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        argv=st.sampled_from([
+            [command, flag, name]
+            for command, flag in (("verify", "--zeros"), ("report", "--in"))
+            for name in (_ZEROS_FILE, _REPORT_FILE)
+        ]),
+        files=st.fixed_dictionaries({_ZEROS_FILE: _zeros_csvs(), _REPORT_FILE: _REPORTS}),
+    )
+    def test_input_files_exit_through_a_documented_code(self, argv, files, tmp_path):
+        self._run(argv, files, tmp_path)
+
+    def _run(self, argv, files, tmp_path):
+        """main(argv) within BUDGET seconds, in a fresh directory that holds
+        ``files`` (name -> text): a documented exit code, and no traceback."""
         workdir = tempfile.mkdtemp(dir=tmp_path)  # every file a call writes lands here
+        for name, text in files.items():
+            Path(workdir, name).write_text(text)
         cwd, err = os.getcwd(), io.StringIO()
         previous = signal.signal(signal.SIGALRM, _overran)
         signal.alarm(self.BUDGET)

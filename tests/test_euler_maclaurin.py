@@ -114,6 +114,11 @@ class TestRemainder:
         with pytest.raises(DomainError):
             remainder(complex(-0.5, 3.0), 100)
 
+    def test_infinite_real_part_is_refused(self):
+        # every term was nan, and the sum returned nan
+        with pytest.raises(DomainError, match=r"needs a finite z, got \(inf\+0j\)"):
+            remainder(complex(math.inf, 0.0), 100)
+
     def test_window_enforced(self):
         with pytest.raises(DomainError):
             remainder(complex(0.5, 90.0), 10)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zetascope import zeros
 from zetascope.cli import EXIT_MODULE_ERROR, main
-from zetascope.errors import DomainError, PrecisionError
+from zetascope.errors import DomainError, NumericalError
 from zetascope.zeros import (
     BRACKET_WIDTH,
     ZeroRecord,
@@ -114,7 +114,7 @@ class TestHardyZArray:
             return value * (1.0 + 1e-6j) if z.imag == 30.0 else value
 
         monkeypatch.setattr(zeros, "zeta_hat_reference", leaky)
-        with pytest.raises(PrecisionError, match=r"at t=30\.0$"):
+        with pytest.raises(NumericalError, match=r"at t=30\.0$"):
             hardy_z(30.0)
         assert type(hardy_z(20.0)) is float
 
@@ -142,14 +142,14 @@ class TestZeroCount:
         # a stubbed count half-way between 9 and 10 at t_max, and a NaN one
         for stub in (9.5, math.nan):
             monkeypatch.setattr(zeros, "zero_count", lambda t, stub=stub: stub if t == 50 else 0.0)
-            with pytest.raises(DomainError, match="not an integer"):
+            with pytest.raises(NumericalError, match="not an integer"):
                 find_zeros(10.0, 50.0)
 
     @pytest.mark.parametrize("off", [1e-5, -1e-5])
     def test_count_just_outside_the_tolerance_is_refused(self, off, monkeypatch):
         # N(50) = 10; a count 1e-5 from it is 10 times _COUNT_TOL away
         monkeypatch.setattr(zeros, "zero_count", lambda t: 10.0 + off if t == 50 else 0.0)
-        with pytest.raises(DomainError, match="not an integer"):
+        with pytest.raises(NumericalError, match="not an integer"):
             find_zeros(10.0, 50.0)
 
     @pytest.mark.parametrize("off", [1e-7, -1e-7])
@@ -165,7 +165,7 @@ class TestZeroCount:
     def test_steps_are_limited(self, monkeypatch):
         # an argument that turns faster than any step can follow
         monkeypatch.setattr(zeros, "zeta_hat_reference", lambda z: cmath.exp(1e3j * z.real**2))
-        with pytest.raises(DomainError, match="needs over 64 evaluations"):
+        with pytest.raises(NumericalError, match="needs over 64 evaluations"):
             zero_count(20.0)
 
 
@@ -361,7 +361,7 @@ class TestGramScan:
         # 20 and 20.01 sit with the zero at 21.02 in (g_0, g_1) = (17.85, 23.17):
         # no sign change at the Gram points shows them, but the count does
         _with_pair(monkeypatch, 20.0, 20.01)
-        with pytest.raises(DomainError, match="changes sign 10 times .* count .* is 12"):
+        with pytest.raises(NumericalError, match="changes sign 10 times .* count .* is 12"):
             find_zeros(10.0, 50.0)
 
     def test_pair_in_two_scan_gaps_is_found(self, monkeypatch):
@@ -373,7 +373,7 @@ class TestGramScan:
 
     def test_lost_sign_change_is_refused(self, monkeypatch):
         _with_lost_sign_change(monkeypatch)
-        with pytest.raises(DomainError, match="changes sign 9 times .* count .* is 10"):
+        with pytest.raises(NumericalError, match="changes sign 9 times .* count .* is 10"):
             find_zeros(10.0, 50.0)
 
     @pytest.mark.parametrize("stub", ["pair", "lost"])
@@ -402,7 +402,7 @@ class TestGramScan:
         # |Z| at a scan point within the leakage limit backs no count
         hardy = zeros.hardy_z
         monkeypatch.setattr(zeros, "hardy_z", lambda t: 1e-10 if t == 50.0 else hardy(t))
-        with pytest.raises(DomainError, match=r"\|Z\(50.0\)\| = 1.000e-10 is not above"):
+        with pytest.raises(NumericalError, match=r"\|Z\(50.0\)\| = 1.000e-10 is not above"):
             find_zeros(10.0, 50.0)
 
     @pytest.mark.parametrize("window", [(10.0, KNOWN_ZERO_T[0]), (KNOWN_ZERO_T[0], 20.0)])
@@ -410,7 +410,7 @@ class TestGramScan:
         # N(t) is not an integer at a zero, so an end there backs no count;
         # a window must end off the zeros it is to report
         match = rf"\|Z\({KNOWN_ZERO_T[0]}\)\| = .* is not above the leakage limit"
-        with pytest.raises(DomainError, match=match):
+        with pytest.raises(NumericalError, match=match):
             find_zeros(*window)
         out = tmp_path / "zeros.csv"
         args = ["--t-min", repr(window[0]), "--t-max", repr(window[1]), "--out", str(out)]
