@@ -49,15 +49,7 @@ _QUANTITIES = {
     "R_n": (lambda z, n: remainder(z, n), 1),
 }
 
-ZEROS_CSV_COLUMNS = (
-    "index",
-    "t",
-    "re_rho",
-    "im_rho",
-    "residual",
-    "bracket_lo",
-    "bracket_hi",
-)
+ZEROS_CSV_COLUMNS = ("index", "t", "re_rho", "im_rho", "bracket_lo", "bracket_hi")
 
 
 def _read_text(path) -> str:
@@ -133,7 +125,7 @@ def write_zeros_csv(records: list[ZeroRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(ZEROS_CSV_COLUMNS) + "\r\n")
         for r in records:
-            fields = (r.t, r.rho.real, r.rho.imag, r.residual, *r.bracket)
+            fields = (r.t, r.rho.real, r.rho.imag, *r.bracket)
             fh.write(",".join((str(r.index), *map(repr, fields))) + "\r\n")
 
 
@@ -147,7 +139,9 @@ def _finite(text: str) -> float:
 
 def read_zeros_csv(path) -> list[ZeroRecord]:
     """The records of a zeros CSV; UsageError if a row is malformed (a field
-    past csv's size limit too) or a number in it is not finite."""
+    past csv's size limit too) or a number in it is not finite. Other
+    columns are ignored, so a file with the residual column that the scan
+    once wrote still reads."""
     import csv  # only verify reads a zeros file
 
     records = []
@@ -168,7 +162,6 @@ def read_zeros_csv(path) -> list[ZeroRecord]:
                     t=_finite(row["t"]),
                     rho=complex(_finite(row["re_rho"]), _finite(row["im_rho"])),
                     bracket=(_finite(row["bracket_lo"]), _finite(row["bracket_hi"])),
-                    residual=_finite(row["residual"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, NumericalError, PoleError
 
 #: hard cap on n; keeps every sum at desk scale
 N_CAP = 2**24
@@ -72,9 +72,9 @@ def _check_grid(n0: int, doublings: int) -> None:
         raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
 
 
-class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket", "residual"))):
+class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket"))):
     """A refined on-line zero rho = 1/2 + i t: its 1-based index (int), t
-    (float), rho (complex), bracket (lo, hi) and residual |zeta(rho)| (float)."""
+    (float), rho (complex) and the bracket (lo, hi) that holds it."""
 
     __slots__ = ()
 
@@ -133,9 +133,9 @@ def h_hat_exact(z: complex) -> complex:
     special-cased: the sine zero makes the factor exactly 0 for z <= 0, and
     for positive even z it cancels the Gamma pole, leaving the finite limit
     (-1)^(z/2) (2 pi)^(z-1) pi / (z-1)!, which is 0 in floats from z = 272
-    on, also where (z-1)! itself passes them. Raises DomainError where the
-    value overflows the floats, as it does on the real axis from about
-    z = -260.2 leftwards, and where log_gamma refuses 1 - z.
+    on, also where (z-1)! itself passes them. Raises NumericalError where
+    the value overflows the floats, as it does on the real axis from about
+    z = -260.2 leftwards, and DomainError where log_gamma refuses 1 - z.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -165,7 +165,7 @@ def h_hat_exact(z: complex) -> complex:
             )
         return cmath.exp(LN_2 + log_gamma_1mz + (z - 1.0) * LN_TWO_PI + log_sin)
     except (OverflowError, ValueError) as exc:
-        raise DomainError(f"H_hat overflows the floats at z={z}") from exc
+        raise NumericalError(f"H_hat overflows the floats at z={z}") from exc
 
 
 def bernoulli_numbers(m: int) -> tuple[float, ...]:

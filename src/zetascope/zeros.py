@@ -255,7 +255,5 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     for k, bracket in enumerate(brackets, start=1):
         lo, hi = _bisect(*bracket)
         t_zero = 0.5 * (lo + hi)
-        rho = complex(0.5, t_zero)
-        residual = abs(zeta_hat_reference(rho))
-        records.append(ZeroRecord(k, t_zero, rho, (lo, hi), residual))
+        records.append(ZeroRecord(k, t_zero, complex(0.5, t_zero), (lo, hi)))
     return records

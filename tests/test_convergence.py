@@ -170,7 +170,7 @@ class TestFitting:
         monkeypatch.setattr(np, "polyfit", no_lapack)
         monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
         t = KNOWN_ZERO_T[0]
-        rows = verify_claims([ZeroRecord(1, t, RHO_1, (t, t), 0.0)])
+        rows = verify_claims([ZeroRecord(1, t, RHO_1, (t, t))])
         assert rows[0].claim == "C1"
         assert rows[0].passed, rows[0].detail
 
@@ -319,7 +319,7 @@ class TestVerifyClaims:
 
 
 def _zero(t: float, index: int = 1) -> ZeroRecord:
-    return ZeroRecord(index=index, t=t, rho=complex(0.5, t), bracket=(t, t), residual=0.0)
+    return ZeroRecord(index=index, t=t, rho=complex(0.5, t), bracket=(t, t))
 
 
 def _count_passes(monkeypatch) -> list[complex]:
@@ -457,7 +457,7 @@ class TestSharedTable:
     def test_off_line_point_fails_all_but_c2(self):
         rho = complex(0.6, 20.0)
         rows = _claims_for_zero(
-            ZeroRecord(index=7, t=20.0, rho=rho, bracket=(20.0, 20.0), residual=0.0),
+            ZeroRecord(index=7, t=20.0, rho=rho, bracket=(20.0, 20.0)),
             _sweep_ns(rho, SweepPlan()),
         )
         assert [r.claim for r in rows if r.passed] == ["C2"]
@@ -483,7 +483,7 @@ class TestNegativeControls:
         zeros = read_zeros_csv(GOLDEN / "zeros_50.csv")
         midpoints = [0.5 * (a.t + b.t) for a, b in zip(zeros, zeros[1:])]
         controls = [
-            ZeroRecord(k, t, complex(0.5, t), (t, t), math.nan)  # no residual: not a zero
+            ZeroRecord(k, t, complex(0.5, t), (t, t))
             for k, t in enumerate(midpoints, start=1)
         ]
         assert len(controls) == 9
@@ -577,6 +577,6 @@ class TestGateMargins:
         # |2^(1-2rho)| = 2^(-2 offset): 1 - 1.4e-12 and 1 - 6.9e-13 against 1e-12
         t = 14.134725141734693
         rho = complex(0.5 + offset, t)
-        zero = ZeroRecord(index=1, t=t, rho=rho, bracket=(t, t), residual=0.0)
+        zero = ZeroRecord(index=1, t=t, rho=rho, bracket=(t, t))
         rows = _claims_for_zero(zero, _sweep_ns(rho, SweepPlan()))
         assert [r.claim for r in rows if not r.passed] == failing

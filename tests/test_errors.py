@@ -10,6 +10,7 @@ from zetascope.convergence import ConvergenceSeries, fit_power_law, ratio_limit
 from zetascope.errors import DomainError, NumericalError, PrecisionNotReachedError
 from zetascope.functional_eq import Quantity, _ratio
 from zetascope.series import raw_sums_at
+from zetascope.special import h_hat_exact
 
 RHO_1 = complex(0.5, 14.134725141734693)
 
@@ -72,6 +73,7 @@ def _zero_modulus(monkeypatch):
         (_count_off_an_integer, "not an integer"),
         (_unbacked_sign, "is not above the leakage limit"),
         (_count_mismatch, "changes sign 10 times .* count .* is 12"),
+        (lambda mp: h_hat_exact(-22241.0 + 0j), "H_hat overflows the floats"),
     ],
 )
 def test_a_failed_computation_is_a_numerical_error(failure, match, monkeypatch):

@@ -445,7 +445,7 @@ class TestFindZeros:
 
     def test_residuals_small(self, scanned_zeros):
         records, _ = scanned_zeros
-        assert all(rec.residual <= 1e-10 for rec in records)
+        assert all(abs(zeros.zeta_hat_reference(rec.rho)) <= 1e-10 for rec in records)
 
     def test_deterministic(self, scanned_zeros):
         records, _ = scanned_zeros
@@ -521,3 +521,26 @@ class TestFindZeros:
     def test_record_type(self, scanned_zeros):
         records, _ = scanned_zeros
         assert all(isinstance(r, ZeroRecord) for r in records)
+        assert ZeroRecord._fields == ("index", "t", "rho", "bracket")
+
+    def test_no_reference_call_after_the_brackets_are_refined(self, monkeypatch):
+        # a zero is its ordinate and its bracket: once the last bracket is
+        # refined the scan evaluates nothing more
+        events = []
+        reference, bisect = zeros.zeta_hat_reference, zeros._bisect
+
+        def counted_reference(z):
+            events.append("reference")
+            return reference(z)
+
+        def counted_bisect(*bracket):
+            lo_hi = bisect(*bracket)
+            events.append("bisect")
+            return lo_hi
+
+        monkeypatch.setattr(zeros, "zeta_hat_reference", counted_reference)
+        monkeypatch.setattr(zeros, "_bisect", counted_bisect)
+        assert len(find_zeros(10.0123, 100.0)) == 29
+        assert events.count("reference") == 291
+        assert events.count("bisect") == 29
+        assert events[-1] == "bisect"
