@@ -39,7 +39,7 @@ from .functional_eq import (
     _value,
 )
 from .series import RawSums, raw_sums_at
-from .special import N_CAP, ZeroRecord, _check_grid, complex_pow_base_real, h_hat_exact
+from .special import N_CAP, ZeroRecord, complex_pow_base_real, h_hat_exact
 
 
 class ConvergenceSeries(namedtuple("ConvergenceSeries", ("quantity", "rho", "points"))):
@@ -105,16 +105,29 @@ def _c6_bound(
     return abs(limit) * rel_err
 
 
+def _check_grid(plan: SweepPlan) -> None:
+    """DomainError unless n0 is a positive int, doublings an int >= 4 and
+    n0 * 2^doublings <= N_CAP, the dyadic grid a sweep sums to; 2^doublings
+    is never built."""
+    n0, doublings = plan
+    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
+        raise DomainError(f"n0 must be a positive integer, got {n0!r}")
+    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 4:
+        raise DomainError(f"a sweep needs at least 4 doublings, got {doublings!r}")
+    if n0 > N_CAP >> doublings:
+        raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
+
+
 def _sweep_ns(rho: complex, plan: SweepPlan) -> list[int]:
-    """The n of a sweep at rho: n0 doubled until |Im rho| <= 2 pi n0 / C, the
+    """The n of a sweep at rho, for a plan _check_grid passed (n0 = 0 would
+    never meet the window): n0 doubled until |Im rho| <= 2 pi n0 / C, the
     validity window, then doubled ``plan.doublings`` times.
 
-    Raises DomainError, before any work, for a plan _check_grid refuses and
-    once the shifted n0 passes N_CAP >> doublings (as it does for a NaN or
-    infinite Im rho). Warns once when n0 moves; only the public functions
-    call this, so the warning names their caller's line.
+    Raises DomainError, before any work, once the shifted n0 passes
+    N_CAP >> doublings (as it does for a NaN or infinite Im rho). Warns once
+    when n0 moves; only the public functions call this, so the warning names
+    their caller's line.
     """
-    _check_grid(plan.n0, plan.doublings)  # n0 = 0 would never meet the window
     n0 = plan.n0
     while not abs(rho.imag) <= max_im(n0):
         n0 *= 2
@@ -152,7 +165,9 @@ def sweep(
 ) -> ConvergenceSeries:
     """Evaluate ``quantity`` at n = n0 * 2^k for k = 0..doublings."""
     rho = complex(rho)
-    ns = _sweep_ns(rho, SweepPlan(n0, doublings))
+    plan = SweepPlan(n0, doublings)
+    _check_grid(plan)
+    ns = _sweep_ns(rho, plan)
     return _series_from_table(quantity, rho, ns, *_tables(quantity, rho, ns))
 
 
@@ -166,6 +181,8 @@ def fit_power_law(series: ConvergenceSeries) -> SlopeFit:
     mods = [abs(v) for v in series.values()]
     if any(m == 0.0 for m in mods):
         raise NumericalError("power-law fit hit a zero-modulus point")
+    if not all(map(math.isfinite, mods)):
+        raise NumericalError("power-law fit hit a non-finite point")
     x = [math.log(n) for n in series.ns()]
     y = [math.log(m) for m in mods]
     x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
@@ -239,14 +256,16 @@ def verify_claims(
 ) -> list[ClaimResult]:
     """Run the nine convergence/identity claims at every supplied zero.
 
-    Every zero's sweep is checked first: one that no sweep within N_CAP
-    reaches raises DomainError naming the zero, before any work. After that,
+    The sweep is checked first: a grid _check_grid refuses raises
+    DomainError, and so does a zero that no sweep within N_CAP reaches,
+    naming the zero, before any work. After that,
     any error inside one claim becomes a failed row carrying the message; it
     never aborts the rest of the report.
     """
     if not zeros:
         raise DomainError("verify_claims needs at least one zero")
     plan = plan or SweepPlan()
+    _check_grid(plan)
     sweeps = []
     for zr in zeros:  # not a comprehension: before 3.12 it adds a frame to the warning's stack
         try:

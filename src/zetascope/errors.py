@@ -6,26 +6,11 @@ class ZetascopeError(Exception):
 
 
 class DomainError(ZetascopeError, ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class PoleError(DomainError):
-    """The requested point is a pole of the function being evaluated."""
+    """An argument lies outside the mathematical domain of the operation, a
+    pole included."""
 
 
 class NumericalError(ZetascopeError):
-    """A computation failed on an accepted argument: a sum overflowed, a value
-    leaked or vanished, or the zero count did not back the scan."""
-
-
-class PrecisionNotReachedError(NumericalError):
-    """The asymptotic series started diverging before the accuracy target.
-
-    Carries the best achieved truncation bound in ``bound`` and the partial
-    value accumulated so far in ``value``.
-    """
-
-    def __init__(self, message: str, value: complex, bound: float):
-        super().__init__(message)
-        self.value = value
-        self.bound = bound
+    """A computation failed on an accepted argument: a sum overflowed or
+    diverged, a value leaked or vanished, or the zero count did not back the
+    scan."""

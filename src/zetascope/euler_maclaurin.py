@@ -15,8 +15,8 @@ cost would outweigh the sums, and a process that only scans never loads
 numpy. The reference's partial sum computes each term k^(-z) once, in
 chunks of _CHUNK terms, and sums each part by math.fsum: up to _CHUNK terms
 that is one correctly rounded fsum per part, and past it the chunks' fsums
-are summed by one more. Memory stays at one chunk at any n, and the start n
-is refused past N_CAP, so no z can start an unbounded sum.
+are summed by one more. Memory stays at one chunk at any n, and n is
+refused past N_CAP, so no z can start an unbounded sum.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .errors import DomainError, PoleError, PrecisionNotReachedError
-from .special import N_CAP, TWO_PI, bernoulli_numbers, complex_pow_base_real
+from .errors import DomainError, NumericalError
+from .special import N_CAP, TWO_PI, _check_n, bernoulli_numbers, complex_pow_base_real
 
 #: terms per chunk of the reference's partial sum; bounds its memory at any n
 _CHUNK = 2**12
@@ -46,7 +46,7 @@ def max_im(n: int) -> float:
 
 
 def reference_n(im: float) -> int:
-    """The n the reference evaluator starts from at |Im z| = |im|: the
+    """The n the reference evaluator sums to at |Im z| = |im|: the
     window met with a 4x margin, at least N_BASE. DomainError, before the
     rounding up, if that passes N_CAP (as it does for an infinite im)."""
     n = 4.0 * WINDOW_C * abs(im) / TWO_PI
@@ -78,16 +78,10 @@ class RemainderResult(namedtuple("RemainderResult", ("value", "bound", "terms_us
     __slots__ = ()
 
 
-#: depth -> B_2k / (2k)! for k = 1 .. depth + 1; at most 30 entries (the depth range)
-_COEFFICIENTS: dict[int, tuple[float, ...]] = {}
-
-
-def _coefficients(depth: int) -> tuple[float, ...]:
-    """B_2k / (2k)! for k = 1 .. depth + 1: the bound reads one term past depth."""
-    if depth not in _COEFFICIENTS:
-        b2k = bernoulli_numbers(depth + 1)
-        _COEFFICIENTS[depth] = tuple(b / math.factorial(2 * k) for k, b in enumerate(b2k, start=1))
-    return _COEFFICIENTS[depth]
+#: B_2k / (2k)! for k = 1 .. 31: a depth-30 sum's bound reads term 31
+_COEFFICIENTS = tuple(
+    b / math.factorial(2 * k) for k, b in enumerate(bernoulli_numbers(31), start=1)
+)
 
 
 class _Leading(
@@ -116,13 +110,13 @@ class _Leading(
 def _leading_terms(z: complex, n: int, derivative: bool = False, tail: bool = True) -> _Leading:
     """The boundary term at (z, n), the tail unless ``tail`` is False, and
     with ``derivative`` the z-derivatives; tail' comes in two parts so that
-    ``series._hat_prime`` keeps its operation order. PoleError at z = 1, the
+    ``series._hat_prime`` keeps its operation order. DomainError at z = 1, the
     tail's pole, unless ``tail`` is False."""
     pow_neg = complex_pow_base_real(n, z)
     if not tail:
         return _Leading(0.5 * pow_neg)
     if z == 1:
-        raise PoleError("the tail term n^(1-z)/(1-z) has a pole at z=1")
+        raise DomainError("the tail term n^(1-z)/(1-z) has a pole at z=1")
     p = n * pow_neg
     if not derivative:
         return _Leading(0.5 * pow_neg, p / (1.0 - z))
@@ -141,13 +135,17 @@ def remainder_with_bound(
     Terms are added while they keep shrinking and stay above the relative
     target_rel_error; the reported bound is the modulus of the first term
     not added (standard practice for a divergent asymptotic series). A term
-    that does not shrink, or term depth + 1, stops the sum unadded. Raises
-    DomainError for a depth or target _check_truncation refuses, unless
-    0 < Re z < inf, and outside the validity window; and
-    PrecisionNotReachedError, carrying the partial value and its bound, if
-    the series starts growing before the target accuracy is met.
+    whose modulus does not shrink, or term depth + 1, stops the sum unadded.
+    Raises DomainError for a depth or target _check_truncation refuses, an n
+    _check_n refuses, unless 0 < Re z < inf, and outside the validity
+    window; and NumericalError if the series grows before the target
+    accuracy is met. Growth is read from the exact ratio of the terms,
+    c_k / c_(k-1) (z+2k-3)(z+2k-2) / n^2, not from their rounded moduli: a
+    term whose power of n is a subnormal of a few units can round up past
+    the one before it while the series shrinks.
     """
     _check_truncation(depth, target_rel_error)
+    _check_n(n)
     z = complex(z)
     if not z.real > 0:
         raise DomainError(f"remainder requires Re z > 0, got {z}")
@@ -157,19 +155,17 @@ def remainder_with_bound(
         )
     if z.real == math.inf:  # each term would be nan
         raise DomainError(f"remainder needs a finite z, got {z}")
-    coeff = _coefficients(depth)
+    coeff = _COEFFICIENTS
     ln_n = math.log(n)
     acc, poch, prev, k = 0j, z, math.inf, 1
     while True:
         term = coeff[k - 1] * poch * cmath.exp(-(z + (2 * k - 1)) * ln_n)
         mod = abs(term)
         if mod >= prev or k > depth:
-            if mod >= prev and mod > target_rel_error * abs(acc):
-                raise PrecisionNotReachedError(
-                    f"remainder series diverges at k={k} with bound {mod:.3e}",
-                    value=acc,
-                    bound=mod,
-                )
+            if mod >= prev and mod > target_rel_error * abs(acc) and abs(
+                coeff[k - 1] / coeff[k - 2] * (z + (2 * k - 3)) * (z + (2 * k - 2))
+            ) >= n * n:
+                raise NumericalError(f"remainder series diverges at k={k} with bound {mod:.3e}")
             return RemainderResult(value=acc, bound=mod, terms_used=k - 1)
         acc += term
         if mod <= target_rel_error * abs(acc):
@@ -233,9 +229,9 @@ def zeta_hat_reference(z: complex) -> complex:
     Evaluates zeta_n(z) - n^(1-z)/(1-z) - 1/(2 n^z) + R_n(z) at n =
     reference_n(Im z); the result is n-independent up to the remainder's
     default target, 1e-12. In the strip this equals the analytic
-    continuation of zeta. Where the remainder diverges, n is doubled, up to
-    N_CAP. Raises DomainError, before any sum, if the start n (reference_n)
-    exceeds N_CAP.
+    continuation of zeta. Raises DomainError at the pole z = 1 and, before
+    any sum, if n exceeds N_CAP. The remainder cannot diverge at that n
+    (DESIGN.md, "The reference sums once").
     """
     z = complex(z)
     if not (cmath.isfinite(z) and z.real > 0):
@@ -243,15 +239,8 @@ def zeta_hat_reference(z: complex) -> complex:
             f"reference evaluator requires a finite z with Re z > 0, got {z}"
         )
     if z == 1:
-        raise PoleError("zeta has its pole at z=1")
+        raise DomainError("zeta has its pole at z=1")
     n = reference_n(z.imag)
-    while True:
-        try:
-            rem = remainder_with_bound(z, n).value
-            break
-        except PrecisionNotReachedError:
-            if 2 * n > N_CAP:
-                raise
-            n *= 2
+    rem = remainder_with_bound(z, n).value
     lead = _leading_terms(z, n)
     return _partial_sum(z, n) - lead.tail - lead.boundary + rem

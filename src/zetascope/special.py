@@ -3,11 +3,12 @@
 Everything here is a pure function of its arguments: complex powers of a
 positive real base, the log-gamma function, Bernoulli numbers from integer
 tangent numbers, and h_hat_exact, the functional-equation factor H_hat. It
-also holds N_CAP, the cap on every n, the checks of one n and of the dyadic
-grid a sweep sums to, and the zero scan's T_CEILING and ZeroRecord. So the
-modules without numpy (the reference evaluator, the zero scan, the CLI) read
-them without loading the partial sums, and the claims read the zeros' record
-without loading the scan. Every refused argument raises DomainError.
+also holds N_CAP, the cap on every n, the check of one n, and the zero
+scan's T_CEILING and ZeroRecord. So the modules without numpy (the
+reference evaluator, the zero scan, the CLI) read them without loading the
+partial sums, and the claims read the zeros' record without loading the
+scan. Every refused argument, a pole included, raises DomainError, and a
+value past the floats NumericalError.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import DomainError, NumericalError, PoleError
+from .errors import DomainError, NumericalError
 
 #: hard cap on n; keeps every sum at desk scale
 N_CAP = 2**24
@@ -60,18 +61,6 @@ def _check_n(n: int) -> None:
         raise DomainError(f"n={n} exceeds the cap {N_CAP}")
 
 
-def _check_grid(n0: int, doublings: int) -> None:
-    """DomainError unless n0 is a positive int, doublings an int >= 4 and
-    n0 * 2^doublings <= N_CAP, the dyadic grid a sweep sums to; 2^doublings
-    is never built."""
-    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 1:
-        raise DomainError(f"n0 must be a positive integer, got {n0!r}")
-    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 4:
-        raise DomainError(f"a sweep needs at least 4 doublings, got {doublings!r}")
-    if n0 > N_CAP >> doublings:
-        raise DomainError(f"n0={n0} doubled {doublings} times exceeds the cap {N_CAP}")
-
-
 class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket"))):
     """A refined on-line zero rho = 1/2 + i t: its 1-based index (int), t
     (float), rho (complex) and the bracket (lo, hi) that holds it."""
@@ -80,13 +69,18 @@ class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket"))):
 
 
 def complex_pow_base_real(k: float, z: complex) -> complex:
-    """k**(-z) for real k > 0, via exp(-z ln k) on the principal branch."""
-    if k <= 0:
-        raise DomainError(f"base must be positive, got {k}")
+    """k**(-z) for real k > 0, via exp(-z ln k) on the principal branch.
+    DomainError unless 0 < k < inf; NumericalError where the power passes
+    the floats."""
+    if not 0 < k < math.inf:
+        raise DomainError(f"base must be positive and finite, got {k}")
     z = complex(z)
     if k == 1.0 or z == 0:
         return 1.0 + 0.0j
-    return cmath.exp(-z * math.log(k))
+    try:
+        return cmath.exp(-z * math.log(k))
+    except OverflowError as exc:
+        raise NumericalError(f"k**(-z) overflows the floats at k={k}, z={z}") from exc
 
 
 def log_gamma(z: complex) -> complex:
@@ -96,14 +90,14 @@ def log_gamma(z: complex) -> complex:
     Gamma(z) = Gamma(z+m) / [z (z+1) ... (z+m-1)], which keeps the branch
     consistent for the desk-scale domain |z| <= 100 used here. A lift takes
     one step per unit of m, so m is bounded by 2^12: z with Re z < 0.5 - 2^12
-    raises DomainError before any work, as does z with a NaN or infinite
-    part. Raises PoleError at a non-positive integer.
+    raises DomainError before any work, as do z with a NaN or infinite part
+    and the poles, the non-positive integers.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"log_gamma needs a finite z, got {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"log_gamma pole at non-positive integer z={z.real}")
+        raise DomainError(f"log_gamma pole at non-positive integer z={z.real}")
     m = math.ceil(0.5 - z.real) if z.real < 0.5 else 0
     if m > _MAX_LIFT:
         raise DomainError(
@@ -135,13 +129,14 @@ def h_hat_exact(z: complex) -> complex:
     (-1)^(z/2) (2 pi)^(z-1) pi / (z-1)!, which is 0 in floats from z = 272
     on, also where (z-1)! itself passes them. Raises NumericalError where
     the value overflows the floats, as it does on the real axis from about
-    z = -260.2 leftwards, and DomainError where log_gamma refuses 1 - z.
+    z = -260.2 leftwards, and DomainError at the pole z = 1 and where
+    log_gamma refuses 1 - z.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"H_hat needs a finite z, got {z}")
     if z == 1:
-        raise PoleError("Gamma(1-z) has a pole at z=1")
+        raise DomainError("Gamma(1-z) has a pole at z=1")
     if z.imag == 0.0 and z.real == int(z.real) and int(z.real) % 2 == 0:
         m = int(z.real)
         if m <= 0:

@@ -7,20 +7,20 @@ import pytest
 
 from zetascope import errors, zeros
 from zetascope.convergence import ConvergenceSeries, fit_power_law, ratio_limit
-from zetascope.errors import DomainError, NumericalError, PrecisionNotReachedError
+from zetascope.errors import DomainError, NumericalError
+from zetascope.euler_maclaurin import remainder_with_bound
 from zetascope.functional_eq import Quantity, _ratio
 from zetascope.series import raw_sums_at
-from zetascope.special import h_hat_exact
+from zetascope.special import complex_pow_base_real, h_hat_exact
 
 RHO_1 = complex(0.5, 14.134725141734693)
 
 
-def test_five_types():
+def test_three_types():
     defined = sorted(n for n, v in vars(errors).items() if isinstance(v, type))
-    assert defined == [
-        "DomainError", "NumericalError", "PoleError", "PrecisionNotReachedError", "ZetascopeError",
-    ]
-    assert issubclass(PrecisionNotReachedError, NumericalError)
+    assert defined == ["DomainError", "NumericalError", "ZetascopeError"]
+    assert issubclass(DomainError, errors.ZetascopeError)
+    assert issubclass(NumericalError, errors.ZetascopeError)
 
 
 def _leaky(monkeypatch):
@@ -61,6 +61,11 @@ def _zero_modulus(monkeypatch):
     return fit_power_law(ConvergenceSeries(Quantity.H_N, RHO_1, points))
 
 
+def _infinite_point(monkeypatch):
+    points = ((64, 1 + 0j), (128, complex(float("inf"), 0.0)), (256, 1 + 0j), (512, 1 + 0j))
+    return fit_power_law(ConvergenceSeries(Quantity.H_N, RHO_1, points))
+
+
 @pytest.mark.parametrize(
     "failure,match",
     [
@@ -68,12 +73,15 @@ def _zero_modulus(monkeypatch):
         (_leaky, "imaginary leakage"),
         (lambda mp: _ratio(1 + 0j, 1e-301 + 0j, Quantity.H_N), "denominator modulus"),
         (_zero_modulus, "zero-modulus point"),
+        (_infinite_point, "non-finite point"),
         (_vanishing, "zeta vanishes on the zero count's path"),
         (_spinning, "needs over 64 evaluations"),
         (_count_off_an_integer, "not an integer"),
         (_unbacked_sign, "is not above the leakage limit"),
         (_count_mismatch, "changes sign 10 times .* count .* is 12"),
         (lambda mp: h_hat_exact(-22241.0 + 0j), "H_hat overflows the floats"),
+        (lambda mp: complex_pow_base_real(2.0, -2000), r"overflows the floats at k=2.0, z=\(-2000"),
+        (lambda mp: remainder_with_bound(100.0, 10), "remainder series diverges at k=2"),
     ],
 )
 def test_a_failed_computation_is_a_numerical_error(failure, match, monkeypatch):
@@ -87,3 +95,15 @@ def test_a_short_series_is_a_refused_argument(fn):
     short = ConvergenceSeries(Quantity.H_N, RHO_1, ((64, 1 + 0j),) * 3)
     with pytest.raises(DomainError, match="needs at least 4 points"):
         fn(short)
+
+
+@pytest.mark.parametrize(
+    "refused,match",
+    [
+        (lambda: complex_pow_base_real(float("inf"), -0.5 + 1j), "positive and finite, got inf"),
+        (lambda: complex_pow_base_real(float("nan"), 0.5 + 1j), "positive and finite, got nan"),
+    ],
+)
+def test_a_refused_argument_is_a_domain_error(refused, match):
+    with pytest.raises(DomainError, match=match):
+        refused()

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetascope.errors import DomainError, PoleError, PrecisionNotReachedError
+from zetascope.errors import DomainError, NumericalError
 from zetascope import euler_maclaurin
 from zetascope.euler_maclaurin import (
     N_BASE,
     WINDOW_C,
-    RemainderResult,
     _leading_terms,
     _partial_sum,
     max_im,
@@ -59,6 +58,19 @@ class TestTruncationArguments:
     def test_truncation_is_keyword_only(self):
         with pytest.raises(TypeError):
             remainder_with_bound(2.0, 10, 4)
+
+    @pytest.mark.parametrize(
+        "n,match",
+        [
+            (0, "n must be a positive integer, got 0"),
+            (2.5, "n must be a positive integer, got 2.5"),
+            (True, "n must be a positive integer, got True"),
+            (10**30, "exceeds the cap 16777216"),
+        ],
+    )
+    def test_n_is_checked_as_everywhere(self, n, match):
+        with pytest.raises(DomainError, match=match):
+            remainder_with_bound(2, n)
 
 
 class TestWindow:
@@ -130,9 +142,25 @@ class TestRemainder:
         assert r.bound == pytest.approx(abs(bernoulli_numbers(31)[30]) * 1e-63, rel=1e-12)
 
     def test_divergence_before_target_reported(self):
-        with pytest.raises(PrecisionNotReachedError) as exc:
+        with pytest.raises(NumericalError, match=r"diverges at k=\d+ with bound \S+$") as exc:
             remainder_with_bound(complex(0.5, 30.0), 10, depth=30)
-        assert exc.value.bound > 0
+        assert float(str(exc.value).rsplit(" ", 1)[1]) > 0
+
+    def test_a_rounded_term_is_not_a_divergence(self):
+        # at n = 50 the ninth term's n^(-z-17) is 5e-324 in each part, one
+        # subnormal unit, so its modulus reads above the eighth's though the
+        # exact ratio is about 0.36: the sum stops there unadded
+        z = complex(173.46872943434443, -7.796921500829548)
+        r = remainder_with_bound(z, 50)
+        want = _loop_remainder(z, 50, 10, 1e-12)
+        assert (r.terms_used, r.bound) == (8, want[1]) and not want[3]
+        assert r.value == want[0]
+
+    def test_growth_with_a_subnormal_power_is_a_divergence(self):
+        # R_20(240): both terms' n-powers are subnormal, and the second term
+        # is 2.4 times the first, exactly
+        with pytest.raises(NumericalError, match="diverges at k=2 with bound 1.375e-312"):
+            remainder_with_bound(240.0, 20)
 
     def test_order_tracks_minus_one_minus_re_z(self):
         prev = abs(remainder(RHO_1, 2**6))
@@ -181,7 +209,7 @@ class TestLeadingTerms:
         assert abs(got - complex(tail_prime)) <= self.REL * abs(complex(tail_prime))
 
     def test_pole_only_for_the_tail(self):
-        with pytest.raises(PoleError, match="pole at z=1"):
+        with pytest.raises(DomainError, match="pole at z=1"):
             _leading_terms(1.0 + 0.0j, 10)
         boundary = _leading_terms(1.0 + 0.0j, 10, tail=False).boundary
         assert boundary == 0.5 * complex_pow_base_real(10, 1.0)
@@ -227,7 +255,7 @@ class TestReference:
             assert abs(a - b) <= 10.0 * 1e-12 * scale, n
 
     def test_pole_and_domain(self):
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError, match="pole"):
             zeta_hat_reference(1.0 + 0.0j)
         with pytest.raises(DomainError):
             zeta_hat_reference(complex(-0.2, 5.0))
@@ -259,46 +287,55 @@ class TestReference:
 
 
 class TestReferenceArray:
-    """The reference's errors and its n-doubling where the remainder diverges."""
+    """The reference's errors, and its one remainder sum at reference_n."""
 
     def test_errors_name_the_row(self):
         with pytest.raises(DomainError, match=r"-0\.2"):
             zeta_hat_reference(complex(-0.2, 5.0))
         with pytest.raises(DomainError, match="nan"):
             zeta_hat_reference(complex(0.5, math.nan))
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError, match="pole"):
             zeta_hat_reference(1.0)
 
-    def test_diverged_row_doubles_its_own_n(self, monkeypatch):
-        # the remainder diverges on the first try only: the reference is
-        # redone at twice its n, 51 at t = 40
+    def test_a_diverged_remainder_is_raised_at_once(self, monkeypatch):
+        # a real divergence, R_10(100), stands in for one at the reference's
+        # n, 51 at t = 40: it is raised after that one call, not retried
         remainder_at = euler_maclaurin.remainder_with_bound
         seen = []
 
-        def diverge_once(z, n):
+        def diverge(z, n):
             seen.append(n)
-            if len(seen) == 1:
-                raise PrecisionNotReachedError("diverged", value=0j, bound=1.0)
-            return remainder_at(z, n)
+            return remainder_at(100.0, 10)
 
-        monkeypatch.setattr(euler_maclaurin, "remainder_with_bound", diverge_once)
-        z = complex(0.5, 40.0)
-        got = zeta_hat_reference(z)
-        assert seen == [51, 102]
-        monkeypatch.undo()
-        assert got == pytest.approx(zeta_hat_reference(z), rel=1e-11)
+        monkeypatch.setattr(euler_maclaurin, "remainder_with_bound", diverge)
+        with pytest.raises(NumericalError, match="remainder series diverges at k=2"):
+            zeta_hat_reference(complex(0.5, 40.0))
+        assert seen == [51]
 
-    def test_diverged_row_at_the_cap_raises(self, monkeypatch):
-        def always(z, n):
-            if n > 60:
-                raise PrecisionNotReachedError("diverged", value=0j, bound=1.0)
-            return RemainderResult(0j, 1.0, 0)
-
-        monkeypatch.setattr(euler_maclaurin, "remainder_with_bound", always)
-        monkeypatch.setattr(euler_maclaurin, "N_CAP", 200)
-        zeta_hat_reference(complex(0.5, 14.0))  # n = 50: no doubling
-        with pytest.raises(PrecisionNotReachedError):
-            zeta_hat_reference(complex(0.5, 60.0))  # 77, 154, then 308 > 200
+    @given(
+        re=st.one_of(st.floats(1e-300, 1e308), st.floats(150.0, 300.0)),
+        im=st.one_of(
+            st.floats(0.0, 2**24 * math.pi / 4),
+            st.integers(50, 5000).map(lambda n: n * math.pi / 4),
+        ),
+        sign=st.sampled_from((1.0, -1.0)),
+    )
+    @example(re=185.0, im=50 * math.pi / 4, sign=1.0)
+    @example(re=189.5, im=50 * math.pi / 4, sign=-1.0)
+    @example(re=200.0, im=0.0, sign=1.0)
+    @example(re=291.5, im=50 * math.pi / 4, sign=1.0)
+    @example(re=300.0, im=50 * math.pi / 4, sign=-1.0)
+    # at n = 50 a subnormal n-power rounds a term of these up past the one before
+    @example(re=173.46872943434443, im=7.796921500829548, sign=-1.0)
+    @example(re=183.46367838986134, im=37.98584811769998, sign=-1.0)
+    @example(re=175.46918221662827, im=33.56134454997537, sign=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_the_remainder_never_diverges_at_the_reference_n(self, re, im, sign):
+        """The terms shrink by less than |z+2k-1||z+2k| / (2 pi n)^2, so
+        growth needs |z| >= 2 pi n - 20, Re z >= 291 at n = 50, where every
+        term's n-power is 0 (DESIGN.md, "The reference sums once")."""
+        z = complex(re, sign * im)
+        remainder_with_bound(z, reference_n(z.imag))
 
     def test_window_error_names_the_row(self):
         with pytest.raises(DomainError, match=r"2\*pi\*10/"):
@@ -345,14 +382,21 @@ class TestPartialSumAgainstComplexExp:
 
 
 def _loop_remainder(z: complex, n: int, depth: int, target: float):
-    """The recurrence written out, one term at a time: (value, bound, terms, diverged)."""
+    """The recurrence written out, one term at a time: (value, bound, terms,
+    diverged). A term that does not shrink is a divergence only where the
+    exact ratio B_2k (2k-2)! / (B_(2k-2) (2k)!) (z+2k-3)(z+2k-2) / n^2 says so."""
     b2k = bernoulli_numbers(depth + 1)
     acc, poch, prev_mod, k = 0j, z, math.inf, 1
     while True:
         term = b2k[k - 1] / math.factorial(2 * k) * poch * cmath.exp(-(z + 2 * k - 1) * math.log(n))
         mod = abs(term)
         if mod >= prev_mod or k > depth:
-            diverged = mod >= prev_mod and mod > target * abs(acc)
+            diverged = (
+                mod >= prev_mod
+                and mod > target * abs(acc)
+                and abs(b2k[k - 1] / b2k[k - 2] / (2 * k * (2 * k - 1)) * (z + 2 * k - 3) * (z + 2 * k - 2))
+                >= n**2
+            )
             return acc, mod, k - 1, diverged
         acc += term
         prev_mod = mod
@@ -363,12 +407,17 @@ def _loop_remainder(z: complex, n: int, depth: int, target: float):
 
 
 def _remainder_parts(z: complex, n: int, depth: int, target: float):
-    """remainder_with_bound as (value, bound, terms, diverged); a diverged
-    sum carries no terms count, so it reports the loop's."""
+    """remainder_with_bound as (value, bound, terms, diverged). A diverged
+    sum raises, so it must diverge where the loop does, at term terms + 1,
+    with the loop's bound to the %.3e its message prints; it then reports
+    the loop's value and bound."""
     try:
         r = remainder_with_bound(z, n, depth=depth, target_rel_error=target)
-    except PrecisionNotReachedError as exc:
-        return exc.value, exc.bound, _loop_remainder(z, n, depth, target)[2], True
+    except NumericalError as exc:
+        value, bound, terms, diverged = _loop_remainder(z, n, depth, target)
+        assert diverged
+        assert str(exc) == f"remainder series diverges at k={terms + 1} with bound {bound:.3e}"
+        return value, bound, terms, True
     return r.value, r.bound, r.terms_used, False
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zetascope.errors import DomainError, PoleError
+from zetascope.errors import DomainError
 from zetascope.special import (
     bernoulli_numbers,
     complex_pow_base_real,
@@ -70,7 +70,7 @@ class TestLogGamma:
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
     def test_poles_rejected(self, z):
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError, match="pole"):
             log_gamma(complex(z, 0.0))
 
     @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ class TestLogGammaArray:
             assert cmath.exp(log_gamma(v)) == pytest.approx(complex(mpmath_gamma(v)), rel=1e-12)
 
     def test_pole_in_one_element(self):
-        with pytest.raises(PoleError, match="-2.0"):
+        with pytest.raises(DomainError, match="pole .*-2.0"):
             log_gamma(complex(-2.0, 0.0))
 
     @pytest.mark.parametrize("re", [-4095.6, -1e5, -math.inf])
