@@ -94,10 +94,11 @@ def _format_real(x: float, signed: bool = False) -> str:
 
 
 def format_value(v: complex) -> str:
-    """15 digits after the point; drops a numerically-silent imaginary part."""
+    """15 digits after the point; drops an imaginary part that is 0 or at
+    most 1e-14 of the real part's modulus."""
     if v == 0:
         return "0"
-    if abs(v.imag) <= 1e-14 * max(1.0, abs(v.real)):
+    if v.imag == 0 or abs(v.imag) <= 1e-14 * abs(v.real):
         return _format_real(v.real)
     return _format_real(v.real) + _format_real(v.imag, signed=True) + "i"
 

@@ -226,8 +226,10 @@ class ClaimResult(
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
 
-#: exponent window for the h_2n decay order (target -(1 + sigma) = -3/2)
-C1_EXPONENT_RANGE = (-1.65, -1.35)
+#: the h_2n decay order, -(1 + sigma) = -3/2, and the half-width of its window
+C1_EXPONENT, C1_EXPONENT_TOL = -1.5, 0.15
+#: exponent window for the h_2n decay order: exactly (-1.65, -1.35) in floats
+C1_EXPONENT_RANGE = (C1_EXPONENT - C1_EXPONENT_TOL, C1_EXPONENT + C1_EXPONENT_TOL)
 #: limit tolerances at the sweep's final n
 LIMIT_TOL = 1e-3
 #: |2^(1-2 rho)| for an on-line zero
@@ -236,6 +238,8 @@ C9_TOL = 1e-12
 IDENTITY_BOUND_FACTOR = 10.0
 #: the fit for C1 stops at this n (values beyond it add no order information)
 C1_FIT_MAX_N = 2**14
+#: C3's deviations must fall over the sweep's last this many doublings
+C3_WINDOW = 4
 
 
 def _fmt(v: complex | float) -> str:
@@ -244,9 +248,9 @@ def _fmt(v: complex | float) -> str:
     return f"{v:.9g}"
 
 
-def _monotone_final_decrease(devs: Sequence[float], window: int = 4) -> bool:
+def _monotone_final_decrease(devs: Sequence[float]) -> bool:
     # allow one non-monotone step for rounding
-    tail = devs[-(window + 1):]
+    tail = devs[-(C3_WINDOW + 1):]
     violations = sum(1 for a, b in zip(tail, tail[1:]) if b >= a)
     return violations <= 1
 
@@ -314,8 +318,12 @@ def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
     def c1() -> _Measured:
         fit = fit_power_law(series(Quantity.SMALL_H_2N, [n for n in ns if n <= C1_FIT_MAX_N]))
         lo, hi = C1_EXPONENT_RANGE
-        detail = f"|h_2n| decay exponent over n<=2^14; max fit residual {fit.max_abs_residual:.2e}"
-        return "-1.5", _fmt(fit.exponent), 0.15, lo <= fit.exponent <= hi, detail
+        detail = (
+            f"|h_2n| decay exponent over n<=2^{C1_FIT_MAX_N.bit_length() - 1}; "
+            f"max fit residual {fit.max_abs_residual:.2e}"
+        )
+        ok = lo <= fit.exponent <= hi
+        return _fmt(C1_EXPONENT), _fmt(fit.exponent), C1_EXPONENT_TOL, ok, detail
 
     def c2() -> _Measured:
         (n, h_n), (_, h_2n) = series(Quantity.H_HAT_N, ns[-2:]).points
@@ -329,7 +337,7 @@ def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
         ok = devs[-1] <= LIMIT_TOL and _monotone_final_decrease(devs)
         detail = (
             f"H_hat_n/n^(1-2rho) at n={n_last}; deviation {devs[-1]:.3e}; "
-            f"final-doubling deviations {['%.2e' % d for d in devs[-5:]]}"
+            f"final-doubling deviations {['%.2e' % d for d in devs[-(C3_WINDOW + 1):]]}"
         )
         return "1", _fmt(v_last), LIMIT_TOL, ok, detail
 
@@ -365,10 +373,7 @@ def _claims_for_zero(zr: ZeroRecord, ns: list[int]) -> list[ClaimResult]:
         # the truncation is kept shallow, so its reported bound dominates
         # rounding and zero-residual floors
         return [
-            tuple(
-                remainder_with_bound(rho, m, depth=1, target_rel_error=0.5)
-                for m in (n, 2 * n)
-            )
+            tuple(remainder_with_bound(rho, m, depth=1) for m in (n, 2 * n))
             for n in IDENTITY_NS
         ]
 

@@ -5,9 +5,10 @@ Zeta Function", ch. 6): _leading_terms writes the tail and boundary terms and
 their z-derivatives, remainder_with_bound the Bernoulli remainder R_n(z), and
 zeta_hat_reference adds them up, a regularized zeta value in Re z > 0. The
 Hardy-Littlewood window |Im z| <= 2 pi n / C that gates the last two is written
-once, as ``max_im``; the convergence sweeps read it too. N_BASE and WINDOW_C,
-the reference's least n and the window's C, are constants: only
-remainder_with_bound takes the remainder's depth and target as arguments.
+once, as ``max_im``; the convergence sweeps read it too. N_BASE, WINDOW_C and
+TARGET_REL_ERROR, the reference's least n, the window's C and the
+remainder's relative target, are constants: only remainder_with_bound takes
+the remainder's depth as an argument.
 
 All three are plain math/cmath code at one z: the zero scan calls them a few
 hundred times on sums of at most a few hundred terms, where numpy's per-call
@@ -39,6 +40,9 @@ N_BASE = 50
 #: C of the Hardy-Littlewood window |Im z| <= 2 pi n / C (Edwards, ch. 6)
 WINDOW_C = 2.0
 
+#: the remainder returns once its last term is at most this share of its sum
+TARGET_REL_ERROR = 1e-12
+
 
 def max_im(n: int) -> float:
     """The largest |Im z| of the validity window at n: 2 pi n / C."""
@@ -53,22 +57,6 @@ def reference_n(im: float) -> int:
     if not n <= N_CAP:
         raise DomainError(f"n={n:g} exceeds the cap {N_CAP}")
     return max(N_BASE, math.ceil(n))
-
-
-def _check_truncation(depth: int, target_rel_error: float) -> None:
-    """DomainError unless depth is an int in [1, 30] and target_rel_error a
-    positive, finite int or float; a bool, though Python counts it an int,
-    is refused."""
-    if isinstance(depth, bool) or not isinstance(depth, int):
-        raise DomainError(f"depth must be an integer, got {depth!r}")
-    if isinstance(target_rel_error, bool) or not isinstance(target_rel_error, (int, float)):
-        raise DomainError(f"target_rel_error must be a number, got {target_rel_error!r}")
-    if not 1 <= depth <= 30:
-        raise DomainError(f"depth must be in [1, 30], got {depth}")
-    if not 0 < target_rel_error < math.inf:
-        raise DomainError(
-            f"target_rel_error must be positive and finite, got {target_rel_error}"
-        )
 
 
 class RemainderResult(namedtuple("RemainderResult", ("value", "bound", "terms_used"))):
@@ -127,24 +115,25 @@ def _leading_terms(z: complex, n: int, derivative: bool = False, tail: bool = Tr
     )
 
 
-def remainder_with_bound(
-    z: complex, n: int, *, depth: int = 10, target_rel_error: float = 1e-12
-) -> RemainderResult:
+def remainder_with_bound(z: complex, n: int, *, depth: int = 10) -> RemainderResult:
     """R_n(z) = sum_k B_{2k}/(2k)! (z)(z+1)...(z+2k-2) n^(1-z-2k), truncated.
 
-    Terms are added while they keep shrinking and stay above the relative
-    target_rel_error; the reported bound is the modulus of the first term
-    not added (standard practice for a divergent asymptotic series). A term
-    whose modulus does not shrink, or term depth + 1, stops the sum unadded.
-    Raises DomainError for a depth or target _check_truncation refuses, an n
+    Terms are added while they keep shrinking, up to ``depth`` of them; the
+    sum returns once the last term added is at most TARGET_REL_ERROR of it.
+    The reported bound is the modulus of the first term not added (standard
+    practice for a divergent asymptotic series). A term whose modulus does
+    not shrink, or term depth + 1, stops the sum unadded. Raises DomainError
+    unless depth is an int in [1, 30] (a bool is refused), for an n
     _check_n refuses, unless 0 < Re z < inf, and outside the validity
-    window; and NumericalError if the series grows before the target
-    accuracy is met. Growth is read from the exact ratio of the terms,
-    c_k / c_(k-1) (z+2k-3)(z+2k-2) / n^2, not from their rounded moduli: a
-    term whose power of n is a subnormal of a few units can round up past
-    the one before it while the series shrinks.
+    window; and NumericalError if the series grows. Growth is read from the
+    exact ratio of the terms, c_k / c_(k-1) (z+2k-3)(z+2k-2) / n^2, not from
+    their rounded moduli: a term whose power of n is a subnormal of a few
+    units can round up past the one before it while the series shrinks.
     """
-    _check_truncation(depth, target_rel_error)
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise DomainError(f"depth must be an integer, got {depth!r}")
+    if not 1 <= depth <= 30:
+        raise DomainError(f"depth must be in [1, 30], got {depth}")
     _check_n(n)
     z = complex(z)
     if not z.real > 0:
@@ -162,13 +151,14 @@ def remainder_with_bound(
         term = coeff[k - 1] * poch * cmath.exp(-(z + (2 * k - 1)) * ln_n)
         mod = abs(term)
         if mod >= prev or k > depth:
-            if mod >= prev and mod > target_rel_error * abs(acc) and abs(
+            # prev > TARGET_REL_ERROR * |acc| here, so a growing term is past the target
+            if mod >= prev and abs(
                 coeff[k - 1] / coeff[k - 2] * (z + (2 * k - 3)) * (z + (2 * k - 2))
             ) >= n * n:
                 raise NumericalError(f"remainder series diverges at k={k} with bound {mod:.3e}")
             return RemainderResult(value=acc, bound=mod, terms_used=k - 1)
         acc += term
-        if mod <= target_rel_error * abs(acc):
+        if mod <= TARGET_REL_ERROR * abs(acc):
             return RemainderResult(value=acc, bound=mod, terms_used=k)
         prev = mod
         poch *= (z + (2 * k - 1)) * (z + 2 * k)
@@ -176,7 +166,8 @@ def remainder_with_bound(
 
 
 def remainder(z: complex, n: int) -> complex:
-    """Truncated Bernoulli remainder R_n(z); see remainder_with_bound."""
+    """Truncated Bernoulli remainder R_n(z) at the default depth, 10; see
+    remainder_with_bound."""
     return remainder_with_bound(z, n).value
 
 
@@ -227,11 +218,11 @@ def zeta_hat_reference(z: complex) -> complex:
     """High-accuracy regularized zeta value in Re z > 0, z != 1.
 
     Evaluates zeta_n(z) - n^(1-z)/(1-z) - 1/(2 n^z) + R_n(z) at n =
-    reference_n(Im z); the result is n-independent up to the remainder's
-    default target, 1e-12. In the strip this equals the analytic
-    continuation of zeta. Raises DomainError at the pole z = 1 and, before
-    any sum, if n exceeds N_CAP. The remainder cannot diverge at that n
-    (DESIGN.md, "The reference sums once").
+    reference_n(Im z), with R_n at its default depth; the result is
+    n-independent up to TARGET_REL_ERROR, 1e-12. In the strip this equals
+    the analytic continuation of zeta. Raises DomainError at the pole z = 1
+    and, before any sum, if n exceeds N_CAP. The remainder cannot diverge
+    at that n (DESIGN.md, "The reference sums once").
     """
     z = complex(z)
     if not (cmath.isfinite(z) and z.real > 0):

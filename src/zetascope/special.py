@@ -70,11 +70,13 @@ class ZeroRecord(namedtuple("ZeroRecord", ("index", "t", "rho", "bracket"))):
 
 def complex_pow_base_real(k: float, z: complex) -> complex:
     """k**(-z) for real k > 0, via exp(-z ln k) on the principal branch.
-    DomainError unless 0 < k < inf; NumericalError where the power passes
-    the floats."""
+    DomainError unless 0 < k < inf and z is finite; NumericalError where the
+    power passes the floats."""
     if not 0 < k < math.inf:
         raise DomainError(f"base must be positive and finite, got {k}")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"k**(-z) needs a finite z, got {z}")
     if k == 1.0 or z == 0:
         return 1.0 + 0.0j
     try:

@@ -252,6 +252,11 @@ class TestFormatting:
     def test_small_magnitudes_use_exponent(self):
         assert "e" in format_value(complex(3.0e-9, 0.0))
 
+    def test_imaginary_part_kept_against_a_small_real_part(self):
+        # the test is relative: 1e-16 is not silent beside 1e-18
+        assert format_value(complex(1e-18, 1e-16)) == "1.000000000000000e-18+1.000000000000000e-16i"
+        assert format_value(complex(float("nan"), 0.0)) == "nan"
+
 
 class TestEval:
     def test_partial_sum(self, capsys):
@@ -285,6 +290,14 @@ class TestEval:
     def test_pole_is_module_error(self, capsys):
         assert main(["eval", "--what", "zeta_hat", "--z", "1"]) == EXIT_MODULE_ERROR
         assert "error" in capsys.readouterr().err
+
+    def test_small_value_keeps_its_imaginary_part(self, capsys):
+        # an imaginary part above 1e-14 of the real part's modulus is printed
+        assert main(["eval", "--what", "R_n", "--z", "10+10i", "--n", "1000"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "8.015201233577413e-34+8.639750570561924e-34i",
+            "n = 1000",
+        ]
 
 
 @pytest.fixture()

@@ -390,7 +390,7 @@ class TestSharedTable:
 
     def test_identity_claims_share_one_remainder_call(self, monkeypatch):
         # C7 and C8 share one remainder per (n, 2n) identity point, each
-        # truncated shallow: depth 1, target 0.5
+        # truncated shallow: depth 1
         calls, truncations = [], []
 
         def counting(z, n, **truncation):
@@ -401,7 +401,7 @@ class TestSharedTable:
         monkeypatch.setattr(convergence, "remainder_with_bound", counting)
         rows = _claims_for_zero(_zero(RHO_1.imag), _sweep_ns(RHO_1, SweepPlan()))
         assert calls == [256, 512, 1024, 2048, 4096, 8192]
-        assert truncations == [{"depth": 1, "target_rel_error": 0.5}] * 6
+        assert truncations == [{"depth": 1}] * 6
         assert [r.passed for r in rows if r.claim in ("C7", "C8")] == [True, True]
 
     def test_identity_sums_equal_standalone(self):
@@ -527,6 +527,10 @@ class TestGateMargins:
     TWO_RISES = (8e-4, 4e-4, 5e-4, 2e-4, 3e-4, 1e-4)
     ONE_RISE = (8e-4, 4e-4, 5e-4, 2e-4, 1.5e-4, 1e-4)
 
+    def test_c1_window_is_its_target_plus_minus_half_width(self):
+        # built from -1.5 and 0.15, the gate keeps the bits of the literal window
+        assert convergence.C1_EXPONENT_RANGE == (-1.65, -1.35)
+
     def test_monotone_final_decrease_allows_one_rise(self):
         assert _monotone_final_decrease(self.ONE_RISE)
         assert not _monotone_final_decrease(self.TWO_RISES)
@@ -556,8 +560,7 @@ class TestGateMargins:
         bound_at = {}
         for n in IDENTITY_NS:
             r_n, r_2n = (
-                remainder_with_bound(RHO_1, m, depth=1, target_rel_error=0.5).value
-                for m in (n, 2 * n)
+                remainder_with_bound(RHO_1, m, depth=1).value for m in (n, 2 * n)
             )
             err = abs(at(RHO_1, n) - (-weight * r_2n + two_pow * r_n))
             bound_at[2 * n] = err / multiple

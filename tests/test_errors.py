@@ -102,6 +102,8 @@ def test_a_short_series_is_a_refused_argument(fn):
     [
         (lambda: complex_pow_base_real(float("inf"), -0.5 + 1j), "positive and finite, got inf"),
         (lambda: complex_pow_base_real(float("nan"), 0.5 + 1j), "positive and finite, got nan"),
+        (lambda: complex_pow_base_real(2.0, complex(0, float("inf"))), r"needs a finite z, got infj"),
+        (lambda: complex_pow_base_real(2.0, complex(float("nan"), 1)), r"needs a finite z, got \(nan\+1j\)"),
     ],
 )
 def test_a_refused_argument_is_a_domain_error(refused, match):

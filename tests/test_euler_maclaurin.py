@@ -10,6 +10,7 @@ from zetascope.errors import DomainError, NumericalError
 from zetascope import euler_maclaurin
 from zetascope.euler_maclaurin import (
     N_BASE,
+    TARGET_REL_ERROR,
     WINDOW_C,
     _leading_terms,
     _partial_sum,
@@ -34,13 +35,6 @@ class TestTruncationArguments:
         [
             {"depth": 0},
             {"depth": 31},
-            {"target_rel_error": 0.0},
-            {"target_rel_error": math.inf},
-            {"target_rel_error": math.nan},
-            {"target_rel_error": -1e-12},
-            {"target_rel_error": True},
-            {"target_rel_error": "1e-12"},
-            {"target_rel_error": None},
             {"depth": "10"},
             {"depth": None},
         ],
@@ -55,9 +49,19 @@ class TestTruncationArguments:
         with pytest.raises(DomainError, match=f"depth must be an integer, got {depth!r}"):
             remainder_with_bound(2.0, 10, depth=depth)
 
+    @pytest.mark.parametrize("depth", [0, 31])
+    def test_rejects_depth_outside_its_range(self, depth):
+        with pytest.raises(DomainError, match=rf"depth must be in \[1, 30\], got {depth}$"):
+            remainder_with_bound(2.0, 10, depth=depth)
+
     def test_truncation_is_keyword_only(self):
         with pytest.raises(TypeError):
             remainder_with_bound(2.0, 10, 4)
+
+    def test_truncation_takes_only_depth(self):
+        # the relative target is the constant TARGET_REL_ERROR, not an argument
+        with pytest.raises(TypeError):
+            remainder_with_bound(2.0, 10, target_rel_error=1e-12)
 
     @pytest.mark.parametrize(
         "n,match",
@@ -136,10 +140,12 @@ class TestRemainder:
             remainder(complex(0.5, 90.0), 10)
 
     def test_deepest_truncation_bounds_with_the_next_term(self):
-        # at depth 30 the bound is the 31st term, B_62 (2)(3)...(62) / 62! 10^(-63)
-        r = remainder_with_bound(2.0, 10, depth=30, target_rel_error=1e-300)
+        # R_15(32) adds all 30 terms above the target, and its bound is the
+        # 31st term, B_62 (32)(33)...(92) / 62! 15^(-93)
+        r = remainder_with_bound(32.0, 15, depth=30)
         assert r.terms_used == 30
-        assert r.bound == pytest.approx(abs(bernoulli_numbers(31)[30]) * 1e-63, rel=1e-12)
+        want = abs(bernoulli_numbers(31)[30]) * math.prod(range(32, 93)) / math.factorial(62)
+        assert r.bound == pytest.approx(want * 15.0**-93, rel=1e-12)
 
     def test_divergence_before_target_reported(self):
         with pytest.raises(NumericalError, match=r"diverges at k=\d+ with bound \S+$") as exc:
@@ -152,7 +158,7 @@ class TestRemainder:
         # exact ratio is about 0.36: the sum stops there unadded
         z = complex(173.46872943434443, -7.796921500829548)
         r = remainder_with_bound(z, 50)
-        want = _loop_remainder(z, 50, 10, 1e-12)
+        want = _loop_remainder(z, 50, 10)
         assert (r.terms_used, r.bound) == (8, want[1]) and not want[3]
         assert r.value == want[0]
 
@@ -381,10 +387,12 @@ class TestPartialSumAgainstComplexExp:
         assert len(euler_maclaurin._LOGS) == euler_maclaurin._CHUNK
 
 
-def _loop_remainder(z: complex, n: int, depth: int, target: float):
+def _loop_remainder(z: complex, n: int, depth: int):
     """The recurrence written out, one term at a time: (value, bound, terms,
-    diverged). A term that does not shrink is a divergence only where the
-    exact ratio B_2k (2k-2)! / (B_(2k-2) (2k)!) (z+2k-3)(z+2k-2) / n^2 says so."""
+    diverged). A term that does not shrink is a divergence only where it
+    exceeds the target share of the sum and the exact ratio B_2k (2k-2)! /
+    (B_(2k-2) (2k)!) (z+2k-3)(z+2k-2) / n^2 says so; remainder_with_bound
+    tests only the ratio, as the first condition always holds there."""
     b2k = bernoulli_numbers(depth + 1)
     acc, poch, prev_mod, k = 0j, z, math.inf, 1
     while True:
@@ -393,28 +401,28 @@ def _loop_remainder(z: complex, n: int, depth: int, target: float):
         if mod >= prev_mod or k > depth:
             diverged = (
                 mod >= prev_mod
-                and mod > target * abs(acc)
+                and mod > TARGET_REL_ERROR * abs(acc)
                 and abs(b2k[k - 1] / b2k[k - 2] / (2 * k * (2 * k - 1)) * (z + 2 * k - 3) * (z + 2 * k - 2))
                 >= n**2
             )
             return acc, mod, k - 1, diverged
         acc += term
         prev_mod = mod
-        if mod <= target * abs(acc):
+        if mod <= TARGET_REL_ERROR * abs(acc):
             return acc, mod, k, False
         poch *= (z + (2 * k - 1)) * (z + 2 * k)
         k += 1
 
 
-def _remainder_parts(z: complex, n: int, depth: int, target: float):
+def _remainder_parts(z: complex, n: int, depth: int):
     """remainder_with_bound as (value, bound, terms, diverged). A diverged
     sum raises, so it must diverge where the loop does, at term terms + 1,
     with the loop's bound to the %.3e its message prints; it then reports
     the loop's value and bound."""
     try:
-        r = remainder_with_bound(z, n, depth=depth, target_rel_error=target)
+        r = remainder_with_bound(z, n, depth=depth)
     except NumericalError as exc:
-        value, bound, terms, diverged = _loop_remainder(z, n, depth, target)
+        value, bound, terms, diverged = _loop_remainder(z, n, depth)
         assert diverged
         assert str(exc) == f"remainder series diverges at k={terms + 1} with bound {bound:.3e}"
         return value, bound, terms, True
@@ -433,14 +441,13 @@ class TestRemainderRowsAgainstLoop:
             max_size=16,
         ),
         depth=st.integers(1, 30),
-        target=st.sampled_from((1e-12, 1e-6, 0.5)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_each_row_follows_its_own_stopping_rule(self, rows, depth, target):
+    def test_each_row_follows_its_own_stopping_rule(self, rows, depth):
         rows = [(complex(re, im), n) for re, im, n in rows if abs(im) <= math.pi * n]
         for zi, ni in rows:
-            got = _remainder_parts(zi, ni, depth, target)
-            want = _loop_remainder(zi, ni, depth, target)
+            got = _remainder_parts(zi, ni, depth)
+            want = _loop_remainder(zi, ni, depth)
             assert got[2:] == want[2:]
             assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
             assert got[1] == pytest.approx(want[1], rel=1e-13)
@@ -455,11 +462,10 @@ class TestRemainderRowsAgainstLoop:
             min_size=1,
             max_size=8,
         ),
-        target=st.sampled_from((1e-12, 1e-6, 0.5)),
     )
-    @example(rows=[(0.5, 1.0, 10), (0.5, -1.0, 4096), (3.0, 1.0, 2**16)], target=1e-12)
+    @example(rows=[(0.5, 1.0, 10), (0.5, -1.0, 4096), (3.0, 1.0, 2**16)])
     @settings(max_examples=30, deadline=None)
-    def test_window_edge_rows_at_full_depth(self, rows, target):
+    def test_window_edge_rows_at_full_depth(self, rows):
         """At |Im z| = pi n and depth 30 the Pochhammer product grows fast
         from n = 2^16 on; no warning escapes, and each sum stops as the
         written-out loop does."""
@@ -467,8 +473,8 @@ class TestRemainderRowsAgainstLoop:
             z = complex(re, sign * max_im(n))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = _remainder_parts(z, n, 30, target)
-            want = _loop_remainder(z, n, 30, target)
+                got = _remainder_parts(z, n, 30)
+            want = _loop_remainder(z, n, 30)
             assert got[2:] == want[2:]
             assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
             assert got[1] == pytest.approx(want[1], rel=1e-13)
